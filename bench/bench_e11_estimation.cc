@@ -33,8 +33,8 @@ std::string FmtBounds(const CardBounds& b) {
   return buf;
 }
 
-/// True when every node's estimate lies inside its provable bounds — an
-/// escape anywhere in the plan is an estimator bug by construction.
+/// True when every node's estimate lies inside its provable bounds —
+/// PlanBuilder clamps them there, so an escape anywhere is a bug.
 bool AllEstimatesInBounds(const PlanPtr& plan, const DataflowAnalysis& flow) {
   if (plan == nullptr) return true;
   const NodeFacts* f = flow.Find(plan.get());

@@ -39,9 +39,9 @@ where e1.dno = d.dno and e1.dno = a.dno and e1.dno = c.dno
 void OptimizeOnce(const std::string& sql, const OptimizerOptions& options,
                   benchmark::State& state) {
   auto query = ParseAndBind(*Db().catalog, sql);
-  if (!query.ok()) std::abort();
+  CheckOk(query.status(), "binding the two-view query");
   auto optimized = OptimizeQueryWithAggViews(*query, options);
-  if (!optimized.ok()) std::abort();
+  CheckOk(optimized.status(), "optimizing the two-view query");
   benchmark::DoNotOptimize(optimized->plan->cost);
   state.counters["plans_checked"] = static_cast<double>(
       optimized->counters.plans_checked);
@@ -75,16 +75,16 @@ void BM_TwoViews_FinalAnalyzeOnly(benchmark::State& state) {
   // Optimize once, measure only the one-shot analysis of the winning plan —
   // with and without the dataflow pass (same axis as above).
   auto query = ParseAndBind(*Db().catalog, TwoViewQuery());
-  if (!query.ok()) std::abort();
+  CheckOk(query.status(), "binding the two-view query");
   OptimizerOptions options;
   options.paranoid = false;
   auto optimized = OptimizeQueryWithAggViews(*query, options);
-  if (!optimized.ok()) std::abort();
+  CheckOk(optimized.status(), "optimizing the two-view query");
   AnalysisOptions analysis;
   analysis.dataflow = state.range(0) != 0;
   for (auto _ : state) {
     Status st = AnalyzePlan(optimized->plan, optimized->query, analysis);
-    if (!st.ok()) std::abort();
+    CheckOk(st, "analyzing the two-view plan");
     benchmark::DoNotOptimize(st);
   }
 }
@@ -97,11 +97,11 @@ void BM_DataflowAnalysisOnly(benchmark::State& state) {
   // The raw abstract interpretation (facts only, no obligations) of the
   // winning two-view plan.
   auto query = ParseAndBind(*Db().catalog, TwoViewQuery());
-  if (!query.ok()) std::abort();
+  CheckOk(query.status(), "binding the two-view query");
   OptimizerOptions options;
   options.paranoid = false;
   auto optimized = OptimizeQueryWithAggViews(*query, options);
-  if (!optimized.ok()) std::abort();
+  CheckOk(optimized.status(), "optimizing the two-view query");
   for (auto _ : state) {
     DataflowAnalysis flow =
         DataflowAnalysis::Analyze(optimized->plan, optimized->query);
@@ -119,7 +119,7 @@ void BM_Fuzz10_Plain(benchmark::State& state) {
     options.num_departments = 8;
     options.paranoid = false;
     auto report = RunDifferentialFuzz(options);
-    if (!report.ok()) std::abort();
+    CheckOk(report.status(), "fuzzing 10 queries (plain)");
     benchmark::DoNotOptimize(report->plans_compared);
   }
 }
@@ -134,7 +134,7 @@ void BM_Fuzz10_Paranoid(benchmark::State& state) {
     options.num_departments = 8;
     options.paranoid = true;
     auto report = RunDifferentialFuzz(options);
-    if (!report.ok()) std::abort();
+    CheckOk(report.status(), "fuzzing 10 queries (paranoid)");
     benchmark::DoNotOptimize(report->plans_compared);
   }
 }

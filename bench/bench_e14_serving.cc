@@ -13,10 +13,10 @@
 // lookup + Execute()); per-statement latencies feed the p50/p95/p99 columns
 // and QPS is total statements over the wall clock of the best repetition.
 // Each client cross-checks every result fingerprint against a serial
-// baseline and the run aborts on divergence.
+// baseline and the run fails on divergence.
 //
-// Axis 2 (prepare rows): the cost of Sql() itself, cold vs hot. A stats-
-// epoch bump forces the next prepare to miss (pay parse -> bind ->
+// Axis 2 (prepare rows): the cost of Sql() itself, cold vs hot. Bumping
+// every table's epoch forces the next prepare to miss (pay parse -> bind ->
 // optimize); the statement immediately after hits the cache. The speedup
 // column of prepare_hit is p50(miss) / p50(hit) — the measured repeated-
 // query speedup from plan caching.
@@ -108,11 +108,11 @@ void Run(bool json, bool smoke) {
   Server server(options);
   {
     auto tables = CreateTpcdSchema(&server.catalog());
-    if (!tables.ok()) std::abort();
+    CheckOk(tables.status(), "creating the TPC-D schema");
     DbgenOptions dbgen;
     dbgen.scale_factor = smoke ? 0.002 : 0.01;
-    Status st = GenerateTpcdData(&server.catalog(), *tables, dbgen);
-    if (!st.ok()) std::abort();
+    CheckOk(GenerateTpcdData(&server.catalog(), *tables, dbgen),
+            "generating TPC-D data");
   }
 
   const std::vector<int> client_counts =
@@ -126,17 +126,9 @@ void Run(bool json, bool smoke) {
     ServerSession conn = server.Connect();
     for (const Workload& w : kMix) {
       auto q = conn.Sql(w.sql);
-      if (!q.ok()) {
-        std::fprintf(stderr, "sql %s: %s\n", w.name,
-                     q.status().ToString().c_str());
-        std::abort();
-      }
+      CheckOk(q.status(), "preparing", w.name);
       auto r = q->Execute();
-      if (!r.ok()) {
-        std::fprintf(stderr, "execute %s: %s\n", w.name,
-                     r.status().ToString().c_str());
-        std::abort();
-      }
+      CheckOk(r.status(), "executing", w.name);
       baseline.push_back(r->Fingerprint());
     }
   }
@@ -162,9 +154,9 @@ void Run(bool json, bool smoke) {
             for (int w = 0; w < kMixSize; ++w) {
               const double start = Now();
               auto q = conn.Sql(kMix[w].sql);
-              if (!q.ok()) std::abort();
+              CheckOk(q.status(), "preparing", kMix[w].name);
               auto r = q->Execute();
-              if (!r.ok()) std::abort();
+              CheckOk(r.status(), "executing", kMix[w].name);
               lat[static_cast<size_t>(c)].push_back(Now() - start);
               if (r->Fingerprint() != baseline[static_cast<size_t>(w)]) {
                 ++mismatches[static_cast<size_t>(c)];
@@ -177,10 +169,11 @@ void Run(bool json, bool smoke) {
       const double wall = Now() - wall_start;
       for (int c = 0; c < clients; ++c) {
         if (mismatches[static_cast<size_t>(c)] != 0) {
-          std::fprintf(stderr,
-                       "client %d diverged from serial baseline (%d results)\n",
-                       c, mismatches[static_cast<size_t>(c)]);
-          std::abort();
+          CheckOk(Status::Internal(
+                      "client " + std::to_string(c) + ": " +
+                      std::to_string(mismatches[static_cast<size_t>(c)]) +
+                      " results diverged from the serial baseline"),
+                  "serving concurrent clients");
         }
         serve[a].latencies.insert(serve[a].latencies.end(),
                                   lat[static_cast<size_t>(c)].begin(),
@@ -215,17 +208,30 @@ void Run(bool json, bool smoke) {
     ServerSession conn = server.Connect();
     for (int rep = 0; rep < prepare_reps; ++rep) {
       for (const Workload& w : kMix) {
-        // Invalidate every cached plan: the next prepare pays the full
+        // Invalidate every cached plan: entries are stamped per table, so
+        // bump every table's epoch. The next prepare pays the full
         // parse -> bind -> optimize pipeline.
-        server.catalog().BumpStatsEpoch();
+        for (TableId t = 0; t < server.catalog().num_tables(); ++t) {
+          server.catalog().BumpTableEpoch(t);
+        }
         double start = Now();
         auto cold = conn.Sql(w.sql);
         miss_lat.push_back(Now() - start);
-        if (!cold.ok() || cold->cache_hit()) std::abort();
+        CheckOk(cold.status(), "cold-preparing", w.name);
+        if (cold->cache_hit()) {
+          CheckOk(Status::Internal("hit the plan cache after every table's "
+                                   "epoch was bumped"),
+                  "cold-preparing", w.name);
+        }
         start = Now();
         auto warm = conn.Sql(w.sql);
         hit_lat.push_back(Now() - start);
-        if (!warm.ok() || !warm->cache_hit()) std::abort();
+        CheckOk(warm.status(), "warm-preparing", w.name);
+        if (!warm->cache_hit()) {
+          CheckOk(Status::Internal("missed the plan cache right after a "
+                                   "prepare of the same statement"),
+                  "warm-preparing", w.name);
+        }
       }
     }
   }

@@ -183,6 +183,22 @@ class ResultWriter {
   std::unique_ptr<TablePrinter> table_;
 };
 
+/// Exits the bench when `status` is an error, printing what was being done
+/// (`action`, on `subject` when given) and the failing Status to stderr — a
+/// bench failure states its cause instead of a bare abort(). Exit code 1;
+/// _Exit skips static destructors, so a failure on one client thread cannot
+/// race the other threads' teardown. Allocation-free on success, so timed
+/// loops may call it.
+inline void CheckOk(const Status& status, const char* action,
+                    const char* subject = "") {
+  if (status.ok()) return;
+  std::fflush(stdout);
+  std::fprintf(stderr, "bench failed while %s%s%s: %s\n", action,
+               *subject != '\0' ? " " : "", subject,
+               status.ToString().c_str());
+  std::_Exit(1);
+}
+
 /// Banner naming the experiment and its paper artifact.
 inline void Banner(const char* id, const char* what) {
   std::printf("\n=== %s: %s ===\n", id, what);
@@ -197,16 +213,10 @@ struct EmpDeptDb {
 inline EmpDeptDb MakeEmpDeptDb(const EmpDeptOptions& options) {
   EmpDeptDb db;
   auto tables = CreateEmpDeptSchema(db.catalog.get());
-  if (!tables.ok()) {
-    std::fprintf(stderr, "schema: %s\n", tables.status().ToString().c_str());
-    std::abort();
-  }
+  CheckOk(tables.status(), "creating the emp/dept schema");
   db.tables = *tables;
-  Status st = GenerateEmpDeptData(db.catalog.get(), db.tables, options);
-  if (!st.ok()) {
-    std::fprintf(stderr, "dbgen: %s\n", st.ToString().c_str());
-    std::abort();
-  }
+  CheckOk(GenerateEmpDeptData(db.catalog.get(), db.tables, options),
+          "generating emp/dept data");
   return db;
 }
 
@@ -218,10 +228,10 @@ struct TpcdDb {
 inline TpcdDb MakeTpcdDb(const DbgenOptions& options) {
   TpcdDb db;
   auto tables = CreateTpcdSchema(db.catalog.get());
-  if (!tables.ok()) std::abort();
+  CheckOk(tables.status(), "creating the TPC-D schema");
   db.tables = *tables;
-  Status st = GenerateTpcdData(db.catalog.get(), db.tables, options);
-  if (!st.ok()) std::abort();
+  CheckOk(GenerateTpcdData(db.catalog.get(), db.tables, options),
+          "generating TPC-D data");
   return db;
 }
 
@@ -242,16 +252,9 @@ inline RunOutcome RunConfig(const Catalog& catalog, const std::string& sql,
                             const OptimizerOptions& options,
                             bool execute = true, bool analyze = false) {
   auto query = ParseAndBind(catalog, sql);
-  if (!query.ok()) {
-    std::fprintf(stderr, "bind: %s\n%s\n", query.status().ToString().c_str(),
-                 sql.c_str());
-    std::abort();
-  }
+  CheckOk(query.status(), "binding", sql.c_str());
   auto optimized = OptimizeQueryWithAggViews(*query, options);
-  if (!optimized.ok()) {
-    std::fprintf(stderr, "optimize: %s\n", optimized.status().ToString().c_str());
-    std::abort();
-  }
+  CheckOk(optimized.status(), "optimizing", sql.c_str());
   RunOutcome outcome;
   outcome.estimated = optimized->plan->cost;
   outcome.description = optimized->description;
@@ -261,10 +264,7 @@ inline RunOutcome RunConfig(const Catalog& catalog, const std::string& sql,
     auto result = ExecutePlan(optimized->plan, optimized->query,
                               ExecContext::Default().WithIo(&io).WithStats(
                                   analyze ? &stats : nullptr));
-    if (!result.ok()) {
-      std::fprintf(stderr, "execute: %s\n", result.status().ToString().c_str());
-      std::abort();
-    }
+    CheckOk(result.status(), "executing", sql.c_str());
     outcome.measured = io.total();
     if (analyze) {
       std::vector<NodeQError> nodes =

@@ -2,224 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <unordered_set>
-#include <vector>
 
-#include "catalog/catalog.h"
 #include "common/string_util.h"
-#include "expr/scalar_expr.h"
 #include "obs/runtime_stats.h"
 
 namespace aggview {
 
-const char* NullabilityName(Nullability n) {
-  switch (n) {
-    case Nullability::kNever:
-      return "never-null";
-    case Nullability::kMaybe:
-      return "maybe-null";
-    case Nullability::kAlways:
-      return "always-null";
-  }
-  return "?";
-}
-
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Saturating product of cardinality bounds. 0 * inf is 0: a provably empty
-/// side makes the join provably empty no matter how unbounded the other is.
-double SatMul(double a, double b) {
-  if (a == 0.0 || b == 0.0) return 0.0;
-  return a * b;
-}
-
-/// Collects the columns a scalar expression references *outside* COALESCE.
-/// A NULL in one of these forces the whole comparison side to NULL
-/// (ArithExpr propagates NULL), and Predicate::Eval maps a NULL side to
-/// false — which is what makes null-rejection inference sound. COALESCE
-/// absorbs the NULL, so nothing under it is null-rejected.
-void CollectNonCoalesceColumns(const ExprPtr& e, std::set<ColId>* out) {
-  if (e == nullptr) return;
-  switch (e->kind()) {
-    case ScalarExpr::Kind::kColumnRef:
-      out->insert(static_cast<const ColumnRefExpr&>(*e).id());
-      break;
-    case ScalarExpr::Kind::kArith: {
-      const auto& a = static_cast<const ArithExpr&>(*e);
-      CollectNonCoalesceColumns(a.lhs(), out);
-      CollectNonCoalesceColumns(a.rhs(), out);
-      break;
-    }
-    case ScalarExpr::Kind::kLiteral:
-    case ScalarExpr::Kind::kCoalesce:
-      break;
-  }
-}
-
-std::set<ColId> NonCoalesceColumns(const Predicate& p) {
-  std::set<ColId> out;
-  CollectNonCoalesceColumns(p.lhs, &out);
-  CollectNonCoalesceColumns(p.rhs, &out);
-  return out;
-}
-
-/// Widens a facts entry to a full (-inf, +inf) numeric range so one-sided
-/// predicate bounds have something to narrow.
-void EnsureNumericRange(ColumnFacts* cf) {
-  if (!cf->has_range) {
-    cf->has_range = true;
-    cf->min = -kInf;
-    cf->max = kInf;
-  }
-}
-
-/// Result of refining a conjunction into a facts map.
-struct RefineResult {
-  bool provably_empty = false;    // no row can satisfy the conjunction
-  std::string dead_predicate;     // set when a conjunct references an
-                                  // always-NULL column outside COALESCE
-};
-
-/// Applies one conjunction to `facts` in place — the heart of the transfer
-/// functions. Per conjunct:
-///  - a conjunct referencing an always-NULL column outside COALESCE is
-///    statically false (Predicate::Eval maps NULL sides to false): the
-///    output is provably empty and the conjunct is recorded as dead;
-///  - surviving rows have non-NULL values in every column referenced
-///    outside COALESCE: those columns become never-null;
-///  - `col op literal` narrows the column's value domain (strict integer
-///    comparisons narrow by a full unit); an empty domain proves emptiness;
-///  - `colA = colB` intersects the two domains and caps both distinct
-///    counts, but only when `join_equalities` is set — the estimator
-///    applies the same refinement only at join nodes, and the obligation
-///    "estimates lie inside provable bounds" needs the two analyses to
-///    narrow in lockstep.
-RefineResult ApplyPredicates(const std::vector<Predicate>& preds,
-                             const ColumnCatalog& cat, bool join_equalities,
-                             std::unordered_map<ColId, ColumnFacts>* facts) {
-  RefineResult result;
-  for (const Predicate& p : preds) {
-    std::set<ColId> refs = NonCoalesceColumns(p);
-    // Statically-false conjunct: an always-NULL column outside COALESCE.
-    for (ColId c : refs) {
-      auto it = facts->find(c);
-      if (it != facts->end() && it->second.null == Nullability::kAlways) {
-        result.provably_empty = true;
-        if (result.dead_predicate.empty()) {
-          result.dead_predicate = p.ToString(cat);
-        }
-      }
-    }
-    // Null-rejection: surviving rows are non-NULL in every referenced
-    // column (sound even after the dead-predicate case: "no rows" trivially
-    // satisfies never-null).
-    for (ColId c : refs) {
-      auto it = facts->find(c);
-      if (it != facts->end()) it->second.null = Nullability::kNever;
-    }
-
-    ColId col;
-    CompareOp op;
-    Value lit;
-    if (p.AsColumnVsLiteral(&col, &op, &lit)) {
-      auto it = facts->find(col);
-      if (it == facts->end()) continue;
-      ColumnFacts& cf = it->second;
-      bool integral = cat.type(col) == DataType::kInt64 && lit.is_int();
-      if (lit.is_int() || lit.is_double()) {
-        double v = lit.AsNumeric();
-        switch (op) {
-          case CompareOp::kEq:
-            EnsureNumericRange(&cf);
-            cf.min = std::max(cf.min, v);
-            cf.max = std::min(cf.max, v);
-            cf.max_distinct = std::min(cf.max_distinct, 1.0);
-            break;
-          case CompareOp::kLt:
-            EnsureNumericRange(&cf);
-            cf.max = std::min(cf.max, integral ? v - 1.0 : v);
-            break;
-          case CompareOp::kLe:
-            EnsureNumericRange(&cf);
-            cf.max = std::min(cf.max, v);
-            break;
-          case CompareOp::kGt:
-            EnsureNumericRange(&cf);
-            cf.min = std::max(cf.min, integral ? v + 1.0 : v);
-            break;
-          case CompareOp::kGe:
-            EnsureNumericRange(&cf);
-            cf.min = std::max(cf.min, v);
-            break;
-          case CompareOp::kNe:
-            break;  // holes are not representable in an interval
-        }
-        if (cf.has_range && cf.min > cf.max) result.provably_empty = true;
-      } else if (lit.is_string() && cat.type(col) == DataType::kString) {
-        const std::string& s = lit.AsString();
-        switch (op) {
-          case CompareOp::kEq:
-            if (cf.has_str_range) {
-              if (s < cf.min_str || s > cf.max_str) result.provably_empty = true;
-            }
-            cf.has_str_range = true;
-            cf.min_str = cf.max_str = s;
-            cf.max_distinct = std::min(cf.max_distinct, 1.0);
-            break;
-          case CompareOp::kLt:
-          case CompareOp::kLe:
-            if (cf.has_str_range) {
-              cf.max_str = std::min(cf.max_str, s);
-              if (cf.min_str > cf.max_str) result.provably_empty = true;
-            }
-            break;
-          case CompareOp::kGt:
-          case CompareOp::kGe:
-            if (cf.has_str_range) {
-              cf.min_str = std::max(cf.min_str, s);
-              if (cf.min_str > cf.max_str) result.provably_empty = true;
-            }
-            break;
-          case CompareOp::kNe:
-            break;
-        }
-      }
-      continue;
-    }
-
-    ColId a, b;
-    if (join_equalities && p.AsColumnEquality(&a, &b)) {
-      auto ia = facts->find(a);
-      auto ib = facts->find(b);
-      if (ia == facts->end() || ib == facts->end()) continue;
-      ColumnFacts& fa = ia->second;
-      ColumnFacts& fb = ib->second;
-      if (fa.has_range && fb.has_range) {
-        double lo = std::max(fa.min, fb.min);
-        double hi = std::min(fa.max, fb.max);
-        fa.min = fb.min = lo;
-        fa.max = fb.max = hi;
-        if (lo > hi) result.provably_empty = true;
-      }
-      if (fa.has_str_range && fb.has_str_range) {
-        std::string lo = std::max(fa.min_str, fb.min_str);
-        std::string hi = std::min(fa.max_str, fb.max_str);
-        fa.min_str = fb.min_str = lo;
-        fa.max_str = fb.max_str = hi;
-        if (lo > hi) result.provably_empty = true;
-      }
-      double d = std::min(fa.max_distinct, fb.max_distinct);
-      fa.max_distinct = fb.max_distinct = d;
-    }
-  }
-  return result;
-}
-
-/// The bottom-up interpreter. Memoized on node identity: plans are DAGs and
-/// shared subplans are visited once.
+/// The bottom-up interpreter: the shared transfer functions
+/// (analysis/transfer.h) applied over a finished plan. Memoized on node
+/// identity: plans are DAGs and shared subplans are visited once.
 class Interpreter {
  public:
   explicit Interpreter(const Query& query) : query_(query) {}
@@ -233,308 +27,34 @@ class Interpreter {
   const NodeFacts& Visit(const PlanPtr& plan) {
     auto it = memo_.find(plan.get());
     if (it != memo_.end()) return it->second;
+    const ColumnCatalog& cat = query_.columns();
+    const PlanNode& n = *plan;
     NodeFacts f;
-    switch (plan->kind) {
+    switch (n.kind) {
       case PlanNode::Kind::kScan:
-        f = ScanFacts(*plan);
+        f = ScanFacts(query_, n.rel_id, n.scan_filter);
         break;
       case PlanNode::Kind::kFilter:
-        f = FilterFacts(*plan);
+        if (n.left != nullptr) {
+          f = FilterFacts(Visit(n.left), n.filter_preds, cat);
+        }
         break;
       case PlanNode::Kind::kJoin:
-        f = JoinFacts(*plan);
+        if (n.left != nullptr && n.right != nullptr) {
+          f = JoinFacts(Visit(n.left), Visit(n.right), n.join_preds,
+                        n.left_outer, cat);
+        }
         break;
       case PlanNode::Kind::kGroupBy:
-        f = GroupByFacts(*plan);
+        if (n.left != nullptr) {
+          f = GroupByFacts(Visit(n.left), n.group_by, cat);
+        }
         break;
       case PlanNode::Kind::kSort:
-        f = plan->left != nullptr ? Visit(plan->left) : NodeFacts{};
+        if (n.left != nullptr) f = Visit(n.left);
         break;
     }
     return memo_[plan.get()] = std::move(f);
-  }
-
-  NodeFacts ScanFacts(const PlanNode& n) {
-    NodeFacts f;
-    if (n.rel_id < 0 || n.rel_id >= query_.num_range_vars()) return f;
-    const RangeVar& rv = query_.range_var(n.rel_id);
-    const TableDef& def = query_.catalog().table(rv.table);
-    const TableStats& stats = def.stats;
-    double rows = static_cast<double>(std::max<int64_t>(stats.row_count, 0));
-    // Positionally aligned per-column statistics; a catalog without them
-    // yields top-lattice column facts (the bounds still hold).
-    bool have_cols = stats.columns.size() == rv.columns.size();
-    for (size_t i = 0; i < rv.columns.size(); ++i) {
-      ColumnFacts cf;
-      if (have_cols) {
-        const ColumnStats& cs = stats.columns[i];
-        cf.max_distinct = static_cast<double>(cs.distinct);
-        if (cs.null_count == 0) {
-          cf.null = Nullability::kNever;
-        } else if (stats.row_count > 0 && cs.null_count >= stats.row_count) {
-          cf.null = Nullability::kAlways;
-        } else {
-          cf.null = Nullability::kMaybe;
-        }
-        if (cs.has_range) {
-          cf.has_range = true;
-          cf.min = cs.min;
-          cf.max = cs.max;
-        }
-        if (cs.has_str_range) {
-          cf.has_str_range = true;
-          cf.min_str = cs.min_str;
-          cf.max_str = cs.max_str;
-        }
-      }
-      f.cols[rv.columns[i]] = std::move(cf);
-    }
-    if (rv.rowid != kInvalidColId) {
-      ColumnFacts cf;
-      cf.null = Nullability::kNever;
-      cf.max_distinct = rows;
-      if (stats.row_count > 0) {
-        cf.has_range = true;
-        cf.min = 0.0;
-        cf.max = rows - 1.0;
-      }
-      f.cols[rv.rowid] = std::move(cf);
-    }
-    if (n.scan_filter.empty()) {
-      f.card = {rows, rows};  // an unfiltered scan emits exactly the table
-    } else {
-      f.card = {0.0, rows};
-      RefineResult r =
-          ApplyPredicates(n.scan_filter, query_.columns(),
-                          /*join_equalities=*/false, &f.cols);
-      if (r.provably_empty) f.card = {0.0, 0.0};
-      f.dead_predicate = std::move(r.dead_predicate);
-    }
-    return f;
-  }
-
-  NodeFacts FilterFacts(const PlanNode& n) {
-    if (n.left == nullptr) return NodeFacts{};
-    NodeFacts f = Visit(n.left);  // copy
-    f.dead_predicate.clear();
-    if (n.filter_preds.empty()) return f;  // pure projection: exact pass-through
-    f.card.lo = 0.0;
-    RefineResult r = ApplyPredicates(n.filter_preds, query_.columns(),
-                                     /*join_equalities=*/false, &f.cols);
-    if (r.provably_empty) f.card = {0.0, 0.0};
-    f.dead_predicate = std::move(r.dead_predicate);
-    return f;
-  }
-
-  NodeFacts JoinFacts(const PlanNode& n) {
-    if (n.left == nullptr || n.right == nullptr) return NodeFacts{};
-    const NodeFacts& l = Visit(n.left);
-    const NodeFacts& r = Visit(n.right);
-    NodeFacts f;
-    f.cols = l.cols;
-    f.cols.insert(r.cols.begin(), r.cols.end());
-    if (!n.left_outer) {
-      // A cross product emits exactly |L| * |R| rows; any predicate can only
-      // reject.
-      f.card.lo = n.join_preds.empty() ? SatMul(l.card.lo, r.card.lo) : 0.0;
-      f.card.hi = SatMul(l.card.hi, r.card.hi);
-      RefineResult rr = ApplyPredicates(n.join_preds, query_.columns(),
-                                        /*join_equalities=*/true, &f.cols);
-      if (rr.provably_empty) f.card = {0.0, 0.0};
-      f.dead_predicate = std::move(rr.dead_predicate);
-      return f;
-    }
-    // Left outer join: every left row appears, padded when unmatched. Per
-    // left row: max(matches, 1) <= max(|R|_hi, 1) output rows.
-    f.card.lo = l.card.lo;
-    f.card.hi = SatMul(l.card.hi, std::max(r.card.hi, 1.0));
-    // Predicate refinements hold only on *matched* rows, so they apply to a
-    // scratch copy; right columns adopt the refined facts (their non-NULL
-    // values come from matches only) with padding folded into nullability,
-    // while left columns keep the unrefined input facts (unmatched left rows
-    // survive with arbitrary values).
-    auto matched = f.cols;
-    RefineResult rr = ApplyPredicates(n.join_preds, query_.columns(),
-                                      /*join_equalities=*/true, &matched);
-    f.dead_predicate = std::move(rr.dead_predicate);
-    for (const auto& [col, rf] : r.cols) {
-      if (rr.provably_empty) {
-        // No match can exist: the right side is pure padding.
-        ColumnFacts cf;
-        cf.null = Nullability::kAlways;
-        cf.max_distinct = 0.0;
-        f.cols[col] = cf;
-        continue;
-      }
-      ColumnFacts cf = matched[col];
-      if (cf.null == Nullability::kNever) cf.null = Nullability::kMaybe;
-      // (kAlways stays: padding only adds NULLs.)
-      f.cols[col] = std::move(cf);
-    }
-    if (rr.provably_empty) {
-      // Output is exactly the left input, padded.
-      f.card = {l.card.lo, l.card.hi};
-    }
-    return f;
-  }
-
-  NodeFacts GroupByFacts(const PlanNode& n) {
-    if (n.left == nullptr) return NodeFacts{};
-    const NodeFacts& in = Visit(n.left);
-    const GroupBySpec& spec = n.group_by;
-    NodeFacts f;
-    f.cols = in.cols;  // grouping columns keep the input facts
-    bool scalar = spec.grouping.empty();
-
-    double groups_hi;
-    if (scalar) {
-      groups_hi = 1.0;
-    } else {
-      // hi = min(input_hi, |domain of the grouping columns|): the product
-      // over grouping columns of the distinct bound, itself capped by the
-      // width of an integer column's value interval, plus one for the NULL
-      // group of a nullable column.
-      double key_space = 1.0;
-      for (ColId g : spec.grouping) {
-        double d = kUnboundedDistinct;
-        const ColumnFacts* cf = in.Find(g);
-        if (cf != nullptr) {
-          d = cf->max_distinct;
-          if (cf->has_range &&
-              query_.columns().type(g) == DataType::kInt64) {
-            double width = std::floor(cf->max) - std::ceil(cf->min) + 1.0;
-            d = std::min(d, std::max(width, 0.0));
-          }
-          if (cf->null != Nullability::kNever) d += 1.0;
-        }
-        key_space = SatMul(key_space, d);
-      }
-      groups_hi = std::min(in.card.hi, key_space);
-    }
-    double groups_lo;
-    if (scalar) {
-      // A scalar aggregate emits exactly one row even over empty input.
-      groups_lo = spec.having.empty() ? 1.0 : 0.0;
-    } else {
-      groups_lo =
-          (in.card.lo >= 1.0 && spec.having.empty()) ? 1.0 : 0.0;
-    }
-    f.card = {groups_lo, scalar ? 1.0 : groups_hi};
-
-    // Rows per group never exceed the input cardinality (and a group that
-    // emits a non-NULL aggregate fed at least one row).
-    double n_max = std::max(in.card.hi, 1.0);
-    for (const AggregateCall& a : spec.aggregates) {
-      if (a.output == kInvalidColId) continue;
-      f.cols[a.output] = AggFacts(a, in, scalar, n_max, groups_hi);
-    }
-    if (!spec.having.empty()) {
-      RefineResult r = ApplyPredicates(spec.having, query_.columns(),
-                                       /*join_equalities=*/false, &f.cols);
-      if (r.provably_empty) f.card = {0.0, 0.0};
-      f.dead_predicate = std::move(r.dead_predicate);
-    }
-    return f;
-  }
-
-  ColumnFacts AggFacts(const AggregateCall& a, const NodeFacts& in,
-                       bool scalar, double n_max, double groups_hi) const {
-    ColumnFacts out;
-    // One output row per group.
-    out.max_distinct = scalar ? 1.0 : std::max(groups_hi, 1.0);
-    const ColumnFacts* arg = a.args.empty() ? nullptr : in.Find(a.args[0]);
-    Nullability argn = arg != nullptr ? arg->null : Nullability::kMaybe;
-    // A value-aggregate (SUM/MIN/MAX/AVG/MEDIAN) is NULL exactly when its
-    // group fed no non-NULL argument: impossible for a grouped aggregate
-    // over a never-null argument (groups have >= 1 row), certain when the
-    // argument is always NULL.
-    auto value_agg_null = [&]() {
-      if (argn == Nullability::kAlways) return Nullability::kAlways;
-      if (argn == Nullability::kNever && (!scalar || in.card.lo >= 1.0)) {
-        return Nullability::kNever;
-      }
-      return Nullability::kMaybe;
-    };
-    switch (a.kind) {
-      case AggKind::kCountStar:
-        out.null = Nullability::kNever;
-        out.has_range = true;
-        out.min = scalar ? in.card.lo : 1.0;
-        out.max = scalar ? std::max(in.card.hi, 0.0) : n_max;
-        break;
-      case AggKind::kCount:
-        out.null = Nullability::kNever;
-        out.has_range = true;
-        out.min = (argn == Nullability::kNever)
-                      ? (scalar ? in.card.lo : 1.0)
-                      : 0.0;
-        out.max = scalar ? std::max(in.card.hi, 0.0) : n_max;
-        break;
-      case AggKind::kCountSum:
-        // SUM with COUNT's empty-is-0 semantics: never NULL, and 0 is always
-        // a possible value (empty scalar input, or all partial rows NULL).
-        out.null = Nullability::kNever;
-        if (arg != nullptr && arg->has_range) {
-          out.has_range = true;
-          out.min = std::min({0.0, arg->min, arg->min * n_max});
-          out.max = std::max({0.0, arg->max, arg->max * n_max});
-        }
-        break;
-      case AggKind::kSum:
-        out.null = value_agg_null();
-        if (arg != nullptr && arg->has_range) {
-          out.has_range = true;
-          out.min = std::min(arg->min, arg->min * n_max);
-          out.max = std::max(arg->max, arg->max * n_max);
-        }
-        break;
-      case AggKind::kMin:
-      case AggKind::kMax:
-        out.null = value_agg_null();
-        if (arg != nullptr) {
-          if (arg->has_range) {
-            out.has_range = true;
-            out.min = arg->min;
-            out.max = arg->max;
-          }
-          if (arg->has_str_range) {
-            out.has_str_range = true;
-            out.min_str = arg->min_str;
-            out.max_str = arg->max_str;
-          }
-          out.max_distinct = std::min(out.max_distinct, arg->max_distinct);
-        }
-        break;
-      case AggKind::kAvg:
-      case AggKind::kMedian:
-        // Both lie inside the argument's convex hull (MEDIAN may average
-        // two middle samples, so it inherits the range but not the
-        // argument's distinct bound).
-        out.null = value_agg_null();
-        if (arg != nullptr && arg->has_range) {
-          out.has_range = true;
-          out.min = arg->min;
-          out.max = arg->max;
-        }
-        break;
-      case AggKind::kAvgFinal: {
-        const ColumnFacts* cnt =
-            a.args.size() >= 2 ? in.Find(a.args[1]) : nullptr;
-        Nullability cn = cnt != nullptr ? cnt->null : Nullability::kMaybe;
-        if (argn == Nullability::kAlways || cn == Nullability::kAlways) {
-          out.null = Nullability::kAlways;
-        } else if (argn == Nullability::kNever && cn == Nullability::kNever &&
-                   (!scalar || in.card.lo >= 1.0)) {
-          out.null = Nullability::kNever;
-        } else {
-          out.null = Nullability::kMaybe;
-        }
-        // No value domain: a ratio of sums needs relational reasoning the
-        // interval domain cannot express.
-        break;
-      }
-    }
-    return out;
   }
 
   const Query& query_;
@@ -568,9 +88,9 @@ Status CheckNode(const PlanPtr& plan, const Query& query,
   const NodeFacts* f = analysis.Find(plan.get());
   if (f == nullptr) return Status::OK();
 
-  // Obligation: the estimate is consistent with the provable bounds. The
-  // estimator and the abstract interpreter read the same statistics, so an
-  // estimate outside [lo, hi] is an estimator bug, not a modeling gap.
+  // Obligation: the estimate is consistent with the provable bounds.
+  // PlanBuilder clamps every estimate into the facts this pass re-derives,
+  // so an estimate outside [lo, hi] is a bug, not a modeling gap.
   if (!EstimateWithinBounds(plan->est.rows, f->card)) {
     return DataflowError(
         plan, query,
@@ -682,11 +202,8 @@ PlanPtr ClampNodeEstimates(const PlanPtr& node,
   if (it != memo->end()) return it->second;
   PlanPtr left = ClampNodeEstimates(node->left, analysis, memo);
   PlanPtr right = ClampNodeEstimates(node->right, analysis, memo);
-  double rows = node->est.rows;
-  if (const NodeFacts* f = analysis.Find(node.get())) {
-    if (rows < f->card.lo) rows = f->card.lo;
-    if (rows > f->card.hi) rows = f->card.hi;
-  }
+  const CardBounds& card = analysis.Find(node.get())->card;
+  double rows = std::min(std::max(node->est.rows, card.lo), card.hi);
   PlanPtr out = node;
   if (left != node->left || right != node->right || rows != node->est.rows) {
     auto clone = std::make_shared<PlanNode>(*node);
@@ -695,8 +212,7 @@ PlanPtr ClampNodeEstimates(const PlanPtr& node,
     clone->est.rows = rows;
     out = std::move(clone);
   }
-  (*memo)[node.get()] = out;
-  return out;
+  return (*memo)[node.get()] = out;
 }
 
 }  // namespace

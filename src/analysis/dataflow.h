@@ -3,11 +3,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <unordered_map>
 
 #include "algebra/query.h"
+#include "analysis/transfer.h"
 #include "common/result.h"
 #include "exec/row_batch.h"
 #include "optimizer/plan.h"
@@ -16,89 +16,29 @@ namespace aggview {
 
 class RuntimeStatsCollector;
 
-/// Abstract interpretation over physical plans (the dataflow verifier).
-///
-/// A bottom-up pass computes, for every plan node, an abstract state:
-///
-///  - per output column, a *nullability lattice* value (never / maybe /
-///    always NULL), a *value domain* (a closed interval over the non-NULL
-///    values, numeric or lexicographic, seeded from the catalog's exact
-///    min/max statistics and refined through filter and join predicates),
-///    and a sound upper bound on the column's distinct non-NULL values;
-///  - per node, *cardinality bounds* [lo, hi] on the number of rows the
-///    node can produce, via sound transfer functions (scans from table row
-///    counts, filters zero the bound on provably-false predicates, inner
-///    joins multiply, outer joins preserve the left input and introduce
-///    NULLs on the right, group-bys are capped by the product of the
-///    grouping columns' domains).
-///
-/// Everything derived here is a *theorem* about execution, not an estimate:
-/// any run of the plan over data consistent with the catalog statistics
-/// must produce a row count inside [lo, hi] and NULLs only in maybe/always
-/// columns. Three consumers rely on that:
+/// Abstract interpretation over physical plans (the dataflow verifier): a
+/// bottom-up pass applying the transfer functions of analysis/transfer.h to
+/// every node. Everything derived is a *theorem* about execution, not an
+/// estimate: any run of the plan over data consistent with the catalog
+/// statistics produces a row count inside each node's [lo, hi] and NULLs
+/// only in maybe/always columns. PlanBuilder derives the same facts while it
+/// builds each node (and clamps the node's estimate into them); this pass
+/// re-derives them independently over the finished plan as the reference
+/// for three consumers:
 ///
 ///  1. static obligations in AnalyzePlan (CheckDataflowObligations):
 ///     COUNT-family outputs are non-null and >= 0, coalescing combine
 ///     inputs are never-null where AggAccumulator::Merge requires it,
-///     predicates are not statically dead, and every estimator estimate
-///     lies inside the provable bounds (outside = a flagged estimator bug);
+///     predicates are not statically dead, and every estimate lies inside
+///     the provable bounds (outside = a node built or edited outside
+///     PlanBuilder);
 ///  2. paranoid mode: AnalyzePlan (and with it this pass) runs on every
 ///     DP-table insertion of all three optimizers;
 ///  3. runtime self-verification (DataflowVerifier): a debug ExecContext
 ///     mode where the executor checks every produced batch and every
 ///     node's final row count against the static facts, which in turn lets
 ///     the differential fuzzer test the analysis itself against execution.
-enum class Nullability {
-  kNever,   // no row of this node carries NULL in the column
-  kMaybe,   // unknown; NULLs permitted
-  kAlways,  // every row carries NULL (outer-join padding of an empty side)
-};
-
-const char* NullabilityName(Nullability n);
-
-/// Unbounded distinct-count sentinel.
-inline constexpr double kUnboundedDistinct =
-    std::numeric_limits<double>::infinity();
-
-/// Abstract state of one column at one plan node.
-struct ColumnFacts {
-  Nullability null = Nullability::kMaybe;
-  /// Closed numeric interval over the column's non-NULL values.
-  bool has_range = false;
-  double min = 0.0;
-  double max = 0.0;
-  /// Closed lexicographic interval for string columns.
-  bool has_str_range = false;
-  std::string min_str;
-  std::string max_str;
-  /// Sound upper bound on the number of distinct non-NULL values
-  /// (kUnboundedDistinct when nothing is known).
-  double max_distinct = kUnboundedDistinct;
-};
-
-/// Provable cardinality bounds of one plan node.
-struct CardBounds {
-  double lo = 0.0;
-  double hi = std::numeric_limits<double>::infinity();
-};
-
-/// The abstract state of one plan node: cardinality bounds plus facts for
-/// every column flowing through the node (not just the projected output, so
-/// pre-projection operators of the same node are checkable too).
-struct NodeFacts {
-  CardBounds card;
-  std::unordered_map<ColId, ColumnFacts> cols;
-  /// Rendering of the first predicate of this node proved statically false
-  /// because it references an always-NULL column outside COALESCE (empty
-  /// when none). Surfaced as a static obligation failure.
-  std::string dead_predicate;
-
-  const ColumnFacts* Find(ColId c) const {
-    auto it = cols.find(c);
-    return it == cols.end() ? nullptr : &it->second;
-  }
-};
-
+///
 /// The result of the abstract interpretation: facts per plan node, keyed by
 /// node identity (plans are DAGs — shared subplans are analyzed once).
 /// Analysis is total: it never fails, it only loses precision (a node it
@@ -119,7 +59,8 @@ class DataflowAnalysis {
 /// Static obligations over the analysis (consumer 1). Errors name the
 /// offending node (same convention as the analyzer's NodeError):
 ///  - every node's estimated row count lies inside the provable [lo, hi]
-///    (an estimate outside the bounds is an estimator bug by construction);
+///    (PlanBuilder clamps it there, so an estimate outside the bounds is a
+///    node that bypassed the builder);
 ///  - COUNT-family outputs are declared non-nullable, derive never-NULL,
 ///    and their domain proves >= 0;
 ///  - coalescing combine inputs that carry counts (the kCountSum argument
@@ -141,14 +82,8 @@ bool EstimateWithinBounds(double est_rows, const CardBounds& bounds);
 /// Returns `plan` with every node's estimated row count clamped into its
 /// provable [lo, hi] bounds (nodes are immutable, so the spine above any
 /// clamped node is rebuilt; feasible subtrees are shared with the input).
-/// The view-matching rewriter can make the provable bounds *tighter* than
-/// the estimator's heuristics: backing-table column statistics flow through
-/// the combine aggregates (a per-group partial sum has real min/max stats
-/// where the base aggregate output has none), so the interpreter may prove
-/// a view-output predicate empty while the estimator still applies a
-/// default selectivity. Clamping restores the estimator-consistency
-/// obligation above without touching any estimate that was already
-/// feasible. Run on view-backed plans after optimization.
+/// PlanBuilder already clamps every node it builds, so for optimizer output
+/// this returns `plan` itself; only nodes built or edited by hand change.
 PlanPtr ClampEstimatesToProvableBounds(const PlanPtr& plan,
                                        const Query& query);
 

@@ -15,13 +15,13 @@
 #include "optimizer/aggview_optimizer.h"
 #include "optimizer/plan_validator.h"
 #include "optimizer/traditional.h"
+#include "session.h"
 #include "sql/binder.h"
 #include "tpcd/dbgen.h"
 #include "verify/prover.h"
 #include "verify/skeleton.h"
 #include "view/maintenance.h"
 #include "view/matview.h"
-#include "view/rewriter.h"
 
 namespace aggview {
 
@@ -373,25 +373,17 @@ Status MatViewDifferential(Catalog* catalog, TableId emp,
   Status st = [&]() -> Status {
     // Phase 1: the rewriter must answer every materialized block, and the
     // view-backed execution must reproduce the reference bytes.
-    AGGVIEW_ASSIGN_OR_RETURN(Query query, ParseAndBind(*catalog, sql));
-    std::vector<ViewRewriteCertificate> certs;
     AGGVIEW_ASSIGN_OR_RETURN(
-        int rewrites, RewriteWithMaterializedViews(*catalog, &query, &certs));
+        OptimizedQuery opt,
+        PrepareStatement(*catalog, sql, /*use_materialized_views=*/true,
+                         /*use_traditional=*/false, TraditionalOptions()));
+    const int rewrites = static_cast<int>(opt.audit.view_rewrites.size());
     if (rewrites < static_cast<int>(created.size())) {
       return Status::Internal(
           "rewriter answered " + std::to_string(rewrites) + " of " +
           std::to_string(created.size()) +
           " blocks whose definitions were materialized verbatim");
     }
-    AGGVIEW_ASSIGN_OR_RETURN(
-        OptimizedQuery opt,
-        OptimizeQueryWithAggViews(query, TraditionalOptions()));
-    for (ViewRewriteCertificate& cert : certs) {
-      opt.audit.view_rewrites.push_back(std::move(cert));
-    }
-    // Backing-column statistics can prove bounds the estimator's heuristics
-    // miss; AnalyzePlan requires estimates to respect them.
-    opt.plan = ClampEstimatesToProvableBounds(opt.plan, opt.query);
     AGGVIEW_RETURN_NOT_OK(ValidatePlan(opt.plan, opt.query));
     AGGVIEW_RETURN_NOT_OK(AnalyzePlan(opt.plan, opt.query));
     AGGVIEW_RETURN_NOT_OK(VerifyAudit(opt.query, opt.audit));
@@ -478,21 +470,19 @@ bool MatViewModeFromEnv() {
 
 }  // namespace
 
-Result<FuzzReport> RunDifferentialFuzz(const FuzzOptions& options) {
-  Catalog catalog;
-  AGGVIEW_ASSIGN_OR_RETURN(EmpDeptTables tables,
-                           CreateEmpDeptSchema(&catalog));
+Result<EmpDeptTables> CreateFuzzDatabase(const FuzzOptions& options,
+                                         Catalog* catalog) {
+  AGGVIEW_ASSIGN_OR_RETURN(EmpDeptTables tables, CreateEmpDeptSchema(catalog));
   EmpDeptOptions data;
   data.num_employees = options.num_employees;
   data.num_departments = options.num_departments;
   data.young_fraction = 0.2;
   data.seed = options.seed * 131 + 7;
-  AGGVIEW_RETURN_NOT_OK(GenerateEmpDeptData(&catalog, tables, data));
+  AGGVIEW_RETURN_NOT_OK(GenerateEmpDeptData(catalog, tables, data));
+  return tables;
+}
 
-  // The three algorithm families of the paper plus an aggressive pull-up
-  // ablation: traditional two-phase (group-by after all joins), greedy
-  // conservative (early group-by placement, no pull-up), and the extended
-  // two-phase optimizer (pull-up + push-down + greedy enumeration).
+std::vector<OptimizerOptions> FuzzOptimizerConfigs(bool paranoid) {
   std::vector<OptimizerOptions> configs;
   configs.push_back(TraditionalOptions());
   OptimizerOptions greedy;
@@ -504,7 +494,16 @@ Result<FuzzReport> RunDifferentialFuzz(const FuzzOptions& options) {
   deep_pull.max_pullup = 3;
   deep_pull.require_shared_predicate = false;
   configs.push_back(deep_pull);
-  for (OptimizerOptions& c : configs) c.paranoid = options.paranoid;
+  for (OptimizerOptions& c : configs) c.paranoid = paranoid;
+  return configs;
+}
+
+Result<FuzzReport> RunDifferentialFuzz(const FuzzOptions& options) {
+  Catalog catalog;
+  AGGVIEW_ASSIGN_OR_RETURN(EmpDeptTables tables,
+                           CreateFuzzDatabase(options, &catalog));
+  const std::vector<OptimizerOptions> configs =
+      FuzzOptimizerConfigs(options.paranoid);
 
   // Each query gets its own derived seed, so any failure is replayable in
   // isolation: set AGGVIEW_FUZZ_SEED to the seed printed in the failure

@@ -5,8 +5,11 @@
 #include <string>
 #include <vector>
 
+#include "catalog/catalog.h"
 #include "common/random.h"
 #include "common/result.h"
+#include "optimizer/aggview_optimizer.h"
+#include "tpcd/dbgen.h"
 
 namespace aggview {
 
@@ -118,6 +121,15 @@ struct FuzzReport {
   /// rejects by design (HAVING, MEDIAN).
   int matview_skips = 0;
 };
+
+/// The emp/dept database a fuzz run over `options` queries.
+Result<EmpDeptTables> CreateFuzzDatabase(const FuzzOptions& options,
+                                         Catalog* catalog);
+
+/// The configurations every fuzz query is optimized under: the paper's
+/// three algorithm families — traditional two-phase, greedy conservative
+/// (no pull-up), the extended two-phase optimizer — plus deep pull-up.
+std::vector<OptimizerOptions> FuzzOptimizerConfigs(bool paranoid);
 
 /// Runs the differential fuzz loop. Fails on the first query where any
 /// optimizer configuration yields a plan that fails validation/analysis,

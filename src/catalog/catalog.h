@@ -173,10 +173,11 @@ class Catalog {
 
   /// Monotonic version of the catalog's schema, statistics and data.
   /// Starts at 0 and is bumped by AddTable, AddForeignKey, every
-  /// mutable_table access, and explicit BumpStatsEpoch calls. A plan cache
-  /// stamps each entry with the epoch it was optimized under and treats a
-  /// mismatch as invalidation. Reads are safe concurrent with query serving;
-  /// mutations themselves must be quiesced relative to running queries.
+  /// mutable_table access, and explicit BumpStatsEpoch calls. The Server's
+  /// plan cache keys on per-table and per-view epochs instead, so only
+  /// BumpTableEpoch (not a bare BumpStatsEpoch) invalidates its plans.
+  /// Reads are safe concurrent with query serving; mutations themselves
+  /// must be quiesced relative to running queries.
   int64_t stats_epoch() const {
     return stats_epoch_.load(std::memory_order_acquire);
   }

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "analysis/certificate.h"
-#include "analysis/dataflow.h"
 #include "common/string_util.h"
 
 namespace aggview {
@@ -49,27 +48,20 @@ NodeRuntime RuntimeOfNode(const PlanNode* node,
   return rt;
 }
 
-/// Renders the dataflow verifier's provable cardinality bounds, plus a
-/// loud flag when the estimate escaped them (by construction that is an
-/// estimator bug — both read the same statistics).
-std::string BoundsSuffix(const PlanPtr& plan, const DataflowAnalysis& flow) {
-  const NodeFacts* f = flow.Find(plan.get());
-  if (f == nullptr) return "";
-  std::string out;
-  if (std::isfinite(f->card.hi)) {
-    out = StrFormat(" bounds=[%.0f, %.0f]", f->card.lo, f->card.hi);
-  } else {
-    out = StrFormat(" bounds=[%.0f, inf]", f->card.lo);
+/// Renders the node's provable cardinality bounds (the facts PlanBuilder
+/// clamped its estimate into).
+std::string BoundsSuffix(const PlanNode& node) {
+  if (node.facts == nullptr) return "";  // a node built by hand
+  const CardBounds& card = node.facts->card;
+  if (std::isfinite(card.hi)) {
+    return StrFormat(" bounds=[%.0f, %.0f]", card.lo, card.hi);
   }
-  if (!EstimateWithinBounds(plan->est.rows, f->card)) {
-    out += " EST-OUT-OF-BOUNDS";
-  }
-  return out;
+  return StrFormat(" bounds=[%.0f, inf]", card.lo);
 }
 
 void ExplainRec(const PlanPtr& plan, const Query& query,
-                const RuntimeStatsCollector& stats,
-                const DataflowAnalysis& flow, int indent, std::string* out) {
+                const RuntimeStatsCollector& stats, int indent,
+                std::string* out) {
   std::string pad(static_cast<size_t>(indent) * 2, ' ');
   *out += pad + PlanNodeLabel(plan, query);
 
@@ -110,18 +102,18 @@ void ExplainRec(const PlanPtr& plan, const Query& query,
         *out += " fallback=" + rt.bottom->fallback;
       }
     }
-    *out += BoundsSuffix(plan, flow);
+    *out += BoundsSuffix(*plan);
     *out += ")";
   } else {
     *out += StrFormat("  (est=%.1f act=? never executed%s)", plan->est.rows,
-                      BoundsSuffix(plan, flow).c_str());
+                      BoundsSuffix(*plan).c_str());
   }
   *out += "\n";
   if (plan->left != nullptr) {
-    ExplainRec(plan->left, query, stats, flow, indent + 1, out);
+    ExplainRec(plan->left, query, stats, indent + 1, out);
   }
   if (plan->right != nullptr) {
-    ExplainRec(plan->right, query, stats, flow, indent + 1, out);
+    ExplainRec(plan->right, query, stats, indent + 1, out);
   }
 }
 
@@ -171,8 +163,7 @@ QErrorSummary SummarizeQError(const std::vector<NodeQError>& nodes) {
 std::string ExplainAnalyze(const PlanPtr& plan, const Query& query,
                            const RuntimeStatsCollector& stats) {
   std::string out;
-  DataflowAnalysis flow = DataflowAnalysis::Analyze(plan, query);
-  ExplainRec(plan, query, stats, flow, 0, &out);
+  ExplainRec(plan, query, stats, 0, &out);
   QErrorSummary summary =
       SummarizeQError(CollectNodeQErrors(plan, query, stats));
   out += StrFormat(

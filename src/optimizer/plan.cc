@@ -34,6 +34,56 @@ bool HasEquiJoinConjunct(const std::vector<Predicate>& preds,
   return false;
 }
 
+/// Clamps `node`'s estimate into its facts: rows into [lo, hi], each
+/// column's distinct count into its distinct bound.
+void ClampEstimateToFacts(const ColumnCatalog& cat, PlanNode* node) {
+  const NodeFacts& f = *node->facts;
+  RelEstimate& est = node->est;
+  est.rows = std::min(std::max(est.rows, f.card.lo), f.card.hi);
+  for (auto& [col, cs] : est.cols) {
+    if (const ColumnFacts* cf = f.Find(col)) {
+      cs.distinct = std::min(cs.distinct, DistinctBound(*cf, cat.type(col)));
+    }
+  }
+}
+
+/// Cumulative cost of join `node` under its algorithm.
+double JoinCost(const Query& query, const PlanNode& node) {
+  const PlanNode& left = *node.left;
+  const PlanNode& right = *node.right;
+  double lp = left.OutputPages();
+  double rp = right.OutputPages();
+  double local = 0.0;
+  double children = left.cost + right.cost;
+  switch (node.algo) {
+    case JoinAlgo::kBlockNestedLoop: {
+      if (right.kind == PlanNode::Kind::kScan && right.scan_filter.empty()) {
+        // Re-scan the base table every pass; the single child scan cost is
+        // subsumed by the passes.
+        const RangeVar& rv = query.range_var(right.rel_id);
+        const TableDef& def = query.catalog().table(rv.table);
+        double base_pages = static_cast<double>(
+            def.data != nullptr ? def.data->page_count()
+                                : PagesForRows(def.stats.row_count,
+                                               def.schema.RowWidth()));
+        children = left.cost;
+        local = CostModel::BnlLocalCost(lp, base_pages);
+      } else {
+        // Materialize the inner once, then one read per outer block.
+        local = CostModel::MaterializeCost(rp) + CostModel::BnlLocalCost(lp, rp);
+      }
+      break;
+    }
+    case JoinAlgo::kHash:
+      local = CostModel::HashJoinLocalCost(lp, rp);
+      break;
+    case JoinAlgo::kSortMerge:
+      local = CostModel::SortMergeLocalCost(lp, rp);
+      break;
+  }
+  return children + local;
+}
+
 }  // namespace
 
 PlanPtr PlanBuilder::Scan(int rel_id, std::vector<Predicate> local_preds,
@@ -44,8 +94,11 @@ PlanPtr PlanBuilder::Scan(int rel_id, std::vector<Predicate> local_preds,
   node->rel_id = rel_id;
   node->scan_filter = std::move(local_preds);
 
+  node->facts = std::make_shared<const NodeFacts>(
+      ScanFacts(*query_, rel_id, node->scan_filter));
   RelEstimate base = Estimator::BaseRel(*query_, rel_id);
   node->est = Estimator::ApplyFilter(base, node->scan_filter);
+  ClampEstimateToFacts(query_->columns(), node.get());
 
   // Projection: needed columns only, but never empty (a degenerate query may
   // need no column from a relation; keep the first so rows exist).
@@ -71,7 +124,10 @@ PlanPtr PlanBuilder::Filter(PlanPtr input, std::vector<Predicate> preds) const {
   node->kind = PlanNode::Kind::kFilter;
   node->left = input;
   node->filter_preds = std::move(preds);
+  node->facts = std::make_shared<const NodeFacts>(
+      FilterFacts(*input->facts, node->filter_preds, query_->columns()));
   node->est = Estimator::ApplyFilter(input->est, node->filter_preds);
+  ClampEstimateToFacts(query_->columns(), node.get());
   node->output = input->output;
   node->width = input->width;
   node->cost = input->cost;  // pipelined; no IO of its own
@@ -80,14 +136,22 @@ PlanPtr PlanBuilder::Filter(PlanPtr input, std::vector<Predicate> preds) const {
 
 PlanPtr PlanBuilder::Join(JoinAlgo algo, PlanPtr left, PlanPtr right,
                           std::vector<Predicate> preds,
-                          const std::set<ColId>& needed) const {
+                          const std::set<ColId>& needed,
+                          bool left_outer) const {
   auto node = std::make_shared<PlanNode>();
   node->kind = PlanNode::Kind::kJoin;
   node->algo = algo;
+  node->left_outer = left_outer;
   node->left = left;
   node->right = right;
   node->join_preds = std::move(preds);
+  node->facts = std::make_shared<const NodeFacts>(
+      JoinFacts(*left->facts, *right->facts, node->join_preds, left_outer,
+                query_->columns()));
   node->est = Estimator::Join(left->est, right->est, node->join_preds);
+  // Every left row of an outer join survives.
+  if (left_outer) node->est.rows = std::max(node->est.rows, left->est.rows);
+  ClampEstimateToFacts(query_->columns(), node.get());
 
   std::vector<ColId> cols;
   cols.reserve(left->output.columns().size() + right->output.columns().size());
@@ -105,37 +169,7 @@ PlanPtr PlanBuilder::Join(JoinAlgo algo, PlanPtr left, PlanPtr right,
   node->output = RowLayout(cols);
   node->width = static_cast<double>(node->output.RowWidth(query_->columns()));
 
-  double lp = left->OutputPages();
-  double rp = right->OutputPages();
-  double local = 0.0;
-  double children = left->cost + right->cost;
-  switch (algo) {
-    case JoinAlgo::kBlockNestedLoop: {
-      if (right->kind == PlanNode::Kind::kScan && right->scan_filter.empty()) {
-        // Re-scan the base table every pass; the single child scan cost is
-        // subsumed by the passes.
-        const RangeVar& rv = query_->range_var(right->rel_id);
-        const TableDef& def = query_->catalog().table(rv.table);
-        double base_pages = static_cast<double>(
-            def.data != nullptr ? def.data->page_count()
-                                : PagesForRows(def.stats.row_count,
-                                               def.schema.RowWidth()));
-        children = left->cost;
-        local = CostModel::BnlLocalCost(lp, base_pages);
-      } else {
-        // Materialize the inner once, then one read per outer block.
-        local = CostModel::MaterializeCost(rp) + CostModel::BnlLocalCost(lp, rp);
-      }
-      break;
-    }
-    case JoinAlgo::kHash:
-      local = CostModel::HashJoinLocalCost(lp, rp);
-      break;
-    case JoinAlgo::kSortMerge:
-      local = CostModel::SortMergeLocalCost(lp, rp);
-      break;
-  }
-  node->cost = children + local;
+  node->cost = JoinCost(*query_, *node);
   return node;
 }
 
@@ -143,23 +177,25 @@ PlanPtr PlanBuilder::LeftOuterJoin(PlanPtr left, PlanPtr right,
                                    std::vector<Predicate> preds,
                                    const std::set<ColId>& needed) const {
   bool equi = HasEquiJoinConjunct(preds, left->output, right->output);
-  PlanPtr inner = Join(equi ? JoinAlgo::kHash : JoinAlgo::kBlockNestedLoop,
-                       left, right, std::move(preds), needed);
-  auto node = std::make_shared<PlanNode>(*inner);
-  node->left_outer = true;
-  // Every left row survives.
-  node->est.rows = std::max(node->est.rows, left->est.rows);
-  return node;
+  return Join(equi ? JoinAlgo::kHash : JoinAlgo::kBlockNestedLoop,
+              std::move(left), std::move(right), std::move(preds), needed,
+              /*left_outer=*/true);
 }
 
 PlanPtr PlanBuilder::BestJoin(PlanPtr left, PlanPtr right,
                               std::vector<Predicate> preds,
                               const std::set<ColId>& needed) const {
-  PlanPtr best = Join(JoinAlgo::kBlockNestedLoop, left, right, preds, needed);
-  if (HasEquiJoinConjunct(preds, left->output, right->output)) {
+  bool equi = HasEquiJoinConjunct(preds, left->output, right->output);
+  PlanPtr bnl = Join(JoinAlgo::kBlockNestedLoop, std::move(left),
+                     std::move(right), std::move(preds), needed);
+  PlanPtr best = bnl;
+  if (equi) {
+    // The algorithms differ only in cost: share facts, estimate and layout.
     for (JoinAlgo algo : {JoinAlgo::kHash, JoinAlgo::kSortMerge}) {
-      PlanPtr alt = Join(algo, left, right, preds, needed);
-      if (alt->cost < best->cost) best = alt;
+      auto alt = std::make_shared<PlanNode>(*bnl);
+      alt->algo = algo;
+      alt->cost = JoinCost(*query_, *alt);
+      if (alt->cost < best->cost) best = std::move(alt);
     }
   }
   return best;
@@ -170,7 +206,10 @@ PlanPtr PlanBuilder::GroupBy(PlanPtr input, GroupBySpec spec,
   auto node = std::make_shared<PlanNode>();
   node->kind = PlanNode::Kind::kGroupBy;
   node->left = input;
+  node->facts = std::make_shared<const NodeFacts>(
+      GroupByFacts(*input->facts, spec, query_->columns()));
   node->est = Estimator::GroupBy(input->est, spec);
+  ClampEstimateToFacts(query_->columns(), node.get());
 
   std::vector<ColId> outputs = spec.OutputColumns();
   node->group_by = std::move(spec);
@@ -188,6 +227,7 @@ PlanPtr PlanBuilder::Sort(PlanPtr input, std::vector<OrderKey> keys) const {
   node->kind = PlanNode::Kind::kSort;
   node->left = input;
   node->sort_keys = std::move(keys);
+  node->facts = input->facts;
   node->est = input->est;
   node->output = input->output;
   node->width = input->width;
@@ -202,6 +242,8 @@ PlanPtr PlanBuilder::Project(PlanPtr input,
   auto node = std::make_shared<PlanNode>();
   node->kind = PlanNode::Kind::kFilter;  // filter with no predicates = project
   node->left = input;
+  node->facts = std::make_shared<const NodeFacts>(
+      FilterFacts(*input->facts, {}, query_->columns()));
   node->est = input->est;
   node->output = RowLayout(select);
   node->width = static_cast<double>(node->output.RowWidth(query_->columns()));

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "algebra/query.h"
+#include "analysis/transfer.h"
 #include "cost/cost_model.h"
 #include "stats/estimator.h"
 
@@ -18,9 +19,10 @@ using PlanPtr = std::shared_ptr<const PlanNode>;
 /// A physical execution plan node. Immutable and shared: the dynamic
 /// programming tables reference subplans from many alternatives.
 ///
-/// Every node carries its projected output layout, the estimated output
-/// relation (rows + column stats), the estimated output row width, and the
-/// cumulative estimated IO cost.
+/// Every node carries its projected output layout, its provable facts
+/// (analysis/transfer.h), the estimated output relation (rows + column
+/// stats), the estimated output row width, and the cumulative estimated IO
+/// cost.
 struct PlanNode {
   enum class Kind { kScan, kFilter, kJoin, kGroupBy, kSort };
 
@@ -51,6 +53,10 @@ struct PlanNode {
 
   // --- Common annotations.
   RowLayout output;
+  /// Provable facts (analysis/transfer.h), set by PlanBuilder, which needs
+  /// them on every input it builds on; shared, not copied, by nodes that
+  /// differ only in join algorithm or row order.
+  std::shared_ptr<const NodeFacts> facts;
   RelEstimate est;
   double width = 0.0;   // output row bytes
   double cost = 0.0;    // cumulative estimated IO (pages)
@@ -61,7 +67,9 @@ struct PlanNode {
 };
 
 /// Constructs annotated plan nodes: computes layouts (projecting to the
-/// columns needed downstream), estimates, and costs. One builder per query.
+/// columns needed downstream), facts, estimates, and costs. One builder per
+/// query. Each estimate is clamped into the node's facts, so every estimate
+/// the optimizers compare is inside the provable bounds by construction.
 class PlanBuilder {
  public:
   explicit PlanBuilder(const Query& query) : query_(&query) {}
@@ -74,10 +82,11 @@ class PlanBuilder {
   /// Residual filter; layout unchanged.
   PlanPtr Filter(PlanPtr input, std::vector<Predicate> preds) const;
 
-  /// Join with a specific algorithm. `left` is the outer input.
+  /// Join with a specific algorithm. `left` is the outer input, preserved
+  /// when `left_outer` (see LeftOuterJoin).
   PlanPtr Join(JoinAlgo algo, PlanPtr left, PlanPtr right,
-               std::vector<Predicate> preds,
-               const std::set<ColId>& needed) const;
+               std::vector<Predicate> preds, const std::set<ColId>& needed,
+               bool left_outer = false) const;
 
   /// Left outer join: every left row survives; unmatched ones are padded
   /// with NULLs on the right. Lowered to the hash or nested-loop operator

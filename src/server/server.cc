@@ -4,16 +4,13 @@
 #include <set>
 #include <shared_mutex>
 
-#include "analysis/dataflow.h"
 #include "common/string_util.h"
 #include "exec/thread_pool.h"
 #include "obs/explain.h"
 #include "obs/runtime_stats.h"
-#include "optimizer/traditional.h"
-#include "sql/binder.h"
+#include "session.h"
 #include "storage/io_accountant.h"
 #include "view/matview.h"
-#include "view/rewriter.h"
 
 namespace aggview {
 
@@ -201,32 +198,10 @@ Result<std::shared_ptr<const OptimizedQuery>> Server::Prepare(
       return hit;
     }
   }
-  AGGVIEW_ASSIGN_OR_RETURN(Query query, ParseAndBind(catalog_, text));
-  std::vector<ViewRewriteCertificate> view_certs;
-  int view_rewrites = 0;
-  if (options_.use_materialized_views && catalog_.num_views() > 0) {
-    AGGVIEW_ASSIGN_OR_RETURN(
-        view_rewrites,
-        RewriteWithMaterializedViews(catalog_, &query, &view_certs));
-  }
-  OptimizedQuery optimized;
-  if (options_.use_traditional) {
-    AGGVIEW_ASSIGN_OR_RETURN(optimized, OptimizeTraditional(query));
-  } else {
-    AGGVIEW_ASSIGN_OR_RETURN(
-        optimized, OptimizeQueryWithAggViews(query, options_.optimizer));
-  }
-  if (view_rewrites > 0) {
-    for (ViewRewriteCertificate& cert : view_certs) {
-      optimized.audit.view_rewrites.push_back(std::move(cert));
-    }
-    optimized.description =
-        "answered " + std::to_string(view_rewrites) +
-        " block(s) from materialized views; " + optimized.description;
-    // Backing-column statistics can prove bounds the estimator's heuristics
-    // miss; keep the plan's estimates inside them.
-    optimized.plan = ClampEstimatesToProvableBounds(optimized.plan, optimized.query);
-  }
+  AGGVIEW_ASSIGN_OR_RETURN(
+      OptimizedQuery optimized,
+      PrepareStatement(catalog_, text, options_.use_materialized_views,
+                       options_.use_traditional, options_.optimizer));
   std::vector<PlanDependency> deps = CollectDependencies(optimized);
   auto shared =
       std::make_shared<const OptimizedQuery>(std::move(optimized));

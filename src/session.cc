@@ -1,6 +1,5 @@
 #include "session.h"
 
-#include "analysis/dataflow.h"
 #include "exec/thread_pool.h"
 #include "obs/explain.h"
 #include "obs/runtime_stats.h"
@@ -45,33 +44,38 @@ ExecContext Session::MakeContext() {
   return ctx;
 }
 
-Result<PreparedQuery> Session::Sql(const std::string& text) {
-  AGGVIEW_ASSIGN_OR_RETURN(Query query, ParseAndBind(catalog_, text));
+Result<OptimizedQuery> PrepareStatement(const Catalog& catalog,
+                                        const std::string& text,
+                                        bool use_materialized_views,
+                                        bool use_traditional,
+                                        const OptimizerOptions& optimizer) {
+  AGGVIEW_ASSIGN_OR_RETURN(Query query, ParseAndBind(catalog, text));
   std::vector<ViewRewriteCertificate> view_certs;
   int view_rewrites = 0;
-  if (options_.use_materialized_views && catalog_.num_views() > 0) {
+  if (use_materialized_views && catalog.num_views() > 0) {
     AGGVIEW_ASSIGN_OR_RETURN(
         view_rewrites,
-        RewriteWithMaterializedViews(catalog_, &query, &view_certs));
+        RewriteWithMaterializedViews(catalog, &query, &view_certs));
   }
-  OptimizedQuery optimized;
-  if (options_.use_traditional) {
-    AGGVIEW_ASSIGN_OR_RETURN(optimized, OptimizeTraditional(query));
-  } else {
-    AGGVIEW_ASSIGN_OR_RETURN(optimized,
-                             OptimizeQueryWithAggViews(query, options_.optimizer));
-  }
+  AGGVIEW_ASSIGN_OR_RETURN(
+      OptimizedQuery optimized,
+      use_traditional ? OptimizeTraditional(query)
+                      : OptimizeQueryWithAggViews(query, optimizer));
   if (view_rewrites > 0) {
-    for (ViewRewriteCertificate& cert : view_certs) {
-      optimized.audit.view_rewrites.push_back(std::move(cert));
-    }
+    // The optimizers emit no view-rewrite certificates of their own.
+    optimized.audit.view_rewrites = std::move(view_certs);
     optimized.description =
         "answered " + std::to_string(view_rewrites) +
         " block(s) from materialized views; " + optimized.description;
-    // Backing-column statistics can prove bounds the estimator's heuristics
-    // miss; keep the plan's estimates inside them.
-    optimized.plan = ClampEstimatesToProvableBounds(optimized.plan, optimized.query);
   }
+  return optimized;
+}
+
+Result<PreparedQuery> Session::Sql(const std::string& text) {
+  AGGVIEW_ASSIGN_OR_RETURN(
+      OptimizedQuery optimized,
+      PrepareStatement(catalog_, text, options_.use_materialized_views,
+                       options_.use_traditional, options_.optimizer));
   return PreparedQuery(self_, std::move(optimized), options_.backend);
 }
 

@@ -48,6 +48,15 @@ struct SessionOptions {
   static SessionOptions Default();
 };
 
+/// The one prepare path (Session::Sql, Server::Prepare): parse → bind →
+/// materialized-view rewrite (certificates land in the audit) → optimize,
+/// traditionally or with the aggregate-view optimizer under `optimizer`.
+Result<OptimizedQuery> PrepareStatement(const Catalog& catalog,
+                                        const std::string& text,
+                                        bool use_materialized_views,
+                                        bool use_traditional,
+                                        const OptimizerOptions& optimizer);
+
 /// A parsed, bound and optimized statement, ready to run. Produced by
 /// Session::Sql; holds the rewritten query and the winning plan, so the
 /// (comparatively expensive) optimization runs once however often the
@@ -145,10 +154,8 @@ class Session {
   /// queries are unaffected).
   void set_use_traditional(bool on) { options_.use_traditional = on; }
 
-  /// Parses, binds and optimizes one SELECT statement. When materialized
-  /// views are enabled (SessionOptions::use_materialized_views) and a fresh
-  /// view matches, the query is rewritten to scan the view's backing table
-  /// first; the rewrite's certificates land in the prepared query's audit.
+  /// Prepares one SELECT statement with this session's options
+  /// (PrepareStatement): answered from fresh materialized views if enabled.
   Result<PreparedQuery> Sql(const std::string& text);
 
   /// Runs one materialized-view DDL statement (`CREATE MATERIALIZED VIEW

@@ -10,17 +10,10 @@ namespace aggview {
 
 namespace {
 
-/// Clamps distinct counts to the (possibly fractional) row count, and for
-/// integer columns to the width of the value interval — selectivity scaling
-/// must not leave a distinct count above the number of representable values
-/// (the dataflow verifier bounds group counts by that width).
+/// Clamps distinct counts to the (possibly fractional) row count.
 void CapDistincts(RelEstimate* est) {
   for (auto& [col, cs] : est->cols) {
     (void)col;
-    if (cs.integral && cs.has_range) {
-      double width = std::floor(cs.max) - std::ceil(cs.min) + 1.0;
-      cs.distinct = std::min(cs.distinct, std::max(width, 0.0));
-    }
     cs.distinct = std::max(1.0, std::min(cs.distinct, std::max(est->rows, 1.0)));
   }
 }
@@ -71,10 +64,6 @@ RelEstimate Estimator::BaseRel(const Query& query, int rel_id) {
       cs.has_range = src.has_range;
       if (!src.histogram.empty()) cs.histogram = &src.histogram;
     }
-    if (static_cast<int>(i) < def.schema.num_columns()) {
-      cs.integral = def.schema.column(static_cast<int>(i)).type ==
-                    DataType::kInt64;
-    }
     est.cols[rv.columns[i]] = cs;
   }
   if (rv.rowid != kInvalidColId) {
@@ -83,7 +72,6 @@ RelEstimate Estimator::BaseRel(const Query& query, int rel_id) {
     cs.min = 0.0;
     cs.max = std::max(est.rows - 1.0, 0.0);
     cs.has_range = est.rows > 0.0;
-    cs.integral = true;
     est.cols[rv.rowid] = cs;
   }
   return est;
@@ -115,14 +103,7 @@ double Estimator::Selectivity(const Predicate& pred, const RelEstimate& input) {
     if (ca == nullptr || cb == nullptr) return kDefaultSelectivity;
     return 1.0 / std::max({ca->distinct, cb->distinct, 1.0});
   }
-  if (pred.op != CompareOp::kEq && pred.op != CompareOp::kNe) {
-    ColId l = pred.lhs->AsColumnRef();
-    ColId r = pred.rhs->AsColumnRef();
-    if (l != kInvalidColId && r != kInvalidColId) {
-      // col < col: no correlation information; use the default.
-      return kDefaultSelectivity;
-    }
-  }
+  // col < col, arithmetic, ...: no correlation information.
   return kDefaultSelectivity;
 }
 
@@ -143,27 +124,16 @@ RelEstimate Estimator::ApplyFilter(const RelEstimate& input,
         if (op == CompareOp::kEq) {
           cs.distinct = 1.0;
           if (!v.is_string()) {
-            double x = v.AsNumeric();
-            // A literal outside the known value interval matches nothing.
-            if (cs.has_range && (x < cs.min || x > cs.max)) out.rows = 0.0;
-            cs.min = cs.max = x;
+            cs.min = cs.max = v.AsNumeric();
             cs.has_range = true;
           }
         } else if (cs.has_range && !v.is_string()) {
           double x = v.AsNumeric();
-          // Strict comparisons on an integer column exclude a full unit.
-          bool unit = cs.integral && v.is_int();
-          if (op == CompareOp::kLt) {
-            cs.max = std::min(cs.max, unit ? x - 1.0 : x);
-          } else if (op == CompareOp::kLe) {
+          if (op == CompareOp::kLt || op == CompareOp::kLe) {
             cs.max = std::min(cs.max, x);
-          } else if (op == CompareOp::kGt) {
-            cs.min = std::max(cs.min, unit ? x + 1.0 : x);
-          } else if (op == CompareOp::kGe) {
+          } else if (op == CompareOp::kGt || op == CompareOp::kGe) {
             cs.min = std::max(cs.min, x);
           }
-          // Contradictory conjunction: the interval emptied out.
-          if (cs.min > cs.max) out.rows = 0.0;
           cs.distinct *= sel;
         } else {
           cs.distinct *= sel;
@@ -171,7 +141,6 @@ RelEstimate Estimator::ApplyFilter(const RelEstimate& input,
       }
     }
   }
-  out.rows = std::max(out.rows, 0.0);
   CapDistincts(&out);
   return out;
 }
@@ -193,8 +162,7 @@ RelEstimate Estimator::Join(const RelEstimate& left, const RelEstimate& right,
       out.rows /= std::max({da, db, 1.0});
       // Containment: the joined column keeps the smaller distinct count, and
       // both sides keep only the intersection of their value intervals (a
-      // matched value exists on both sides). An empty intersection means no
-      // row can join.
+      // matched value exists on both sides).
       double d = std::min(da, db);
       if (ca != nullptr) out.cols[a].distinct = d;
       if (cb != nullptr) out.cols[b].distinct = d;
@@ -203,13 +171,11 @@ RelEstimate Estimator::Join(const RelEstimate& left, const RelEstimate& right,
         double hi = std::min(ca->max, cb->max);
         out.cols[a].min = out.cols[b].min = lo;
         out.cols[a].max = out.cols[b].max = hi;
-        if (lo > hi) out.rows = 0.0;
       }
     } else {
       out.rows *= Selectivity(p, out);
     }
   }
-  out.rows = std::max(out.rows, 0.0);
   CapDistincts(&out);
   return out;
 }
@@ -234,8 +200,8 @@ RelEstimate Estimator::GroupBy(const RelEstimate& input,
     // Avoid overflow in pathological products.
     key_space = std::min(key_space, 1e18);
   }
-  // A scalar aggregate emits exactly one row, even over empty input (the
-  // dataflow verifier proves [1, 1]; HAVING below can still reject it).
+  // A scalar aggregate emits exactly one row, even over empty input (HAVING
+  // below can still reject it).
   out.rows = spec.grouping.empty() ? 1.0
                                    : CardenasGroups(input.rows, key_space);
   for (ColId g : spec.grouping) {
@@ -258,10 +224,6 @@ RelEstimate Estimator::GroupBy(const RelEstimate& input,
           cs.max = arg->max;
           cs.has_range = true;
         }
-        if ((a.kind == AggKind::kMin || a.kind == AggKind::kMax) &&
-            arg != nullptr) {
-          cs.integral = arg->integral;
-        }
         break;
       }
       case AggKind::kCount:
@@ -270,7 +232,6 @@ RelEstimate Estimator::GroupBy(const RelEstimate& input,
         cs.min = 1.0;
         cs.max = std::max(1.0, input.rows / std::max(out.rows, 1.0) * 4.0);
         cs.has_range = true;
-        cs.integral = true;
         break;
       }
       case AggKind::kSum:

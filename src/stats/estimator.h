@@ -15,12 +15,6 @@ struct ColEstimate {
   double min = 0.0;
   double max = 0.0;
   bool has_range = false;
-  /// True for integer-typed columns (set from the table schema at the
-  /// leaves). Lets the estimator narrow strict comparisons by a full unit
-  /// and cap the distinct count by the interval width — both required so
-  /// estimates stay inside the dataflow verifier's provable bounds, which
-  /// narrow the same way.
-  bool integral = false;
   /// Base-table equi-depth histogram (owned by the catalog; null for
   /// derived columns). Range selectivities condition the histogram on the
   /// current [min, max], so it stays usable after earlier filters narrowed
@@ -64,6 +58,8 @@ inline constexpr double kDefaultSelectivity = 1.0 / 3.0;
 /// Cardenas formula for the number of groups. Statistics are exact at the
 /// leaves (ComputeStats scans the data), so estimation error comes only from
 /// the model assumptions.
+/// Heuristics only: PlanBuilder clamps each estimate into the node's
+/// provable facts (analysis/transfer.h), the one derivation of bounds.
 class Estimator {
  public:
   /// Estimate for a base range variable before any predicate.

@@ -2,12 +2,53 @@
 
 #include <cstdlib>
 
+#include "analysis/dataflow.h"
 #include "analysis/fuzzer.h"
 #include "common/random.h"
+#include "session.h"
 #include "test_util.h"
+#include "view/matview.h"
 
 namespace aggview {
 namespace {
+
+/// Options of pinned fuzz shard `shard` (0-9).
+FuzzOptions ShardOptions(int shard) {
+  FuzzOptions options;
+  options.seed = static_cast<uint64_t>(shard) * 6271 + 17;
+  options.num_queries = 52;
+  options.num_employees = 150 + 20 * shard;
+  options.num_departments = 5 + shard % 7;
+  options.paranoid = true;
+  return options;
+}
+
+/// bench_e12's BM_Fuzz10_Paranoid options under base seed `seed`.
+FuzzOptions Fuzz10Options(uint64_t seed) {
+  FuzzOptions options;
+  options.seed = seed;
+  options.num_queries = 10;
+  options.num_employees = 200;
+  options.num_departments = 8;
+  options.paranoid = true;
+  return options;
+}
+
+/// FuzzMatView's options: the materialized-view leg on, geometry sweeps off.
+FuzzOptions MatViewOptions() {
+  FuzzOptions options;
+  options.seed = 11;
+  options.num_queries = 30;
+  options.num_employees = 120;
+  options.num_departments = 6;
+  options.materialize_views = true;
+  // Keep the run cheap: the matview leg is the subject here, not the
+  // batch/thread geometry sweeps.
+  options.cross_batch_sizes.clear();
+  options.cross_thread_counts.clear();
+  options.cross_backend_thread_counts.clear();
+  return options;
+}
 
 /// Differential fuzzing: seeded random aggregate-view queries, every one
 /// optimized by the traditional, greedy conservative, and extended two-phase
@@ -18,13 +59,7 @@ namespace {
 class DifferentialFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(DifferentialFuzz, AllOptimizersAgreeUnderParanoidAnalysis) {
-  FuzzOptions options;
-  options.seed = static_cast<uint64_t>(GetParam()) * 6271 + 17;
-  options.num_queries = 52;
-  options.num_employees = 150 + 20 * GetParam();
-  options.num_departments = 5 + GetParam() % 7;
-  options.paranoid = true;
-
+  FuzzOptions options = ShardOptions(GetParam());
   auto report = RunDifferentialFuzz(options);
   ASSERT_OK(report);
   EXPECT_EQ(report->queries_run, options.num_queries);
@@ -103,18 +138,7 @@ TEST(FuzzGenerator, CoversViewsAndTopAggregates) {
 /// must still match a base re-execution after a random insert+delete delta
 /// plus REFRESH of whatever went stale.
 TEST(FuzzMatView, ViewAnsweringAndMaintenanceAgreeWithBasePlans) {
-  FuzzOptions options;
-  options.seed = 11;
-  options.num_queries = 30;
-  options.num_employees = 120;
-  options.num_departments = 6;
-  options.materialize_views = true;
-  // Keep the run cheap: the matview leg is the subject here, not the
-  // batch/thread geometry sweeps.
-  options.cross_batch_sizes.clear();
-  options.cross_thread_counts.clear();
-  options.cross_backend_thread_counts.clear();
-
+  FuzzOptions options = MatViewOptions();
   auto report = RunDifferentialFuzz(options);
   ASSERT_OK(report);
   EXPECT_EQ(report->queries_run, options.num_queries);
@@ -170,6 +194,158 @@ TEST(FuzzReplay, EnvSeedRunsExactlyOneQuery) {
   auto bad = RunDifferentialFuzz(options);
   ASSERT_EQ(unsetenv("AGGVIEW_FUZZ_SEED"), 0);
   EXPECT_FALSE(bad.ok());
+}
+
+/// Replays of a paranoid fuzz finding (bench_e12's BM_Fuzz10_Paranoid):
+/// query 9 of base seed 12345 (AGGVIEW_FUZZ_SEED=12345037044) and query 1 of
+/// base seed 23 (AGGVIEW_FUZZ_SEED=23000070) each built, under the 3-level
+/// pull-up configuration, a coalesced GroupBy grouping on a MIN output above
+/// a BNL join whose estimate escaped the provable bounds ("estimated 925
+/// rows outside [0, 512]"). The estimator sets an aggregate output's
+/// distinct count to the group count; the bound caps a MIN/MAX output by
+/// its argument's distinct bound.
+TEST(FuzzBoundsRegression, Seed12345StaysInsideProvableBounds) {
+  FuzzOptions options = Fuzz10Options(12345);
+  auto report = RunDifferentialFuzz(options);
+  ASSERT_OK(report);
+  EXPECT_EQ(report->queries_run, options.num_queries);
+}
+
+TEST(FuzzBoundsRegression, Seed23StaysInsideProvableBounds) {
+  FuzzOptions options = Fuzz10Options(23);
+  auto report = RunDifferentialFuzz(options);
+  ASSERT_OK(report);
+  EXPECT_EQ(report->queries_run, options.num_queries);
+}
+
+/// The same shape built directly: grouping on a MIN output whose argument
+/// has few distinct values, above a join that multiplies the rows. The
+/// estimator alone counts one distinct MIN output per group of the
+/// coalescing GroupBy; the PlanBuilder's estimates stay inside the
+/// DataflowAnalysis bounds at every node.
+TEST(FuzzBoundsRegression, GroupByOnMinOutputAboveJoinStaysInBounds) {
+  EmpDeptOptions data;
+  data.num_employees = 400;
+  data.num_departments = 8;
+  EmpDeptFixture fixture = MakeEmpDept(data);
+  Query q(fixture.catalog.get());
+  int v = q.AddRangeVar(fixture.tables.emp, "v");
+  int e = q.AddRangeVar(fixture.tables.emp, "e");
+  ColId v_dno = q.range_var(v).columns[1];
+  ColId v_sal = q.range_var(v).columns[2];
+  ColId e_eno = q.range_var(e).columns[0];
+  ColId e_dno = q.range_var(e).columns[1];
+  PlanBuilder b(q);
+
+  // min(v.sal) per department: at most 8 distinct values.
+  GroupBySpec per_dept;
+  per_dept.grouping = {v_dno};
+  ColId min_sal = q.AddAggregateOutput(AggKind::kMin, {v_sal}, "min(v.sal)",
+                                       DataType::kDouble);
+  per_dept.aggregates = {{AggKind::kMin, {v_sal}, min_sal}};
+  PlanPtr view = b.GroupBy(b.Scan(v, {}, {v_dno, v_sal}), per_dept,
+                           {v_dno, min_sal});
+  std::set<ColId> needed = {v_dno, min_sal, e_eno, e_dno};
+  PlanPtr join = b.Join(JoinAlgo::kBlockNestedLoop, view,
+                        b.Scan(e, {}, needed), {}, needed);
+  // Coalesce per (department, employee): one group per joined row, so the
+  // estimator counts ~3200 distinct MIN outputs where 8 is provable.
+  GroupBySpec coalesce;
+  coalesce.grouping = {v_dno, e_eno};
+  ColId min_min = q.AddAggregateOutput(AggKind::kMin, {min_sal},
+                                       "min(min(v.sal))", DataType::kDouble);
+  coalesce.aggregates = {{AggKind::kMin, {min_sal}, min_min}};
+  PlanPtr coalesced = b.GroupBy(join, coalesce, {e_dno, min_min});
+  GroupBySpec top;
+  top.grouping = {min_min};
+  ColId cnt = q.AddAggregateOutput(AggKind::kCountStar, {}, "count(*)",
+                                   DataType::kInt64);
+  top.aggregates = {{AggKind::kCountStar, {}, cnt}};
+  PlanPtr plan = b.GroupBy(coalesced, top, {min_min, cnt});
+
+  DataflowAnalysis analysis = DataflowAnalysis::Analyze(plan, q);
+  const NodeFacts* top_facts = analysis.Find(plan.get());
+  ASSERT_NE(top_facts, nullptr);
+  EXPECT_LE(top_facts->card.hi, 8.0);
+  EXPECT_LE(plan->est.rows, top_facts->card.hi);
+  for (const PlanPtr& node : {view, join, coalesced, plan}) {
+    const NodeFacts* f = analysis.Find(node.get());
+    ASSERT_NE(f, nullptr);
+    EXPECT_TRUE(EstimateWithinBounds(node->est.rows, f->card))
+        << PlanToString(node, q);
+  }
+  EXPECT_OK(CheckDataflowObligations(plan, q));
+}
+
+/// Optimizes every query of the fuzz run `options` describes under every
+/// fuzz optimizer configuration — answered from materialized views when
+/// `options.materialize_views`, created from the query's inline views the
+/// way the fuzzer's matview leg does — and asserts that
+/// ClampEstimatesToProvableBounds returns the very plan it is given: no node
+/// rebuilt, because PlanBuilder already clamped every estimate. Returns the
+/// number of plans checked and of view-backed plans among them.
+std::pair<int, int> ExpectClampIsNoOp(const FuzzOptions& options) {
+  Catalog catalog;
+  auto tables = CreateFuzzDatabase(options, &catalog);
+  EXPECT_OK(tables);
+  const std::vector<OptimizerOptions> configs = FuzzOptimizerConfigs(false);
+  int plans = 0, view_backed = 0;
+  for (int q = 0; q < options.num_queries; ++q) {
+    Rng rng(options.seed * 1000003ULL + static_cast<uint64_t>(q));
+    std::vector<std::string> view_ddls;
+    std::string sql = GenerateAggViewSql(&rng, &view_ddls);
+    std::vector<std::string> created;
+    if (options.materialize_views) {
+      // "create view v0 ..." -> "create materialized view mv0 ...";
+      // HAVING/MEDIAN definitions are rejected by design.
+      const std::string prefix = "create view ";
+      for (const std::string& ddl : view_ddls) {
+        std::string rest = ddl.substr(prefix.size());
+        if (ExecuteMatViewStatement(&catalog,
+                                    "create materialized view m" + rest)
+                .ok()) {
+          created.push_back("m" + rest.substr(0, rest.find(' ')));
+        }
+      }
+    }
+    for (const OptimizerOptions& config : configs) {
+      auto optimized = PrepareStatement(catalog, sql, options.materialize_views,
+                                        /*use_traditional=*/false, config);
+      EXPECT_OK(optimized);
+      if (!optimized.ok()) continue;
+      ++plans;
+      if (!optimized->audit.view_rewrites.empty()) ++view_backed;
+      EXPECT_EQ(ClampEstimatesToProvableBounds(optimized->plan,
+                                               optimized->query),
+                optimized->plan)
+          << sql << "\n"
+          << PlanToString(optimized->plan, optimized->query);
+    }
+    for (const std::string& name : created) {
+      EXPECT_OK(catalog.DropView(name));
+    }
+  }
+  return {plans, view_backed};
+}
+
+TEST(ClampIsNoOp, PinnedFuzzShards) {
+  for (int shard = 0; shard < 10; ++shard) {
+    FuzzOptions options = ShardOptions(shard);
+    EXPECT_EQ(ExpectClampIsNoOp(options).first, options.num_queries * 4);
+  }
+}
+
+TEST(ClampIsNoOp, ReplaySeeds) {
+  for (uint64_t seed : {12345, 23}) {
+    FuzzOptions options = Fuzz10Options(seed);
+    EXPECT_EQ(ExpectClampIsNoOp(options).first, options.num_queries * 4);
+  }
+}
+
+TEST(ClampIsNoOp, ViewBackedPlans) {
+  auto [plans, view_backed] = ExpectClampIsNoOp(MatViewOptions());
+  EXPECT_GT(plans, 0);
+  EXPECT_GT(view_backed, 0);
 }
 
 }  // namespace
