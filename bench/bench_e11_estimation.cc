@@ -85,14 +85,14 @@ void Run() {
     };
     for (const Probe& probe : probes) {
       auto query = ParseAndBind(*db.catalog, probe.sql);
-      if (!query.ok()) std::abort();
+      CheckOk(query.status(), "parsing and binding the query");
       auto optimized = OptimizeQueryWithAggViews(*query, OptimizerOptions{});
-      if (!optimized.ok()) std::abort();
+      CheckOk(optimized.status(), "optimizing the query");
       RuntimeStatsCollector stats;
       auto result =
           ExecutePlan(optimized->plan, optimized->query,
                       ExecContext::Default().WithStats(&stats));
-      if (!result.ok()) std::abort();
+      CheckOk(result.status(), "executing the plan");
       double est = optimized->plan->est.rows;
       double actual = static_cast<double>(result->rows.size());
       QErrorSummary ops = SummarizeQError(

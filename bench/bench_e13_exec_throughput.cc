@@ -41,6 +41,10 @@
 // tuple replays the stored verdict — the burst below is exactly the plan
 // cache's re-prepare pattern, so the first iteration pays the full proof
 // and the min-over-reps reports the amortized cost.
+//
+// --smoke runs every axis once at SF 0.002 (a correctness run, for CI: any
+// failing execution exits 1 with its cause); --json emits the
+// machine-readable document persisted as BENCH_e13_exec_throughput.json.
 #include <chrono>
 #include <thread>
 
@@ -87,6 +91,7 @@ constexpr int kNumSizes = 5;
 constexpr int kThreadCounts[] = {1, 2, 4, 8};
 constexpr int kNumThreadCounts = 4;
 constexpr int kReps = 5;
+constexpr int kPrepareBurst = 10;  // prepares per timed verify-axis sample
 
 double RunOnce(const PlanPtr& plan, const Query& query, int batch_size,
                int threads, bool traced,
@@ -100,37 +105,30 @@ double RunOnce(const PlanPtr& plan, const Query& query, int batch_size,
   auto start = std::chrono::steady_clock::now();
   auto result = ExecutePlan(plan, query, ctx);
   auto stop = std::chrono::steady_clock::now();
-  if (!result.ok()) {
-    std::fprintf(stderr, "execute: %s\n", result.status().ToString().c_str());
-    std::abort();
-  }
+  CheckOk(result.status(), "executing the plan");
   return std::chrono::duration<double>(stop - start).count();
 }
 
 Result<OptimizedQuery> Prepare(const TpcdDb& db, const Workload& w) {
   auto query = ParseAndBind(*db.catalog, w.sql);
-  if (!query.ok()) {
-    std::fprintf(stderr, "bind: %s\n", query.status().ToString().c_str());
-    std::abort();
-  }
+  CheckOk(query.status(), "parsing and binding", w.name);
   auto optimized = OptimizeQueryWithAggViews(*query, OptimizerOptions{});
-  if (!optimized.ok()) {
-    std::fprintf(stderr, "optimize: %s\n",
-                 optimized.status().ToString().c_str());
-    std::abort();
-  }
+  CheckOk(optimized.status(), "optimizing", w.name);
   return optimized;
 }
 
-void Run(bool json) {
+void Run(bool json, bool smoke) {
   if (!json) {
     Banner("E13",
            "batch execution throughput (rows/sec vs batch size, threads)");
   }
 
   DbgenOptions options;
-  options.scale_factor = 0.02;  // ~120k lineitems: enough work to time
+  // ~120k lineitems: enough work to time; ~12k for a smoke run.
+  options.scale_factor = smoke ? 0.002 : 0.02;
   TpcdDb db = MakeTpcdDb(options);
+  const int reps = smoke ? 1 : kReps;
+  const int prepare_burst = smoke ? 1 : kPrepareBurst;
   int64_t lineitems = db.catalog->table(db.tables.lineitem).data->row_count();
 
   ResultWriter table(json, "E13",
@@ -146,7 +144,7 @@ void Run(bool json) {
     for (int s = 0; s < kNumSizes; ++s) plain[s] = traced[s] = 1e300;
     // Warm-up pass (untimed), then interleaved timed repetitions.
     RunOnce(optimized->plan, optimized->query, kBatchSizes[0], 1, false);
-    for (int rep = 0; rep < kReps; ++rep) {
+    for (int rep = 0; rep < reps; ++rep) {
       for (int s = 0; s < kNumSizes; ++s) {
         double t = RunOnce(optimized->plan, optimized->query, kBatchSizes[s],
                            1, /*traced=*/false);
@@ -179,7 +177,7 @@ void Run(bool json) {
     for (int s = 0; s < kNumThreadCounts; ++s) plain[s] = traced[s] = 1e300;
     RunOnce(optimized->plan, optimized->query, kDefaultBatchSize,
             kThreadCounts[kNumThreadCounts - 1], false);
-    for (int rep = 0; rep < kReps; ++rep) {
+    for (int rep = 0; rep < reps; ++rep) {
       for (int s = 0; s < kNumThreadCounts; ++s) {
         double t = RunOnce(optimized->plan, optimized->query,
                            kDefaultBatchSize, kThreadCounts[s],
@@ -221,7 +219,7 @@ void Run(bool json) {
     }
     RunOnce(optimized->plan, optimized->query, kDefaultBatchSize, 1, false,
             ExecBackend::kCompiled);
-    for (int rep = 0; rep < kReps; ++rep) {
+    for (int rep = 0; rep < reps; ++rep) {
       for (int b = 0; b < 2; ++b) {
         for (int s = 0; s < 2; ++s) {
           double t = RunOnce(optimized->plan, optimized->query,
@@ -262,7 +260,6 @@ void Run(bool json) {
                                                  BytecodeVerifyMode::kParanoid};
   constexpr const char* kVerifyLabels[] = {"vfy=off", "vfy=on",
                                            "vfy=paranoid"};
-  constexpr int kPrepareBurst = 10;  // prepares per timed sample
   for (const Workload& w : kWorkloads) {
     auto optimized = Prepare(db, w);
 
@@ -270,24 +267,20 @@ void Run(bool json) {
     for (int m = 0; m < 3; ++m) prepare[m] = exec[m] = 1e300;
     RunOnce(optimized->plan, optimized->query, kDefaultBatchSize, 1, false,
             ExecBackend::kCompiled);
-    for (int rep = 0; rep < kReps; ++rep) {
+    for (int rep = 0; rep < reps; ++rep) {
       for (int m = 0; m < 3; ++m) {
         ExecContext ctx = ExecContext{}
                               .WithBackend(ExecBackend::kCompiled)
                               .WithBytecodeVerify(kVerifyModes[m]);
         auto start = std::chrono::steady_clock::now();
-        for (int i = 0; i < kPrepareBurst; ++i) {
+        for (int i = 0; i < prepare_burst; ++i) {
           auto prepared = Prepare(db, w);
           auto op = LowerPlan(prepared->plan, prepared->query, ctx);
-          if (!op.ok()) {
-            std::fprintf(stderr, "lower: %s\n",
-                         op.status().ToString().c_str());
-            std::abort();
-          }
+          CheckOk(op.status(), "lowering", w.name);
         }
         auto stop = std::chrono::steady_clock::now();
         double t = std::chrono::duration<double>(stop - start).count() /
-                   kPrepareBurst;
+                   prepare_burst;
         if (t < prepare[m]) prepare[m] = t;
 
         RuntimeStatsCollector stats;
@@ -298,11 +291,7 @@ void Run(bool json) {
         start = std::chrono::steady_clock::now();
         auto result = ExecutePlan(optimized->plan, optimized->query, run_ctx);
         stop = std::chrono::steady_clock::now();
-        if (!result.ok()) {
-          std::fprintf(stderr, "execute: %s\n",
-                       result.status().ToString().c_str());
-          std::abort();
-        }
+        CheckOk(result.status(), "executing the plan", w.name);
         t = std::chrono::duration<double>(stop - start).count();
         if (t < exec[m]) exec[m] = t;
       }
@@ -351,6 +340,7 @@ void Run(bool json) {
 }  // namespace aggview
 
 int main(int argc, char** argv) {
-  aggview::bench::Run(aggview::bench::JsonMode(argc, argv));
+  aggview::bench::Run(aggview::bench::JsonMode(argc, argv),
+                      aggview::bench::HasFlag(argc, argv, "--smoke"));
   return 0;
 }

@@ -61,13 +61,6 @@ constexpr Workload kMix[] = {
 };
 constexpr int kMixSize = 4;
 
-bool HasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == flag) return true;
-  }
-  return false;
-}
-
 double Now() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())

@@ -57,14 +57,10 @@ where e1.dno = b.dno and e1.age < 1 and e1.sal > b.asal
                                           TraditionalOptions(),
                                           OptimizerOptions{}, options);
       auto end = std::chrono::steady_clock::now();
-      if (!proof.ok()) {
-        std::fprintf(stderr, "%s: %s\n", ob.name.c_str(),
-                     proof.status().ToString().c_str());
-        std::abort();
-      }
+      CheckOk(proof.status(), "proving", ob.name.c_str());
       if (!proof->result.proved) {
-        std::fprintf(stderr, "%s: unexpectedly refuted\n", ob.name.c_str());
-        std::abort();
+        CheckOk(Status::Internal("unexpectedly refuted"), "proving",
+                ob.name.c_str());
       }
       double ms = std::chrono::duration<double, std::milli>(end - start).count();
       double per_s = ms > 0.0

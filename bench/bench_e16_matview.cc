@@ -62,13 +62,6 @@ constexpr const char* kViewDdl =
     "create materialized view mv_dsal (dno, total, cnt) as "
     "select dno, sum(sal), count(*) from emp group by dno";
 
-bool HasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == flag) return true;
-  }
-  return false;
-}
-
 double Now() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -104,15 +97,9 @@ EmpDeptOptions Scale(int64_t n_emp) {
 EmpDeptTables PopulateEmpDept(Catalog* catalog,
                               const EmpDeptOptions& options) {
   auto tables = CreateEmpDeptSchema(catalog);
-  if (!tables.ok()) {
-    std::fprintf(stderr, "schema: %s\n", tables.status().ToString().c_str());
-    std::abort();
-  }
-  Status st = GenerateEmpDeptData(catalog, *tables, options);
-  if (!st.ok()) {
-    std::fprintf(stderr, "dbgen: %s\n", st.ToString().c_str());
-    std::abort();
-  }
+  CheckOk(tables.status(), "creating the emp/dept schema");
+  CheckOk(GenerateEmpDeptData(catalog, *tables, options),
+          "generating emp/dept data");
   return *tables;
 }
 
@@ -120,22 +107,20 @@ EmpDeptTables PopulateEmpDept(Catalog* catalog,
 /// when `use_views` and one matches (the fuzzer's differential recipe).
 std::string FingerprintOf(const Catalog& catalog, bool use_views) {
   auto query = ParseAndBind(catalog, kServeSql);
-  if (!query.ok()) std::abort();
+  CheckOk(query.status(), "parsing and binding the query");
   if (use_views) {
     std::vector<ViewRewriteCertificate> certs;
     auto rewrites = RewriteWithMaterializedViews(catalog, &*query, &certs);
-    if (!rewrites.ok() || *rewrites != 1) {
-      std::fprintf(stderr, "expected exactly one view rewrite\n");
-      std::abort();
+    CheckOk(rewrites.status(), "rewriting over materialized views");
+    if (*rewrites != 1) {
+      CheckOk(Status::Internal("expected exactly one view rewrite"),
+              "rewriting over materialized views");
     }
   }
   auto optimized = OptimizeTraditional(*query);
-  if (!optimized.ok()) std::abort();
+  CheckOk(optimized.status(), "optimizing the query");
   auto result = ExecutePlan(optimized->plan, optimized->query, ExecContext{});
-  if (!result.ok()) {
-    std::fprintf(stderr, "execute: %s\n", result.status().ToString().c_str());
-    std::abort();
-  }
+  CheckOk(result.status(), "executing the plan");
   return result->Fingerprint();
 }
 
@@ -170,14 +155,15 @@ void Run(bool json, bool smoke) {
 
     ServerSession view_conn = view_server.Connect();
     ServerSession base_conn = base_server.Connect();
-    if (!view_conn.ExecuteDdl(kViewDdl).ok()) std::abort();
+    CheckOk(view_conn.ExecuteDdl(kViewDdl).status(), "creating the view");
 
     auto view_query = view_conn.Sql(kServeSql);
     auto base_query = base_conn.Sql(kServeSql);
-    if (!view_query.ok() || !base_query.ok()) std::abort();
+    CheckOk(view_query.status(), "preparing the query", "on the view server");
+    CheckOk(base_query.status(), "preparing the query", "on the base server");
     if (!view_query->view_backed() || base_query->view_backed()) {
-      std::fprintf(stderr, "serve axis: unexpected plan provenance\n");
-      std::abort();
+      CheckOk(Status::Internal("unexpected plan provenance"),
+              "preparing the serve axis");
     }
 
     std::vector<double> view_lat, base_lat;
@@ -188,10 +174,11 @@ void Run(bool json, bool smoke) {
       start = Now();
       auto from_base = base_query->Execute();
       base_lat.push_back(Now() - start);
-      if (!from_view.ok() || !from_base.ok() ||
-          from_view->Fingerprint() != from_base->Fingerprint()) {
-        std::fprintf(stderr, "serve axis: view/base results diverged\n");
-        std::abort();
+      CheckOk(from_view.status(), "executing the query", "from the view");
+      CheckOk(from_base.status(), "executing the query", "from the base");
+      if (from_view->Fingerprint() != from_base->Fingerprint()) {
+        CheckOk(Status::Internal("view/base results diverged"),
+                "running the serve axis");
       }
     }
     std::sort(view_lat.begin(), view_lat.end());
@@ -208,10 +195,10 @@ void Run(bool json, bool smoke) {
   Catalog full_catalog;  // delta marks the view stale; REFRESH rebuilds it
   const EmpDeptTables tables = PopulateEmpDept(&incr_catalog, Scale(n_emp));
   PopulateEmpDept(&full_catalog, Scale(n_emp));
-  if (!ExecuteMatViewStatement(&incr_catalog, kViewDdl).ok() ||
-      !ExecuteMatViewStatement(&full_catalog, kViewDdl).ok()) {
-    std::abort();
-  }
+  CheckOk(ExecuteMatViewStatement(&incr_catalog, kViewDdl).status(),
+          "creating the view", "for incremental maintenance");
+  CheckOk(ExecuteMatViewStatement(&full_catalog, kViewDdl).status(),
+          "creating the view", "for full refresh");
 
   int64_t next_eno = 10'000'000;
   for (size_t a = 0; a < delta_sizes.size(); ++a) {
@@ -237,9 +224,10 @@ void Run(bool json, bool smoke) {
       double start = Now();
       Status st = ApplyTableDelta(&incr_catalog, delta, &report);
       const double incr = Now() - start;
-      if (!st.ok() || report.views_maintained != 1) {
-        std::fprintf(stderr, "maintain axis: delta not applied in place\n");
-        std::abort();
+      CheckOk(st, "applying the delta", "incrementally");
+      if (report.views_maintained != 1) {
+        CheckOk(Status::Internal("delta not applied in place"),
+                "running the maintain axis");
       }
 
       // Full path: the pre-staled view skips maintenance, so reaching a
@@ -249,21 +237,22 @@ void Run(bool json, bool smoke) {
       report = MaintenanceReport();
       start = Now();
       st = ApplyTableDelta(&full_catalog, delta, &report);
-      if (!st.ok() || report.views_marked_stale != 1) {
-        std::fprintf(stderr, "maintain axis: view not marked stale\n");
-        std::abort();
+      CheckOk(st, "applying the delta", "before a full refresh");
+      if (report.views_marked_stale != 1) {
+        CheckOk(Status::Internal("view not marked stale"),
+                "running the maintain axis");
       }
       st = RefreshMaterializedView(&full_catalog, "mv_dsal");
       const double full = Now() - start;
-      if (!st.ok()) std::abort();
+      CheckOk(st, "refreshing the view");
       best_incr = std::min(best_incr, incr);
       best_full = std::min(best_full, full);
     }
     for (const Catalog* c : {&incr_catalog, &full_catalog}) {
       if (FingerprintOf(*c, /*use_views=*/true) !=
           FingerprintOf(*c, /*use_views=*/false)) {
-        std::fprintf(stderr, "maintain axis: view/base results diverged\n");
-        std::abort();
+        CheckOk(Status::Internal("view/base results diverged"),
+                "running the maintain axis");
       }
     }
     table.Row({"maintain", Fmt(n_emp), Fmt(delta_rows), Ms(best_incr, 4),
@@ -284,7 +273,7 @@ void Run(bool json, bool smoke) {
     PopulateEmpDept(&server->catalog(), Scale(n_emp));
     if (use_views) {
       ServerSession ddl = server->Connect();
-      if (!ddl.ExecuteDdl(kViewDdl).ok()) std::abort();
+      CheckOk(ddl.ExecuteDdl(kViewDdl).status(), "creating the view");
     }
     const double start = Now();
     std::vector<std::thread> threads;
@@ -293,7 +282,9 @@ void Run(bool json, bool smoke) {
         ServerSession conn = server->Connect();
         for (int i = 0; i < mix_reads; ++i) {
           auto q = conn.Sql(kServeSql);
-          if (!q.ok() || !q->Execute().ok()) std::abort();
+          CheckOk(q.status(), "preparing the query", "in a mix reader");
+          CheckOk(q->Execute().status(), "executing the query",
+                  "in a mix reader");
         }
       });
     }
@@ -313,10 +304,12 @@ void Run(bool json, bool smoke) {
         for (int64_t i = 0; i < mix_delta_rows / 2; ++i) {
           delta.deletes.push_back(2 * i);
         }
-        if (!conn.ApplyDelta(delta).ok()) std::abort();
-        if (use_views && w % 2 == 1 &&
-            !conn.ExecuteDdl("refresh materialized view mv_dsal").ok()) {
-          std::abort();
+        CheckOk(conn.ApplyDelta(delta), "applying the delta",
+                "in the mix writer");
+        if (use_views && w % 2 == 1) {
+          auto refreshed = conn.ExecuteDdl("refresh materialized view mv_dsal");
+          CheckOk(refreshed.status(), "refreshing the view",
+                  "in the mix writer");
         }
       }
     });
@@ -325,16 +318,16 @@ void Run(bool json, bool smoke) {
     const double wall = Now() - start;
     ServerSession conn = server->Connect();
     auto q = conn.Sql(kServeSql);
-    if (!q.ok()) std::abort();
+    CheckOk(q.status(), "preparing the query");
     auto result = q->Execute();
-    if (!result.ok()) std::abort();
+    CheckOk(result.status(), "executing the plan");
     return std::make_pair(wall, result->Fingerprint());
   };
   const auto [view_wall, view_fp] = run_mix(/*use_views=*/true);
   const auto [base_wall, base_fp] = run_mix(/*use_views=*/false);
   if (view_fp != base_fp) {
-    std::fprintf(stderr, "mix axis: final states diverged\n");
-    std::abort();
+    CheckOk(Status::Internal("final states diverged"),
+            "running the mix axis");
   }
   table.Row({"mix", Fmt(n_emp), Fmt(mix_delta_rows), "-", "-", Ms(view_wall),
              Ms(base_wall), F2(view_wall > 0 ? base_wall / view_wall : 0.0)});

@@ -35,18 +35,18 @@ where e1.dno = b.dno and e1.age < )sql" +
 /// push-down that would re-derive plan A).
 RunOutcome RunPlanB(const Catalog& catalog, const std::string& sql) {
   auto query = ParseAndBind(catalog, sql);
-  if (!query.ok()) std::abort();
+  CheckOk(query.status(), "parsing and binding the query");
   auto pulled = PullUpIntoView(*query, 0, {query->base_rels()[0]});
-  if (!pulled.ok()) std::abort();
+  CheckOk(pulled.status(), "pulling the group-by up");
   OptimizerOptions options = TraditionalOptions();
   auto optimized = OptimizeQueryWithAggViews(*pulled, options);
-  if (!optimized.ok()) std::abort();
+  CheckOk(optimized.status(), "optimizing the query");
   RunOutcome out;
   out.estimated = optimized->plan->cost;
   IoAccountant io;
   auto result = ExecutePlan(optimized->plan, optimized->query,
                             ExecContext::Default().WithIo(&io));
-  if (!result.ok()) std::abort();
+  CheckOk(result.status(), "executing the plan");
   out.measured = io.total();
   return out;
 }

@@ -47,13 +47,13 @@ void Sweep(const char* title, const std::string& select_clause,
     RunOutcome lazy = RunConfig(*db.catalog, sql, TraditionalOptions());
 
     auto query = ParseAndBind(*db.catalog, sql);
-    if (!query.ok()) std::abort();
+    CheckOk(query.status(), "parsing and binding the query");
     auto optimized = OptimizeQueryWithAggViews(*query, OptimizerOptions{});
-    if (!optimized.ok()) std::abort();
+    CheckOk(optimized.status(), "optimizing the query");
     IoAccountant io;
     auto result = ExecutePlan(optimized->plan, optimized->query,
                             ExecContext::Default().WithIo(&io));
-    if (!result.ok()) std::abort();
+    CheckOk(result.status(), "executing the plan");
 
     // Selectivity of the budget predicate (budgets: half in [100k,1M), half
     // in [1M,5M)).

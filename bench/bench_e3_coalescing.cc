@@ -48,13 +48,13 @@ void Run() {
     RunOutcome lazy = RunConfig(*db.catalog, sql, TraditionalOptions());
 
     auto query = ParseAndBind(*db.catalog, sql);
-    if (!query.ok()) std::abort();
+    CheckOk(query.status(), "parsing and binding the query");
     auto optimized = OptimizeQueryWithAggViews(*query, OptimizerOptions{});
-    if (!optimized.ok()) std::abort();
+    CheckOk(optimized.status(), "optimizing the query");
     IoAccountant io;
     auto result = ExecutePlan(optimized->plan, optimized->query,
                             ExecContext::Default().WithIo(&io));
-    if (!result.ok()) std::abort();
+    CheckOk(result.status(), "executing the plan");
 
     bool coalesced = PlanHasGroupByBelowJoin(optimized->plan);
     table.Row({Fmt(depts), Fmt(static_cast<double>(kEmployees) / depts),

@@ -38,12 +38,12 @@ where e1.dno = c.dno and e1.age < )sql" +
 RunOutcome RunShape(const Catalog& catalog, const std::string& sql,
                     bool push, bool pull) {
   auto query = ParseAndBind(catalog, sql);
-  if (!query.ok()) std::abort();
+  CheckOk(query.status(), "parsing and binding the query");
   Query shaped = *query;
   if (pull) {
     // Defer the view's group-by past the e1 join.
     auto pulled = PullUpIntoView(shaped, 0, {shaped.base_rels()[0]});
-    if (!pulled.ok()) std::abort();
+    CheckOk(pulled.status(), "pulling the group-by up");
     shaped = std::move(pulled).value();
   }
   OptimizerOptions options = TraditionalOptions();
@@ -58,13 +58,13 @@ RunOutcome RunShape(const Catalog& catalog, const std::string& sql,
     options.enumerator.enable_coalescing = true;
   }
   auto optimized = OptimizeQueryWithAggViews(shaped, options);
-  if (!optimized.ok()) std::abort();
+  CheckOk(optimized.status(), "optimizing the query");
   RunOutcome out;
   out.estimated = optimized->plan->cost;
   IoAccountant io;
   auto result = ExecutePlan(optimized->plan, optimized->query,
                             ExecContext::Default().WithIo(&io));
-  if (!result.ok()) std::abort();
+  CheckOk(result.status(), "executing the plan");
   out.measured = io.total();
   return out;
 }

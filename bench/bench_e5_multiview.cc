@@ -38,9 +38,9 @@ where e1.dno = v1.dno and e1.sal > v1.asal
 )sql";
 
   auto query = ParseAndBind(*db.catalog, sql);
-  if (!query.ok()) std::abort();
+  CheckOk(query.status(), "parsing and binding the query");
   auto optimized = OptimizeQueryWithAggViews(*query, OptimizerOptions{});
-  if (!optimized.ok()) std::abort();
+  CheckOk(optimized.status(), "optimizing the query");
 
   std::printf("assignments enumerated (Step 1 candidates x Step 2 orders):\n\n");
   TablePrinter table({"assignment", "est_cost"}, 34);
@@ -51,7 +51,7 @@ where e1.dno = v1.dno and e1.sal > v1.asal
   IoAccountant io;
   auto result = ExecutePlan(optimized->plan, optimized->query,
                             ExecContext::Default().WithIo(&io));
-  if (!result.ok()) std::abort();
+  CheckOk(result.status(), "executing the plan");
   std::printf("\nchosen: %s  est=%.1f  measured_io=%lld  rows=%zu\n",
               optimized->description.c_str(), optimized->plan->cost,
               static_cast<long long>(io.total()), result->rows.size());

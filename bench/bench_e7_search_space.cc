@@ -35,9 +35,9 @@ from emp e1, v)sql";
 int64_t CountJoins(const Catalog& catalog, const std::string& sql,
                    const OptimizerOptions& options) {
   auto query = ParseAndBind(catalog, sql);
-  if (!query.ok()) std::abort();
+  CheckOk(query.status(), "parsing and binding the query");
   auto optimized = OptimizeQueryWithAggViews(*query, options);
-  if (!optimized.ok()) std::abort();
+  CheckOk(optimized.status(), "optimizing the query");
   return optimized->counters.joins_considered;
 }
 

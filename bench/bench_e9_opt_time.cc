@@ -39,9 +39,9 @@ from emp e1, v)sql";
 
 void OptimizeOnce(const std::string& sql, const OptimizerOptions& options) {
   auto query = ParseAndBind(*Db().catalog, sql);
-  if (!query.ok()) std::abort();
+  CheckOk(query.status(), "parsing and binding the query");
   auto optimized = OptimizeQueryWithAggViews(*query, options);
-  if (!optimized.ok()) std::abort();
+  CheckOk(optimized.status(), "optimizing the query");
   benchmark::DoNotOptimize(optimized->plan->cost);
 }
 

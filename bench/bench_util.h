@@ -46,14 +46,19 @@ inline std::string Fmt(double v) {
 }
 inline std::string Fmt(int64_t v) { return std::to_string(v); }
 
+/// True when `flag` is one of the command-line arguments.
+inline bool HasFlag(int argc, char** argv, const char* flag) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::string(argv[i]) == flag) return true;
+  }
+  return false;
+}
+
 /// True when the experiment was invoked with --json: emit one machine-
 /// readable JSON document instead of the banner + fixed-width table, so
 /// plotting and regression scripts can consume the numbers directly.
 inline bool JsonMode(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--json") return true;
-  }
-  return false;
+  return HasFlag(argc, argv, "--json");
 }
 
 /// Escapes `s` for use inside a JSON string per RFC 8259: `"` and `\` get a

@@ -8,125 +8,6 @@
 
 namespace aggview {
 
-// -------------------------------------------------------- FusedScanFilterOp
-
-FusedScanFilterOp::FusedScanFilterOp(
-    const Table* table, RowLayout table_layout,
-    std::shared_ptr<const PredicateProgram> scan_filter,
-    std::shared_ptr<const PredicateProgram> filter, RowLayout output,
-    IoAccountant* io, bool charge_io, ColId rowid_col)
-    : table_(table),
-      table_layout_(std::move(table_layout)),
-      scan_filter_(std::move(scan_filter)),
-      filter_(std::move(filter)),
-      io_(io),
-      charge_io_(charge_io) {
-  layout_ = std::move(output);
-  for (ColId c : layout_.columns()) {
-    if (rowid_col != kInvalidColId && c == rowid_col) {
-      projection_.push_back(kRowIdIndex);
-    } else {
-      projection_.push_back(table_layout_.IndexOf(c));
-    }
-  }
-}
-
-FusedScanFilterOp::FusedScanFilterOp(const FusedScanFilterOp& primary,
-                                     WorkerCloneTag)
-    : table_(primary.table_),
-      table_layout_(primary.table_layout_),
-      scan_filter_(primary.scan_filter_),
-      filter_(primary.filter_),
-      projection_(primary.projection_),
-      io_(primary.io_),
-      charge_io_(false),  // the primary charged the table's pages at Open
-      morsels_(primary.morsels_) {
-  InitWorkerClone(primary);
-  if (primary.scan_stats_ != nullptr) {
-    owned_scan_stats_ = std::make_unique<OpStats>();
-    owned_scan_stats_->op_name = primary.scan_stats_->op_name;
-    owned_scan_stats_->backend = primary.scan_stats_->backend;
-    scan_stats_ = owned_scan_stats_.get();
-  }
-}
-
-OperatorPtr FusedScanFilterOp::CloneForWorker() {
-  return OperatorPtr(new FusedScanFilterOp(*this, WorkerCloneTag{}));
-}
-
-void FusedScanFilterOp::AbsorbWorker(Operator& worker) {
-  Operator::AbsorbWorker(worker);
-  auto& w = static_cast<FusedScanFilterOp&>(worker);
-  if (scan_stats_ != nullptr && w.scan_stats_ != nullptr) {
-    scan_stats_->MergeFrom(*w.scan_stats_);
-  }
-}
-
-Status FusedScanFilterOp::OpenImpl() {
-  morsels_ = std::make_shared<MorselDispenser>();
-  if (exec_ != nullptr) morsels_->morsel_rows = exec_->morsel_rows();
-  pos_ = pos_end_ = 0;
-  if (charge_io_) {
-    // Same Open-time charge as TableScanOp, attributed to the scan node's
-    // stats block when the kernel also covers a filter node above it.
-    int64_t pages = table_->page_count();
-    if (io_ != nullptr) io_->ChargeRead(pages);
-    if (scan_stats_ != nullptr) {
-      scan_stats_->pages_charged += pages;
-    } else if (stats_ != nullptr) {
-      stats_->pages_charged += pages;
-    }
-  }
-  for (int idx : projection_) {
-    if (idx < 0 && idx != kRowIdIndex) {
-      return Status::Internal("fused scan projects a non-table column");
-    }
-  }
-  return Status::OK();
-}
-
-Result<bool> FusedScanFilterOp::NextBatchImpl(RowBatch* out) {
-  const int64_t n = table_->row_count();
-  int64_t examined = 0;
-  int64_t passed_scan = 0;
-  while (!out->full()) {
-    if (pos_ >= pos_end_) {
-      int64_t start = morsels_->next.fetch_add(morsels_->morsel_rows,
-                                               std::memory_order_relaxed);
-      if (start >= n) break;
-      pos_ = start;
-      pos_end_ = std::min(n, start + morsels_->morsel_rows);
-    }
-    while (pos_ < pos_end_ && !out->full()) {
-      int64_t rowid = pos_;
-      const Row& row = table_->row(pos_++);
-      ++examined;
-      if (!scan_filter_->EvalRow(row, &scratch_)) continue;
-      ++passed_scan;
-      if (!filter_->empty() && !filter_->EvalRow(row, &scratch_)) continue;
-      Row& dst = out->AppendRow();
-      dst.reserve(projection_.size());
-      for (int idx : projection_) {
-        if (idx == kRowIdIndex) {
-          dst.push_back(Value::Int(rowid));
-        } else {
-          dst.push_back(row[static_cast<size_t>(idx)]);
-        }
-      }
-    }
-  }
-  if (scan_stats_ != nullptr) {
-    // Interior attribution for the fused-away scan node; the operator's own
-    // block (the filter node) counts rows entering the residual filter.
-    scan_stats_->input_rows += examined;
-    scan_stats_->rows_produced += passed_scan;
-    CountInput(passed_scan);
-  } else {
-    CountInput(examined);
-  }
-  return !out->empty();
-}
-
 // ------------------------------------------------------ CompiledAggregateOp
 
 CompiledAggregateOp::CompiledAggregateOp(Spec spec,

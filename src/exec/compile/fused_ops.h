@@ -1,7 +1,6 @@
 #ifndef AGGVIEW_EXEC_COMPILE_FUSED_OPS_H_
 #define AGGVIEW_EXEC_COMPILE_FUSED_OPS_H_
 
-#include <atomic>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -9,7 +8,6 @@
 
 #include "algebra/query.h"
 #include "common/result.h"
-#include "common/thread_annotations.h"
 #include "exec/compile/expr_compiler.h"
 #include "exec/operators.h"
 #include "expr/aggregate.h"
@@ -18,75 +16,6 @@
 #include "storage/table.h"
 
 namespace aggview {
-
-/// The compiled backend's scan->filter->project kernel: one loop reads table
-/// rows, evaluates the compiled scan filter and the compiled residual filter
-/// directly on the table row (no intermediate batch between the scan and the
-/// filter), and projects survivors straight into the output batch. Replaces
-/// the interpreter's TableScanOp(+FilterOp+ProjectOp) pipeline for a
-/// kFilter-over-kScan (or bare kScan) plan shape whose predicates compile
-/// against the table layout.
-///
-/// Morsel protocol, IO charges and output row order are byte-identical to
-/// the interpreted pipeline: the same atomic morsel dispenser, the same
-/// Open-time page charge, and row-order iteration within each claimed
-/// morsel. When the kernel covers a kFilter node *and* its kScan child, the
-/// operator itself is registered (and dataflow-verified) as the filter node;
-/// set_scan_stats installs a second stats block that receives the scan
-/// node's counters (rows examined, rows passing the scan filter, pages), so
-/// EXPLAIN ANALYZE attribution per plan node is unchanged by fusion.
-class FusedScanFilterOp final : public Operator {
- public:
-  /// `scan_filter` and `filter` are evaluated against `table_layout`;
-  /// `filter` may be empty (bare-scan fusion). `rowid_col`, when valid,
-  /// names a synthetic output column materialized as the scanned row's
-  /// position.
-  FusedScanFilterOp(const Table* table, RowLayout table_layout,
-                    std::shared_ptr<const PredicateProgram> scan_filter,
-                    std::shared_ptr<const PredicateProgram> filter,
-                    RowLayout output, IoAccountant* io, bool charge_io,
-                    ColId rowid_col = kInvalidColId);
-
-  /// Interior stats block for the fused-away kScan node (null when the
-  /// kernel covers only the scan node itself, whose counters then land in
-  /// the operator's own stats block like an interpreted TableScanOp's).
-  void set_scan_stats(OpStats* stats) { scan_stats_ = stats; }
-
-  bool CanRunMorselParallel() const override { return true; }
-  OperatorPtr CloneForWorker() override;
-  void AbsorbWorker(Operator& worker) override;
-
- protected:
-  Status OpenImpl() override;
-  Result<bool> NextBatchImpl(RowBatch* out) override;
-
- private:
-  static constexpr int kRowIdIndex = -2;
-
-  /// Shared morsel cursor, identical to TableScanOp's: workers fetch-add to
-  /// claim disjoint row-id ranges.
-  struct MorselDispenser {
-    std::atomic<int64_t> next AGGVIEW_LOCK_FREE("atomic fetch-add claim"){0};
-    int64_t morsel_rows = kDefaultMorselRows;
-  };
-
-  struct WorkerCloneTag {};
-  FusedScanFilterOp(const FusedScanFilterOp& primary, WorkerCloneTag);
-
-  const Table* table_;
-  RowLayout table_layout_;
-  std::shared_ptr<const PredicateProgram> scan_filter_;
-  std::shared_ptr<const PredicateProgram> filter_;
-  std::vector<int> projection_;  // table-layout indices per output column
-  IoAccountant* io_;
-  bool charge_io_;
-  OpStats* scan_stats_ = nullptr;
-  std::unique_ptr<OpStats> owned_scan_stats_;  // worker clones
-  std::shared_ptr<MorselDispenser> morsels_;
-  int64_t pos_ = 0;
-  int64_t pos_end_ = 0;
-  EvalScratch scratch_;
-};
 
 /// The compiled backend's scan->filter->aggregate kernel: one serial loop
 /// reads table rows, evaluates the compiled scan and residual filters, and

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "exec/thread_pool.h"
+#include "obs/runtime_stats.h"
 
 namespace aggview {
 
@@ -133,6 +134,17 @@ ThreadPool* ExecRuntime::pool() {
   if (external_ != nullptr) return external_;
   if (owned_ == nullptr) owned_ = std::make_unique<ThreadPool>(threads_);
   return owned_.get();
+}
+
+OpStats* ExecRuntime::WorkerStats(OpStats* primary) {
+  if (primary == nullptr) return nullptr;
+  worker_stats_.emplace_back(primary, std::make_unique<OpStats>());
+  return worker_stats_.back().second.get();
+}
+
+void ExecRuntime::FoldWorkerStats() {
+  for (auto& [primary, worker] : worker_stats_) primary->MergeFrom(*worker);
+  worker_stats_.clear();
 }
 
 }  // namespace aggview

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "exec/row_batch.h"
 
@@ -10,6 +12,7 @@ namespace aggview {
 
 class DataflowVerifier;
 class IoAccountant;
+struct OpStats;
 class RuntimeStatsCollector;
 class ThreadPool;
 struct TransformationAudit;
@@ -208,9 +211,10 @@ struct ExecContext {
 };
 
 /// The runtime state one operator tree shares across its parallel regions:
-/// thread budget, morsel geometry, and the worker pool. Lowering creates one
-/// per execution and hands every operator a shared_ptr; worker clones share
-/// the primary's. The pool is created lazily (on the driver thread, strictly
+/// thread budget, morsel geometry, the worker pool, and the private stats
+/// blocks of the current region's worker clones. Lowering creates one per
+/// execution and hands every operator a shared_ptr; worker clones share the
+/// primary's. The pool is created lazily (on the driver thread, strictly
 /// before any worker runs) so serial executions never pay for threads.
 class ExecRuntime {
  public:
@@ -224,11 +228,25 @@ class ExecRuntime {
   /// The pool to run ParallelFor on. Driver thread only.
   ThreadPool* pool();
 
+  /// A private stats block for a worker clone whose primary reports into
+  /// `primary`; null when `primary` is (the primary runs unobserved). The
+  /// block lives until FoldWorkerStats. Driver thread only, before the
+  /// region starts.
+  OpStats* WorkerStats(OpStats* primary);
+
+  /// Folds every block WorkerStats handed out into its primary block
+  /// (OpStats::MergeFrom) and frees them. Driver thread only, after the
+  /// region's barrier. Regions run one at a time per execution, so the
+  /// pending blocks are exactly the finished region's.
+  void FoldWorkerStats();
+
  private:
   int threads_;
   int64_t morsel_rows_;
   ThreadPool* external_;
   std::unique_ptr<ThreadPool> owned_;
+  /// (primary block, worker block) pairs of the current region.
+  std::vector<std::pair<OpStats*, std::unique_ptr<OpStats>>> worker_stats_;
 };
 
 }  // namespace aggview

@@ -267,6 +267,10 @@ Result<OperatorPtr> LowerScan(const PlanPtr& plan, const LowerCtx& ctx,
     return Status::ExecutionError("table '" + def.name + "' has no data loaded");
   }
   RowLayout table_layout(rv.columns);
+  auto scan = std::make_unique<TableScanOp>(
+      def.data.get(), table_layout, plan->scan_filter, plan->output, ctx.io,
+      charge_scan, rv.rowid);
+  const char* label = nullptr;
   const char* fallback = nullptr;
   if (UseCompiled(ctx)) {
     PredCompile scan_pc = CompileAndVerify(plan->scan_filter, table_layout,
@@ -277,21 +281,17 @@ Result<OperatorPtr> LowerScan(const PlanPtr& plan, const LowerCtx& ctx,
           std::vector<Predicate>{}, table_layout, ctx, "TableScan", "filter");
       Commit(ctx, &no_filter);
       if (no_filter.prog != nullptr) {
-        OperatorPtr op = std::make_unique<FusedScanFilterOp>(
-            def.data.get(), std::move(table_layout), std::move(scan_pc.prog),
-            std::move(no_filter.prog), plan->output, ctx.io, charge_scan,
-            rv.rowid);
-        return Tag(std::move(op), plan, "TableScan", ctx, "compiled");
+        scan->set_compiled_filter(std::move(scan_pc.prog),
+                                  std::move(no_filter.prog));
+        label = "compiled";
+      } else {
+        fallback = no_filter.fallback;
       }
-      fallback = no_filter.fallback;
     } else {
       fallback = scan_pc.fallback;
     }
   }
-  OperatorPtr op = std::make_unique<TableScanOp>(
-      def.data.get(), std::move(table_layout), plan->scan_filter, plan->output,
-      ctx.io, charge_scan, rv.rowid);
-  return Tag(std::move(op), plan, "TableScan", ctx, nullptr, fallback);
+  return Tag(std::move(scan), plan, "TableScan", ctx, label, fallback);
 }
 
 /// Attempts the scan->filter->project fused kernel for a kFilter-over-kScan
@@ -311,11 +311,12 @@ OperatorPtr TryLowerFusedFilter(const PlanPtr& plan, const LowerCtx& ctx) {
   if (scan_pc.prog == nullptr || filter_pc.prog == nullptr) return nullptr;
   Commit(ctx, &scan_pc);
   Commit(ctx, &filter_pc);
-  auto fused = std::make_unique<FusedScanFilterOp>(
-      def.data.get(), std::move(table_layout), std::move(scan_pc.prog),
-      std::move(filter_pc.prog), plan->output, ctx.io, /*charge_io=*/true,
-      rv.rowid);
-  FusedScanFilterOp* raw = fused.get();
+  auto fused = std::make_unique<TableScanOp>(
+      def.data.get(), std::move(table_layout), scan->scan_filter,
+      plan->output, ctx.io, /*charge_io=*/true, rv.rowid);
+  fused->set_compiled_filter(std::move(scan_pc.prog),
+                             std::move(filter_pc.prog));
+  TableScanOp* raw = fused.get();
   OperatorPtr op =
       Tag(std::move(fused), plan, "FusedScanFilter", ctx, "compiled");
   raw->set_scan_stats(RegisterInterior(scan, "TableScan", ctx));

@@ -102,24 +102,13 @@ Result<bool> Operator::Next(RowBatch* out) {
 
 void Operator::Close() { CloseImpl(); }
 
-void Operator::AbsorbWorker(Operator& worker) {
-  if (stats_ != nullptr && worker.stats_ != nullptr) {
-    stats_->MergeFrom(*worker.stats_);
-  }
-}
-
 void Operator::InitWorkerClone(const Operator& primary) {
   layout_ = primary.layout_;
   batch_size_ = primary.batch_size_;
   exec_ = primary.exec_;
   verify_ = primary.verify_;
   verify_node_ = primary.verify_node_;
-  parallel_mode_ = true;
-  if (primary.stats_ != nullptr) {
-    owned_stats_ = std::make_unique<OpStats>();
-    owned_stats_->op_name = primary.stats_->op_name;
-    stats_ = owned_stats_.get();
-  }
+  stats_ = exec_->WorkerStats(primary.stats_);
 }
 
 void Operator::ChargeRead(IoAccountant* io, int64_t pages) {
@@ -147,30 +136,29 @@ int MorselWorkers(const Operator& pipeline) {
 
 Status RunMorselParallel(Operator* primary, int workers,
                          const std::function<Status(int, Operator*)>& consume) {
-  if (workers <= 1 || primary->exec_runtime() == nullptr ||
-      !primary->CanRunMorselParallel()) {
+  ExecRuntime* rt = primary->exec_runtime();
+  if (workers <= 1 || rt == nullptr || !primary->CanRunMorselParallel()) {
     return consume(0, primary);
   }
-  primary->EnterParallelMode();
   std::vector<OperatorPtr> clones;
   clones.reserve(static_cast<size_t>(workers - 1));
   for (int w = 1; w < workers; ++w) {
     clones.push_back(primary->CloneForWorker());
   }
   std::vector<Status> status(static_cast<size_t>(workers), Status::OK());
-  primary->exec_runtime()->pool()->ParallelFor(workers, [&](int w) {
+  rt->pool()->ParallelFor(workers, [&](int w) {
     Operator* instance =
         w == 0 ? primary : clones[static_cast<size_t>(w - 1)].get();
     status[static_cast<size_t>(w)] = consume(w, instance);
   });
-  // Absorb every clone even on error (the counters stay consistent), but
-  // fire the deferred charges only for a completed region. The first
-  // worker's error (by index) wins, deterministically.
-  for (OperatorPtr& clone : clones) primary->AbsorbWorker(*clone);
+  // Fold every clone's counters even on error, so they stay consistent. A
+  // failed instance never reached end of stream, so no end-of-stream charge
+  // fired for its pipeline. The first worker's error (by index) wins,
+  // deterministically.
+  rt->FoldWorkerStats();
   for (const Status& s : status) {
     if (!s.ok()) return s;
   }
-  primary->FinalizeParallelCharges();
   return Status::OK();
 }
 
@@ -198,11 +186,14 @@ TableScanOp::TableScanOp(const TableScanOp& primary, WorkerCloneTag)
     : table_(primary.table_),
       table_layout_(primary.table_layout_),
       filter_(primary.filter_),
+      compiled_filter_(primary.compiled_filter_),
+      compiled_residual_(primary.compiled_residual_),
       projection_(primary.projection_),
       io_(primary.io_),
       charge_io_(false),  // the primary charged the table's pages at Open
       morsels_(primary.morsels_) {
   InitWorkerClone(primary);
+  scan_stats_ = exec_->WorkerStats(primary.scan_stats_);
 }
 
 OperatorPtr TableScanOp::CloneForWorker() {
@@ -213,7 +204,13 @@ Status TableScanOp::OpenImpl() {
   morsels_ = std::make_shared<MorselDispenser>();
   if (exec_ != nullptr) morsels_->morsel_rows = exec_->morsel_rows();
   pos_ = pos_end_ = 0;
-  if (charge_io_) ChargeRead(io_, table_->page_count());
+  if (charge_io_) {
+    // With an interior block the pages belong to the fused-away scan node.
+    int64_t pages = table_->page_count();
+    OpStats* page_stats = scan_stats_ != nullptr ? scan_stats_ : stats_;
+    if (io_ != nullptr) io_->ChargeRead(pages);
+    if (page_stats != nullptr) page_stats->pages_charged += pages;
+  }
   for (int idx : projection_) {
     if (idx < 0 && idx != kRowIdIndex) {
       return Status::Internal("scan projects a non-table column");
@@ -224,7 +221,10 @@ Status TableScanOp::OpenImpl() {
 
 Result<bool> TableScanOp::NextBatchImpl(RowBatch* out) {
   const int64_t n = table_->row_count();
+  const PredicateProgram* filter = compiled_filter_.get();
+  const PredicateProgram* residual = compiled_residual_.get();
   int64_t examined = 0;
+  int64_t passed_scan = 0;
   while (!out->full()) {
     if (pos_ >= pos_end_) {
       // Claim the next morsel. A lone instance claims every morsel in
@@ -239,7 +239,12 @@ Result<bool> TableScanOp::NextBatchImpl(RowBatch* out) {
       int64_t rowid = pos_;
       const Row& row = table_->row(pos_++);
       ++examined;
-      if (!EvalConjunction(filter_, row, table_layout_)) continue;
+      bool pass = filter != nullptr
+                      ? filter->EvalRow(row, &scratch_)
+                      : EvalConjunction(filter_, row, table_layout_);
+      if (!pass) continue;
+      ++passed_scan;
+      if (residual != nullptr && !residual->EvalRow(row, &scratch_)) continue;
       Row& dst = out->AppendRow();
       dst.reserve(projection_.size());
       for (int idx : projection_) {
@@ -251,7 +256,15 @@ Result<bool> TableScanOp::NextBatchImpl(RowBatch* out) {
       }
     }
   }
-  CountInput(examined);
+  if (scan_stats_ != nullptr) {
+    // The fused-away scan node saw every examined row; the operator's own
+    // block (the filter node) counts the rows entering the residual.
+    scan_stats_->input_rows += examined;
+    scan_stats_->rows_produced += passed_scan;
+    CountInput(passed_scan);
+  } else {
+    CountInput(examined);
+  }
   return !out->empty();
 }
 
@@ -272,18 +285,6 @@ FilterOp::FilterOp(const FilterOp& primary, OperatorPtr child)
 OperatorPtr FilterOp::CloneForWorker() {
   return OperatorPtr(new FilterOp(*this, child_->CloneForWorker()));
 }
-
-void FilterOp::AbsorbWorker(Operator& worker) {
-  Operator::AbsorbWorker(worker);
-  child_->AbsorbWorker(*static_cast<FilterOp&>(worker).child_);
-}
-
-void FilterOp::EnterParallelMode() {
-  Operator::EnterParallelMode();
-  child_->EnterParallelMode();
-}
-
-void FilterOp::FinalizeParallelCharges() { child_->FinalizeParallelCharges(); }
 
 Status FilterOp::OpenImpl() {
   AGGVIEW_RETURN_NOT_OK(ValidatePredicateColumns(preds_, layout_, "filter"));
@@ -334,18 +335,6 @@ ProjectOp::ProjectOp(const ProjectOp& primary, OperatorPtr child)
 OperatorPtr ProjectOp::CloneForWorker() {
   return OperatorPtr(new ProjectOp(*this, child_->CloneForWorker()));
 }
-
-void ProjectOp::AbsorbWorker(Operator& worker) {
-  Operator::AbsorbWorker(worker);
-  child_->AbsorbWorker(*static_cast<ProjectOp&>(worker).child_);
-}
-
-void ProjectOp::EnterParallelMode() {
-  Operator::EnterParallelMode();
-  child_->EnterParallelMode();
-}
-
-void ProjectOp::FinalizeParallelCharges() { child_->FinalizeParallelCharges(); }
 
 Status ProjectOp::OpenImpl() {
   for (int idx : projection_) {
@@ -442,31 +431,16 @@ HashJoinOp::HashJoinOp(const HashJoinOp& primary, OperatorPtr left)
       left_key_idx_(primary.left_key_idx_),
       right_key_idx_(primary.right_key_idx_),
       build_(primary.build_),
-      charged_(true),  // deferred: the primary charges on merged totals
       left_outer_(primary.left_outer_) {
   InitWorkerClone(primary);
   probe_ = RowBatch(batch_size_);
+  // Runs on the driver before the region starts: one more instance must
+  // finish its probe before the join charges.
+  ++build_->live_probes;
 }
 
 OperatorPtr HashJoinOp::CloneForWorker() {
   return OperatorPtr(new HashJoinOp(*this, left_->CloneForWorker()));
-}
-
-void HashJoinOp::AbsorbWorker(Operator& worker) {
-  Operator::AbsorbWorker(worker);
-  auto& clone = static_cast<HashJoinOp&>(worker);
-  left_rows_ += clone.left_rows_;
-  left_->AbsorbWorker(*clone.left_);
-}
-
-void HashJoinOp::EnterParallelMode() {
-  Operator::EnterParallelMode();
-  left_->EnterParallelMode();
-}
-
-void HashJoinOp::FinalizeParallelCharges() {
-  if (!charged_) ChargeAtProbeEos();
-  left_->FinalizeParallelCharges();
 }
 
 Status HashJoinOp::BuildSerial() {
@@ -547,23 +521,36 @@ Status HashJoinOp::OpenImpl() {
     AGGVIEW_RETURN_NOT_OK(BuildSerial());
   }
   CountInput(right_rows_);
+  build_->build_pages =
+      ActualPages(right_rows_, right_->layout().RowWidth(*columns_));
   if (stats_ != nullptr) {
     stats_->hash_build_rows = build_->rows();
   }
   probe_ = RowBatch(batch_size_);
   probe_pos_ = 0;
   current_left_ = nullptr;
+  left_rows_ = 0;
+  probe_done_ = false;
   return Status::OK();
 }
 
-void HashJoinOp::ChargeAtProbeEos() {
+void HashJoinOp::FinishProbe() {
+  if (probe_done_) return;
+  probe_done_ = true;
+  build_->probe_rows += left_rows_;
+  // Every instance adds its rows before it leaves, so the one that takes
+  // the live count to zero sees the full total.
+  if (--build_->live_probes == 0) ChargeAtProbeEos(build_->probe_rows);
+}
+
+void HashJoinOp::ChargeAtProbeEos(int64_t probe_rows) {
   // Same formula as the cost model, on actual sizes: one read of each
   // input, plus Grace partition spills when the smaller input exceeds the
-  // buffer pool. In a parallel probe this runs once, on the driver, after
-  // every worker's probe rows were summed into left_rows_ — so the charge
-  // is byte-identical to the serial engine's.
-  double lp = ActualPages(left_rows_, left_->layout().RowWidth(*columns_));
-  double rp = ActualPages(right_rows_, right_->layout().RowWidth(*columns_));
+  // buffer pool. In a parallel probe this runs once, in the last instance
+  // to finish, on every instance's probe rows summed — so the charge is
+  // byte-identical to the serial engine's.
+  double lp = ActualPages(probe_rows, left_->layout().RowWidth(*columns_));
+  double rp = build_->build_pages;
   ChargeRead(io_, static_cast<int64_t>(lp + rp));
   double spill = CostModel::HashJoinLocalCost(lp, rp) - (lp + rp);
   ChargeWrite(io_, static_cast<int64_t>(spill / 2.0));
@@ -571,7 +558,6 @@ void HashJoinOp::ChargeAtProbeEos() {
   if (stats_ != nullptr) {
     stats_->spill_pages += static_cast<int64_t>(spill / 2.0) * 2;
   }
-  charged_ = true;
 }
 
 Result<bool> HashJoinOp::NextBatchImpl(RowBatch* out) {
@@ -608,7 +594,7 @@ Result<bool> HashJoinOp::NextBatchImpl(RowBatch* out) {
       auto more = left_->Next(&probe_);
       if (!more.ok()) return more.status();
       if (!*more) {
-        if (!charged_ && !parallel_mode_) ChargeAtProbeEos();
+        FinishProbe();
         return !out->empty();
       }
       left_rows_ += probe_.size();

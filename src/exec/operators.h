@@ -43,12 +43,14 @@ using OperatorPtr = std::unique_ptr<Operator>;
 ///
 /// Morsel-driven parallelism (RunMorselParallel below): a pipeline whose
 /// operators all answer CanRunMorselParallel() true can be cloned after Open
-/// into extra worker instances that share coordination state (the scan's
-/// morsel dispenser, a hash join's build table) and split the row multiset
-/// disjointly. Clones are born open, carry private OpStats, and are absorbed
-/// back into the primary (AbsorbWorker) when the region drains; deferred IO
-/// charges then fire once, on merged totals (FinalizeParallelCharges), so
-/// charged pages are byte-identical to serial execution.
+/// into extra worker instances. All cross-instance state lives in one object
+/// the clones share with their primary — the scan's morsel dispenser, a hash
+/// join's build table (which also sums the probe rows and fires the join's
+/// IO charge when the last instance reaches end of stream) — so the
+/// instances split the row multiset disjointly and charged pages are
+/// byte-identical to serial execution. Clones are born open and count into
+/// private OpStats blocks the ExecRuntime hands out and folds back into the
+/// primaries' blocks when the region drains.
 class Operator {
  public:
   virtual ~Operator();
@@ -77,6 +79,8 @@ class Operator {
 
   /// Installs the shared execution runtime (thread budget, morsel geometry,
   /// worker pool). Lowering sets it on every operator; null means serial.
+  /// A parallel region needs it on every operator of the pipeline: worker
+  /// clones take their stats blocks from it.
   void set_exec(std::shared_ptr<ExecRuntime> exec) { exec_ = std::move(exec); }
   ExecRuntime* exec_runtime() const { return exec_.get(); }
 
@@ -98,26 +102,12 @@ class Operator {
   /// serial and parallelize *internally* where profitable.
   virtual bool CanRunMorselParallel() const { return false; }
 
-  /// Clones this pipeline for one extra worker. Only valid after Open on a
-  /// pipeline where CanRunMorselParallel(); the clone shares the primary's
-  /// coordination state, is already open, and must only be driven via Next
-  /// (never Open/Close — the primary owns the shared state's lifecycle).
+  /// Clones this pipeline for one extra worker. Only valid after Open, on
+  /// the driver thread, on a pipeline where CanRunMorselParallel(); the
+  /// clone shares the primary's coordination state, is already open, and
+  /// must only be driven via Next (never Open/Close — the primary owns the
+  /// shared state's lifecycle).
   virtual OperatorPtr CloneForWorker() { return nullptr; }
-
-  /// Folds a worker clone produced by CloneForWorker back into this primary:
-  /// merges its OpStats and the operator-specific counters that feed
-  /// deferred IO charges, recursing down both pipelines in lockstep.
-  virtual void AbsorbWorker(Operator& worker);
-
-  /// Marks this pipeline as running inside a morsel-parallel region:
-  /// end-of-stream IO charges are suppressed (every instance hits EOS) and
-  /// deferred to FinalizeParallelCharges. Recurses down the streamed input.
-  virtual void EnterParallelMode() { parallel_mode_ = true; }
-
-  /// Performs the IO charges a parallel region deferred, on the merged
-  /// totals, exactly once, on the driver thread. Recurses down the streamed
-  /// input. Called by RunMorselParallel after every worker was absorbed.
-  virtual void FinalizeParallelCharges() {}
 
  protected:
   virtual Status OpenImpl() = 0;
@@ -125,9 +115,10 @@ class Operator {
   virtual void CloseImpl() {}
 
   /// Copies the base-operator state a worker clone shares with its primary
-  /// (layout, batch size, runtime) and allocates the clone's private stats
-  /// block when the primary is instrumented. Every CloneForWorker override
-  /// calls this from the clone's constructor path.
+  /// (layout, batch size, runtime, verify hook) and takes the clone's
+  /// private stats block from the runtime when the primary is instrumented.
+  /// Every CloneForWorker override calls this from the clone's constructor
+  /// path.
   void InitWorkerClone(const Operator& primary);
 
   /// Charges `pages` reads/writes to `io` (when non-null) and mirrors the
@@ -143,23 +134,19 @@ class Operator {
   OpStats* stats_ = nullptr;
   int batch_size_ = kDefaultBatchSize;
   std::shared_ptr<ExecRuntime> exec_;
-  bool parallel_mode_ = false;
   /// Dataflow self-verification hook; both borrowed, null when off.
   const DataflowVerifier* verify_ = nullptr;
   const PlanNode* verify_node_ = nullptr;
-  /// Worker clones own their stats block (absorbed by the primary later);
-  /// primaries point stats_ at the collector's block and leave this null.
-  std::unique_ptr<OpStats> owned_stats_;
 };
 
 /// Drives `primary`'s pipeline with `workers` instances over its shared
 /// morsel dispenser: clones the pipeline `workers - 1` times, runs
 /// `consume(worker_index, instance)` for every instance on the runtime's
-/// pool (instance 0 is the primary), then absorbs every clone's stats and
-/// counters back into the primary and fires the deferred IO charges. Falls
-/// back to a single serial `consume(0, primary)` when `workers <= 1`, the
-/// pipeline is not morsel-parallel, or no runtime is installed — the serial
-/// path is byte-for-byte the pre-parallel engine.
+/// pool (instance 0 is the primary), then folds every clone's stats block
+/// into its primary's (ExecRuntime::FoldWorkerStats). Falls back to a
+/// single serial `consume(0, primary)` when `workers <= 1`, the pipeline is
+/// not morsel-parallel, or no runtime is installed — the serial path is
+/// byte-for-byte the pre-parallel engine.
 ///
 /// `consume` must drain its instance to end of stream; each instance yields
 /// a disjoint share of the pipeline's row multiset. On error, the
@@ -184,6 +171,13 @@ int MorselWorkers(const Operator& pipeline);
 /// share the cursor, so instances scan disjoint row ranges; a single
 /// instance claims every morsel in order and is byte-identical to the
 /// pre-morsel serial scan.
+///
+/// Under the compiled backend the same operator is the scan->filter->project
+/// kernel: set_compiled_filter swaps the tree-walked scan filter for its
+/// bytecode program and may add a residual program (a kFilter node fused
+/// onto the scan), both evaluated directly on the table row, so survivors
+/// project straight into the output batch with no batch hand-off between
+/// the scan and the filter.
 class TableScanOp final : public Operator {
  public:
   /// `rowid_col`, when valid, names a synthetic output column materialized
@@ -192,6 +186,26 @@ class TableScanOp final : public Operator {
               std::vector<Predicate> filter, RowLayout output,
               IoAccountant* io, bool charge_io,
               ColId rowid_col = kInvalidColId);
+
+  /// Compiled-backend injection: `scan_filter` replaces the tree-walked
+  /// scan filter and `residual` (may be null or empty) is a further
+  /// conjunction evaluated on the rows that pass it; both are compiled
+  /// against the table layout. Worker clones share the immutable programs.
+  void set_compiled_filter(std::shared_ptr<const PredicateProgram> scan_filter,
+                           std::shared_ptr<const PredicateProgram> residual) {
+    compiled_filter_ = std::move(scan_filter);
+    if (residual != nullptr && !residual->empty()) {
+      compiled_residual_ = std::move(residual);
+    }
+  }
+
+  /// Interior stats block for a fused-away kScan node: when the operator is
+  /// registered as the kFilter node above the scan, this block receives the
+  /// scan node's counters (rows examined, rows passing the scan filter,
+  /// pages) and the operator's own block counts rows entering the residual,
+  /// so per-node attribution is unchanged by fusion. Must be set before
+  /// Open; worker clones count into private blocks folded back into it.
+  void set_scan_stats(OpStats* stats) { scan_stats_ = stats; }
 
   bool CanRunMorselParallel() const override { return true; }
   OperatorPtr CloneForWorker() override;
@@ -216,9 +230,13 @@ class TableScanOp final : public Operator {
   const Table* table_;
   RowLayout table_layout_;
   std::vector<Predicate> filter_;
+  std::shared_ptr<const PredicateProgram> compiled_filter_;
+  std::shared_ptr<const PredicateProgram> compiled_residual_;
+  EvalScratch scratch_;
   std::vector<int> projection_;  // table-layout indices per output column
   IoAccountant* io_;
   bool charge_io_;
+  OpStats* scan_stats_ = nullptr;
   std::shared_ptr<MorselDispenser> morsels_;
   int64_t pos_ = 0;      // next row id within the claimed morsel
   int64_t pos_end_ = 0;  // end of the claimed morsel
@@ -245,9 +263,6 @@ class FilterOp final : public Operator {
     return child_->CanRunMorselParallel();
   }
   OperatorPtr CloneForWorker() override;
-  void AbsorbWorker(Operator& worker) override;
-  void EnterParallelMode() override;
-  void FinalizeParallelCharges() override;
 
  protected:
   Status OpenImpl() override;
@@ -275,9 +290,6 @@ class ProjectOp final : public Operator {
     return child_->CanRunMorselParallel();
   }
   OperatorPtr CloneForWorker() override;
-  void AbsorbWorker(Operator& worker) override;
-  void EnterParallelMode() override;
-  void FinalizeParallelCharges() override;
 
  protected:
   Status OpenImpl() override;
@@ -308,8 +320,10 @@ class ProjectOp final : public Operator {
 ///
 /// Parallel probe: the probe side is the streamed input, so the join itself
 /// clones for morsel parallelism; clones share the built partitions
-/// read-only. The Grace/IO charge is deferred to the region's merge point
-/// and computed on summed probe-row counts — identical to the serial charge.
+/// read-only. The Grace/IO charge fires once, from whichever instance
+/// reaches end of stream last, on the probe rows every instance added to the
+/// shared build table — identical to the serial charge, where the lone
+/// instance is also the last.
 class HashJoinOp final : public Operator {
  public:
   /// `left_outer` preserves unmatched probe rows, padding the build side's
@@ -329,9 +343,6 @@ class HashJoinOp final : public Operator {
     return left_->CanRunMorselParallel();
   }
   OperatorPtr CloneForWorker() override;
-  void AbsorbWorker(Operator& worker) override;
-  void EnterParallelMode() override;
-  void FinalizeParallelCharges() override;
 
  protected:
   Status OpenImpl() override;
@@ -339,12 +350,21 @@ class HashJoinOp final : public Operator {
   void CloseImpl() override;
 
  private:
-  /// The build side, hash-partitioned. parts.size() is 1 in serial builds
-  /// and the worker count in parallel builds; a key with hash h lives in
-  /// parts[h % parts.size()]. Immutable once built (shared read-only by
-  /// probe clones).
+  /// The state every probe instance shares. `parts` is the build side,
+  /// hash-partitioned: parts.size() is 1 in serial builds and the worker
+  /// count in parallel builds; a key with hash h lives in
+  /// parts[h % parts.size()]. `build_pages` are the pages of every drained
+  /// build row (NULL-keyed ones included). Both are immutable once built
+  /// (read-only for probes). `live_probes` counts the probe instances that
+  /// have not reached end of stream (the primary, plus one per
+  /// CloneForWorker); `probe_rows` sums the probe rows of those that have.
   struct BuildTable {
     std::vector<std::unordered_multimap<size_t, Row>> parts;
+    double build_pages = 0.0;
+    std::atomic<int> live_probes AGGVIEW_LOCK_FREE(
+        "seq_cst decrement; the instance that takes it to zero charges"){1};
+    std::atomic<int64_t> probe_rows AGGVIEW_LOCK_FREE(
+        "seq_cst add, before the adding instance's live_probes decrement"){0};
     int64_t rows() const {
       int64_t n = 0;
       for (const auto& p : parts) n += static_cast<int64_t>(p.size());
@@ -355,7 +375,10 @@ class HashJoinOp final : public Operator {
   HashJoinOp(const HashJoinOp& primary, OperatorPtr left);
   Status BuildSerial();
   Status BuildParallel(int workers);
-  void ChargeAtProbeEos();
+  /// Adds this instance's probe rows to the shared total, once; the last
+  /// instance out charges.
+  void FinishProbe();
+  void ChargeAtProbeEos(int64_t probe_rows);
 
   OperatorPtr left_;
   OperatorPtr right_;
@@ -369,10 +392,11 @@ class HashJoinOp final : public Operator {
   std::vector<int> left_key_idx_;
   std::vector<int> right_key_idx_;
   std::shared_ptr<BuildTable> build_ AGGVIEW_LOCK_FREE(
-      "written only inside BuildParallel's ParallelFor (disjoint partitions); "
-      "the barrier publishes it, immutable once shared with probe clones");
+      "parts written only inside BuildParallel's ParallelFor (disjoint "
+      "partitions); the barrier publishes them, immutable once shared with "
+      "probe clones; the probe counters are atomics");
   int64_t right_rows_ = 0;
-  int64_t left_rows_ = 0;
+  int64_t left_rows_ = 0;  // this instance's probe rows
   // Probe state: the current input batch and the row of it being matched
   // (a pointer into probe_, stable until the next batch is pulled).
   RowBatch probe_{1};
@@ -380,7 +404,7 @@ class HashJoinOp final : public Operator {
   const Row* current_left_ = nullptr;
   std::vector<const Row*> matches_;
   size_t match_pos_ = 0;
-  bool charged_ = false;
+  bool probe_done_ = false;  // this instance reached end of stream
   bool left_outer_ = false;
   bool emitted_for_left_ = false;
   bool padded_for_left_ = false;

@@ -73,16 +73,17 @@ struct OpStats {
 
   /// Pipeline instances that contributed to these counters: 1 for serial
   /// execution; N when the operator ran as part of an N-way morsel-parallel
-  /// region (each worker clone accumulates into a private OpStats, merged
-  /// here at the region's end — the accumulation itself is race-free).
-  /// With workers > 1 the time counters sum the workers' clocks, so next_ns
-  /// is CPU time across the region, not wall time.
+  /// region (each worker clone accumulates into a private OpStats that the
+  /// execution's ExecRuntime hands out and merges here after the region's
+  /// barrier — the accumulation itself is race-free). With workers > 1 the
+  /// time counters sum the workers' clocks, so next_ns is CPU time across
+  /// the region, not wall time.
   int64_t workers = 1;
 
   int64_t total_ns() const { return open_ns + next_ns; }
 
   /// Folds a worker clone's counters into this (primary) block: counts sum,
-  /// workers accumulate. op_name is kept.
+  /// workers accumulate. op_name, backend and fallback are kept.
   void MergeFrom(const OpStats& other);
 };
 

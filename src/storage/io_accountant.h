@@ -30,10 +30,10 @@ int64_t PagesForRows(int64_t rows, int64_t row_width_bytes);
 ///
 /// Charging is atomic (relaxed increments — the counters carry no ordering),
 /// so one accountant may be shared by operators running on different worker
-/// threads. The parallel executor additionally *defers* every data-dependent
-/// charge to a serial merge point computed on totals, which keeps the charged
-/// page counts byte-identical to serial execution at any thread count; the
-/// atomics make the class safe even for callers that don't defer.
+/// threads. The parallel executor additionally makes every data-dependent
+/// charge once, on totals summed over the workers (by the driver after a
+/// merge, or by the last worker to finish), which keeps the charged page
+/// counts byte-identical to serial execution at any thread count.
 class IoAccountant {
  public:
   IoAccountant() = default;

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "exec/compile/expr_compiler.h"
-#include "exec/compile/fused_ops.h"
+#include "exec/operators.h"
 #include "test_util.h"
 
 namespace aggview {
@@ -300,13 +300,26 @@ std::shared_ptr<const PredicateProgram> MustCompile(
   return std::make_shared<const PredicateProgram>(std::move(*prog));
 }
 
-/// The batch_test.cc scan boundary suite, re-run against the fused
-/// scan->filter kernel: same protocol edges, compiled evaluation.
+/// The batch_test.cc scan boundary suite, re-run against the compiled
+/// scan->filter kernel (a TableScanOp with injected bytecode programs): same
+/// protocol edges, compiled evaluation.
 class FusedScanBatchTest : public ::testing::Test {
  protected:
   FusedScanBatchTest() : table_(Schema({{"id", DataType::kInt64}})) {
     id_ = cat_.Add("t.id", DataType::kInt64);
     for (int i = 0; i < 10; ++i) table_.AppendUnchecked({Value::Int(i)});
+  }
+
+  /// A charged scan of table_ evaluating `scan_filter`, then `residual`, as
+  /// bytecode programs compiled against `layout`.
+  std::unique_ptr<TableScanOp> CompiledScan(
+      const RowLayout& layout, const std::vector<Predicate>& scan_filter,
+      const std::vector<Predicate>& residual, IoAccountant* io) {
+    auto scan = std::make_unique<TableScanOp>(&table_, layout, scan_filter,
+                                              layout, io, /*charge_io=*/true);
+    scan->set_compiled_filter(MustCompile(scan_filter, layout, cat_),
+                              MustCompile(residual, layout, cat_));
+    return scan;
   }
 
   ColumnCatalog cat_;
@@ -317,9 +330,8 @@ class FusedScanBatchTest : public ::testing::Test {
 TEST_F(FusedScanBatchTest, ExactMultipleCardinalityHasNoPhantomTailBatch) {
   RowLayout layout({id_});
   IoAccountant io;
-  FusedScanFilterOp scan(&table_, layout, MustCompile({}, layout, cat_),
-                         MustCompile({}, layout, cat_), layout, &io,
-                         /*charge_io=*/true);
+  auto scan_op = CompiledScan(layout, {}, {}, &io);
+  TableScanOp& scan = *scan_op;
   OpStats stats;
   scan.set_stats(&stats);
   ASSERT_OK(scan.Open());
@@ -350,10 +362,9 @@ TEST_F(FusedScanBatchTest, ExactMultipleCardinalityHasNoPhantomTailBatch) {
 TEST_F(FusedScanBatchTest, EmptyInputAnswersFalseOnFirstNext) {
   RowLayout layout({id_});
   IoAccountant io;
-  FusedScanFilterOp scan(
-      &table_, layout,
-      MustCompile({Cmp(Col(id_), CompareOp::kLt, LitInt(0))}, layout, cat_),
-      MustCompile({}, layout, cat_), layout, &io, /*charge_io=*/true);
+  auto scan_op = CompiledScan(
+      layout, {Cmp(Col(id_), CompareOp::kLt, LitInt(0))}, {}, &io);
+  TableScanOp& scan = *scan_op;
   OpStats stats;
   scan.set_stats(&stats);
   ASSERT_OK(scan.Open());
@@ -374,11 +385,10 @@ TEST_F(FusedScanBatchTest, InteriorScanStatsSplitAttributionAcrossNodes) {
   // own block what the filter would have.
   RowLayout layout({id_});
   IoAccountant io;
-  FusedScanFilterOp scan(
-      &table_, layout,
-      MustCompile({Cmp(Col(id_), CompareOp::kGe, LitInt(5))}, layout, cat_),
-      MustCompile({Cmp(Col(id_), CompareOp::kGe, LitInt(8))}, layout, cat_),
-      layout, &io, /*charge_io=*/true);
+  auto scan_op = CompiledScan(layout,
+                              {Cmp(Col(id_), CompareOp::kGe, LitInt(5))},
+                              {Cmp(Col(id_), CompareOp::kGe, LitInt(8))}, &io);
+  TableScanOp& scan = *scan_op;
   OpStats filter_stats;
   OpStats scan_stats;
   scan.set_stats(&filter_stats);
@@ -399,6 +409,66 @@ TEST_F(FusedScanBatchTest, InteriorScanStatsSplitAttributionAcrossNodes) {
   EXPECT_EQ(scan_stats.pages_charged, table_.page_count());
   EXPECT_EQ(filter_stats.input_rows, 5);   // rows entering the residual
   EXPECT_EQ(filter_stats.rows_produced, 2);
+}
+
+TEST_F(FusedScanBatchTest, ParallelInteriorScanStatsFoldToSerialCounters) {
+  // Two workers over 3-row morsels: each clone counts into private blocks
+  // (its own and the interior scan block) that the region folds back into
+  // the primaries, so both blocks end where a serial run ends.
+  RowLayout layout({id_});
+  const std::vector<Predicate> scan_filter = {
+      Cmp(Col(id_), CompareOp::kGe, LitInt(2))};
+  const std::vector<Predicate> residual = {
+      Cmp(Col(id_), CompareOp::kLt, LitInt(9))};
+  struct Run {
+    OpStats filter_stats;
+    OpStats scan_stats;
+    int64_t rows = 0;
+    int64_t io = 0;
+  };
+  auto run = [&](int threads, Run* out) {
+    IoAccountant io;
+    auto scan = CompiledScan(layout, scan_filter, residual, &io);
+    scan->set_stats(&out->filter_stats);
+    scan->set_scan_stats(&out->scan_stats);
+    scan->set_exec(std::make_shared<ExecRuntime>(threads, /*morsel_rows=*/3,
+                                                 /*external_pool=*/nullptr));
+    ASSERT_OK(scan->Open());
+    std::vector<int64_t> rows(static_cast<size_t>(threads), 0);
+    ASSERT_OK(RunMorselParallel(
+        scan.get(), MorselWorkers(*scan), [&](int w, Operator* instance) {
+          RowBatch batch(2);
+          while (true) {
+            auto more = instance->Next(&batch);
+            if (!more.ok()) return more.status();
+            if (!*more) return Status::OK();
+            rows[static_cast<size_t>(w)] += batch.size();
+          }
+        }));
+    scan->Close();
+    for (int64_t r : rows) out->rows += r;
+    out->io = io.total();
+  };
+  Run serial, parallel;
+  run(1, &serial);
+  run(2, &parallel);
+
+  EXPECT_EQ(serial.rows, 7);  // ids 2..8
+  EXPECT_EQ(parallel.rows, serial.rows);
+  EXPECT_EQ(parallel.io, serial.io);
+  for (auto [got, want] :
+       {std::pair{&parallel.filter_stats, &serial.filter_stats},
+        std::pair{&parallel.scan_stats, &serial.scan_stats}}) {
+    EXPECT_EQ(got->rows_produced, want->rows_produced);
+    EXPECT_EQ(got->input_rows, want->input_rows);
+    EXPECT_EQ(got->pages_charged, want->pages_charged);
+  }
+  EXPECT_EQ(serial.scan_stats.input_rows, 10);
+  EXPECT_EQ(serial.scan_stats.rows_produced, 8);
+  EXPECT_EQ(serial.filter_stats.input_rows, 8);
+  EXPECT_EQ(serial.filter_stats.rows_produced, 7);
+  EXPECT_EQ(parallel.filter_stats.workers, 2);
+  EXPECT_EQ(parallel.scan_stats.workers, 2);
 }
 
 // ------------------------------------------- end-to-end backend equivalence

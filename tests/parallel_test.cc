@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -93,11 +94,10 @@ TEST(ParallelDeterminism, TinyMorselsManyClaims) {
                                   {1, 1024});
 }
 
-/// NULL join keys: rows with a NULL key match nothing and must be dropped
-/// identically by the serial build, the parallel spool-then-partition build,
-/// and every probe worker. dept.dno has a NULL, emp.dno has two.
-TEST(ParallelDeterminism, NullJoinKeys) {
-  Catalog catalog;
+/// Loads emp/dept with NULL join keys into `catalog`: dept.dno has a NULL,
+/// emp.dno has two.
+void LoadNullKeyEmpDept(Catalog* catalog_ptr) {
+  Catalog& catalog = *catalog_ptr;
   auto tables = CreateEmpDeptSchema(&catalog);
   ASSERT_OK(tables);
 
@@ -120,9 +120,32 @@ TEST(ParallelDeterminism, NullJoinKeys) {
   add(5, Value::Null(), 500);
   catalog.mutable_table(tables->emp).stats = ComputeStats(*emp);
   catalog.mutable_table(tables->emp).data = emp;
+}
 
-  const std::string sql =
-      "select e.eno, d.budget from emp e, dept d where e.dno = d.dno";
+/// Loads empty emp and dept tables into `catalog`.
+void LoadEmptyEmpDept(Catalog* catalog) {
+  auto tables = CreateEmpDeptSchema(catalog);
+  ASSERT_OK(tables);
+  for (TableId id : {tables->emp, tables->dept}) {
+    auto table = std::make_shared<Table>(catalog->table(id).schema);
+    catalog->mutable_table(id).stats = ComputeStats(*table);
+    catalog->mutable_table(id).data = table;
+  }
+}
+
+constexpr char kNullKeyJoinSql[] =
+    "select e.eno, d.budget from emp e, dept d where e.dno = d.dno";
+constexpr char kEmptyScalarSql[] = "select count(*), avg(e.sal) from emp e";
+constexpr char kEmptyJoinSql[] =
+    "select e.eno from emp e, dept d where e.dno = d.dno";
+
+/// NULL join keys: rows with a NULL key match nothing and must be dropped
+/// identically by the serial build, the parallel spool-then-partition build,
+/// and every probe worker.
+TEST(ParallelDeterminism, NullJoinKeys) {
+  Catalog catalog;
+  LoadNullKeyEmpDept(&catalog);
+  const std::string sql = kNullKeyJoinSql;
   // Morsel size 1 maximizes the chance that the NULL-keyed rows land in
   // different workers than their neighbours.
   CheckDeterministicAcrossThreads(catalog, sql, {1, 2, 8}, {1, 16'384},
@@ -139,15 +162,9 @@ TEST(ParallelDeterminism, NullJoinKeys) {
 /// build or the morsel dispenser.
 TEST(ParallelDeterminism, EmptyInputs) {
   Catalog catalog;
-  auto tables = CreateEmpDeptSchema(&catalog);
-  ASSERT_OK(tables);
-  for (TableId id : {tables->emp, tables->dept}) {
-    auto table = std::make_shared<Table>(catalog.table(id).schema);
-    catalog.mutable_table(id).stats = ComputeStats(*table);
-    catalog.mutable_table(id).data = table;
-  }
+  LoadEmptyEmpDept(&catalog);
 
-  const std::string scalar = "select count(*), avg(e.sal) from emp e";
+  const std::string scalar = kEmptyScalarSql;
   CheckDeterministicAcrossThreads(catalog, scalar, {1, 2, 8}, {1, 16'384},
                                   {1, 1024});
   auto result = RunUnder(catalog, scalar, ExecContext{}.WithThreads(8));
@@ -156,8 +173,7 @@ TEST(ParallelDeterminism, EmptyInputs) {
   EXPECT_EQ(result->rows[0][0], Value::Int(0));
   EXPECT_TRUE(result->rows[0][1].is_null());
 
-  const std::string join =
-      "select e.eno from emp e, dept d where e.dno = d.dno";
+  const std::string join = kEmptyJoinSql;
   CheckDeterministicAcrossThreads(catalog, join, {1, 2, 8}, {1, 16'384},
                                   {1, 1024});
 }
@@ -173,6 +189,130 @@ TEST(ParallelDeterminism, SkewedBuildSide) {
   EmpDeptFixture f = MakeEmpDept(data);
   CheckDeterministicAcrossThreads(*f.catalog, Example1Sql(), {1, 2, 8},
                                   {1'000}, {1024});
+}
+
+/// The counters of every plan node after one instrumented execution, in
+/// plan preorder: output and input rows, hash build rows and probes, spill
+/// pages and charged pages (summed over the node's operators). Everything a
+/// thread count or morsel size must not change; only `workers` and the
+/// clocks may.
+std::vector<std::string> NodeCounters(const PlanPtr& plan,
+                                      const RuntimeStatsCollector& stats) {
+  std::vector<std::string> out;
+  std::function<void(const PlanPtr&)> walk = [&](const PlanPtr& node) {
+    if (node == nullptr) return;
+    const OpStats* s = stats.ForNode(node.get());
+    if (s == nullptr) {
+      out.push_back("(not lowered)");
+    } else {
+      out.push_back("rows=" + std::to_string(s->rows_produced) +
+                    " in=" + std::to_string(s->input_rows) +
+                    " build=" + std::to_string(s->hash_build_rows) +
+                    " probes=" + std::to_string(s->hash_probes) +
+                    " spill=" + std::to_string(s->spill_pages) + " pages=" +
+                    std::to_string(stats.PagesForNode(node.get())));
+    }
+    walk(node->left);
+    walk(node->right);
+  };
+  walk(plan);
+  return out;
+}
+
+/// Optimizes `sql` once and executes the plan under both backends at
+/// threads {1, 2, 8} x morsel rows {1000, 16384}, instrumented; asserts every
+/// plan node's counters (and the result and the IO total) match the serial
+/// run of the same backend.
+void CheckNodeCountersAcrossThreads(const Catalog& catalog,
+                                    const std::string& sql) {
+  auto query = ParseAndBind(catalog, sql);
+  ASSERT_OK(query);
+  auto optimized = OptimizeQueryWithAggViews(*query, OptimizerOptions{});
+  ASSERT_OK(optimized);
+  struct Run {
+    std::string fingerprint;
+    int64_t io = 0;
+    std::vector<std::string> nodes;
+  };
+  auto run = [&](ExecBackend backend, int threads, int64_t morsel_rows,
+                 Run* out) {
+    RuntimeStatsCollector stats;
+    IoAccountant io;
+    auto result = ExecutePlan(optimized->plan, optimized->query,
+                              ExecContext{}
+                                  .WithBackend(backend)
+                                  .WithThreads(threads)
+                                  .WithMorselRows(morsel_rows)
+                                  .WithStats(&stats)
+                                  .WithIo(&io));
+    ASSERT_OK(result);
+    out->fingerprint = result->Fingerprint();
+    out->io = io.total();
+    out->nodes = NodeCounters(optimized->plan, stats);
+  };
+  for (ExecBackend backend :
+       {ExecBackend::kInterpret, ExecBackend::kCompiled}) {
+    Run want;
+    run(backend, 1, kDefaultMorselRows, &want);
+    for (int threads : {1, 2, 8}) {
+      for (int64_t morsel_rows : {int64_t{1000}, int64_t{16'384}}) {
+        Run got;
+        run(backend, threads, morsel_rows, &got);
+        const std::string where = std::string(ExecBackendName(backend)) +
+                                  " threads=" + std::to_string(threads) +
+                                  " morsel_rows=" +
+                                  std::to_string(morsel_rows);
+        EXPECT_EQ(got.fingerprint, want.fingerprint) << where;
+        EXPECT_EQ(got.io, want.io) << where;
+        EXPECT_EQ(got.nodes, want.nodes) << where;
+      }
+    }
+  }
+}
+
+/// Per-node counter invariance over the shapes above: the worker clones'
+/// private stats blocks fold back into exactly the serial counters, node by
+/// node, and the hash join's probe-side charge lands once.
+TEST(ParallelNodeCounters, EmpDeptShapes) {
+  EmpDeptOptions spanning;
+  spanning.num_employees = 40'000;
+  spanning.num_departments = 100;
+  EmpDeptFixture f = MakeEmpDept(spanning);
+  CheckNodeCountersAcrossThreads(*f.catalog, Example2Sql());
+
+  EmpDeptOptions skewed;
+  skewed.num_employees = 5'000;
+  skewed.num_departments = 1;
+  skewed.young_fraction = 0.5;
+  EmpDeptFixture g = MakeEmpDept(skewed);
+  CheckNodeCountersAcrossThreads(*g.catalog, Example1Sql());
+
+  Catalog null_keys;
+  LoadNullKeyEmpDept(&null_keys);
+  CheckNodeCountersAcrossThreads(null_keys, kNullKeyJoinSql);
+
+  Catalog empty;
+  LoadEmptyEmpDept(&empty);
+  CheckNodeCountersAcrossThreads(empty, kEmptyScalarSql);
+  CheckNodeCountersAcrossThreads(empty, kEmptyJoinSql);
+}
+
+/// TPC-D at SF 0.01 (~60k lineitems, several morsels at either size): a
+/// lineitem probe against a supplier hash build, and a grouped aggregate
+/// over a scan.
+TEST(ParallelNodeCounters, TpcdProbeAndAggregate) {
+  DbgenOptions options;
+  options.scale_factor = 0.01;
+  TpcdFixture f = MakeTpcd(options);
+  CheckNodeCountersAcrossThreads(
+      *f.catalog,
+      "select l.l_orderkey, l.l_extendedprice, s.s_acctbal "
+      "from lineitem l, supplier s "
+      "where l.l_suppkey = s.s_suppkey and l.l_quantity >= 0");
+  CheckNodeCountersAcrossThreads(
+      *f.catalog,
+      "select l.l_suppkey, sum(l.l_extendedprice), count(*) "
+      "from lineitem l group by l.l_suppkey");
 }
 
 /// The session facade: Sql() → PreparedQuery, identical results and IO
