@@ -5,9 +5,17 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "aggview.h"
+
+#ifndef AGGVIEW_BENCH_BUILD_TYPE
+#define AGGVIEW_BENCH_BUILD_TYPE "unknown"
+#endif
+#ifndef AGGVIEW_BENCH_COMPILER
+#define AGGVIEW_BENCH_COMPILER "unknown"
+#endif
 
 namespace aggview {
 namespace bench {
@@ -136,8 +144,8 @@ class JsonWriter {
  public:
   JsonWriter(std::string experiment, std::vector<std::string> headers)
       : headers_(std::move(headers)) {
-    std::printf("{\"experiment\": \"%s\", \"rows\": [",
-                JsonEscape(experiment).c_str());
+    std::printf("{\"experiment\": \"%s\", \"host\": %s, \"rows\": [",
+                JsonEscape(experiment).c_str(), HostJson().c_str());
   }
 
   JsonWriter(const JsonWriter&) = delete;
@@ -157,6 +165,17 @@ class JsonWriter {
   }
 
  private:
+  /// The machine and build a document's numbers were measured on: logical
+  /// cores, CMake build type and compiler (bench/CMakeLists.txt passes the
+  /// last two; other includers report "unknown").
+  static std::string HostJson() {
+    return "{\"cores\": " +
+           std::to_string(std::thread::hardware_concurrency()) +
+           ", \"build_type\": \"" + JsonEscape(AGGVIEW_BENCH_BUILD_TYPE) +
+           "\", \"compiler\": \"" + JsonEscape(AGGVIEW_BENCH_COMPILER) +
+           "\"}";
+  }
+
   std::vector<std::string> headers_;
   bool first_ = true;
 };

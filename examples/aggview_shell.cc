@@ -9,7 +9,7 @@
 //     select e.dno, avg(e.sal) from emp e group by e.dno;
 //   select e1.sal from emp e1, v where e1.dno = v.dno and e1.sal > v.asal;
 // CREATE MATERIALIZED VIEW name [(cols)] AS select / REFRESH MATERIALIZED
-// VIEW name are routed to the session's DDL path; matching aggregate
+// VIEW name are routed to the server's DDL path; matching aggregate
 // queries are then answered from the stored view (see the plan banner).
 // Prefix a statement with `explain analyze` to run it instrumented and see
 // per-operator actual rows, Q-error, pages and wall time.
@@ -64,10 +64,10 @@ void PrintTables(const Catalog& catalog) {
   }
 }
 
-void RunStatement(Session& session, std::string sql) {
+void RunStatement(ServerSession& conn, std::string sql) {
   bool analyze = StripExplainAnalyze(&sql);
   if (IsMatViewDdl(sql)) {
-    auto message = session.ExecuteDdl(sql);
+    auto message = conn.ExecuteDdl(sql);
     if (!message.ok()) {
       std::printf("error: %s\n", message.status().ToString().c_str());
       return;
@@ -75,7 +75,7 @@ void RunStatement(Session& session, std::string sql) {
     std::printf("%s\n", message->c_str());
     return;
   }
-  auto prepared = session.Sql(sql);
+  auto prepared = conn.Sql(sql);
   if (!prepared.ok()) {
     std::printf("error: %s\n", prepared.status().ToString().c_str());
     return;
@@ -116,11 +116,11 @@ void RunStatement(Session& session, std::string sql) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // The session reads AGGVIEW_TEST_THREADS / AGGVIEW_TEST_BATCH_SIZE from
-  // the environment (SessionOptions::Default), so the shell can be driven
+  // The server reads AGGVIEW_TEST_THREADS / AGGVIEW_TEST_BATCH_SIZE from
+  // the environment (ServerOptions::Default), so the shell can be driven
   // parallel without flags.
-  Session session;
-  Catalog& catalog = session.catalog();
+  Server server;
+  Catalog& catalog = server.catalog();
   if (argc > 1 && std::string(argv[1]) == "tpcd") {
     auto tables = CreateTpcdSchema(&catalog);
     if (!tables.ok()) return 1;
@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
               "(EDBT 1996 reproduction). \\help for help.\n\ntables:\n");
   PrintTables(catalog);
 
-  bool traditional = false;
+  ServerSession conn = server.Connect();
   std::string buffer;
   std::string line;
   std::printf("\nsql> ");
@@ -148,11 +148,11 @@ int main(int argc, char** argv) {
       if (line == "\\tables") {
         PrintTables(catalog);
       } else if (line == "\\traditional") {
-        traditional = !traditional;
-        session.set_use_traditional(traditional);
+        conn.set_use_traditional(!conn.use_traditional());
         std::printf("optimizer: %s\n",
-                    traditional ? "traditional two-phase"
-                                : "cost-based with pull-up/push-down");
+                    conn.use_traditional()
+                        ? "traditional two-phase"
+                        : "cost-based with pull-up/push-down");
       } else {
         std::printf(
             "\\tables        list tables\n"
@@ -190,7 +190,7 @@ int main(int argc, char** argv) {
         if (c == ';') ++semis;
       }
       if (semis >= views + 1 || views == 0) {
-        RunStatement(session, buffer);
+        RunStatement(conn, buffer);
         buffer.clear();
       }
     }

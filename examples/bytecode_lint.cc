@@ -29,7 +29,7 @@ where d.dno = a1.dno and d.budget < 1000000 and a1.asal > 50
 )sql";
   if (argc > 1) sql = argv[1];
 
-  SessionOptions options;
+  ServerOptions options;
   options.backend = ExecBackend::kCompiled;
   options.bytecode_verify = BytecodeVerifyMode::kParanoid;
   if (argc > 2) {
@@ -40,12 +40,13 @@ where d.dno = a1.dno and d.budget < 1000000 and a1.asal > 50
     }
   }
 
-  Session session(options);
-  auto tables = CreateEmpDeptSchema(&session.catalog());
+  Server server(options);
+  auto tables = CreateEmpDeptSchema(&server.catalog());
   if (!tables.ok()) return 65;
-  if (!GenerateEmpDeptData(&session.catalog(), *tables, {}).ok()) return 65;
+  if (!GenerateEmpDeptData(&server.catalog(), *tables, {}).ok()) return 65;
 
-  auto query = session.Sql(sql);
+  ServerSession conn = server.Connect();
+  auto query = conn.Sql(sql);
   if (!query.ok()) {
     std::fprintf(stderr, "error: %s\n", query.status().ToString().c_str());
     return 65;  // EX_DATAERR
@@ -61,7 +62,7 @@ where d.dno = a1.dno and d.budget < 1000000 and a1.asal > 50
 
   std::printf("mode: %s\n",
               BytecodeVerifyModeName(options.bytecode_verify));
-  const auto& certs = query->audit().compilations;
+  const auto& certs = query->compilations();
   if (certs.empty()) {
     std::printf("no programs compiled (plan lowered without bytecode)\n");
     return 0;

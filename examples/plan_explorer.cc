@@ -8,10 +8,10 @@
 using namespace aggview;
 
 int main(int argc, char** argv) {
-  // The session front door, plus direct use of the analysis layers below it
+  // The server front door, plus direct use of the analysis layers below it
   // (invariant-grouping analysis and pull-up operate on the bound Query).
-  Session session;
-  Catalog& catalog = session.catalog();
+  Server server;
+  Catalog& catalog = server.catalog();
   auto tables = CreateEmpDeptSchema(&catalog);
   if (!tables.ok()) return 1;
   EmpDeptOptions data;
@@ -64,8 +64,9 @@ where e1.dno = c.dno and e1.age < 22 and e1.sal > c.asal
   }
 
   // Every alternative the two-phase optimizer evaluates (Section 5.3),
-  // through the session facade: Sql() parses, binds and optimizes.
-  auto prepared = session.Sql(sql);
+  // through the server: Sql() parses, binds and optimizes.
+  ServerSession conn = server.Connect();
+  auto prepared = conn.Sql(sql);
   if (!prepared.ok()) {
     std::fprintf(stderr, "%s\n", prepared.status().ToString().c_str());
     return 1;

@@ -1,4 +1,4 @@
-// Quickstart: open a Session, define a schema, load data, and run a SQL
+// Quickstart: start a Server, define a schema, load data, and run a SQL
 // query with aggregate views through the cost-based optimizer — in parallel.
 //
 // Build & run:   cmake -B build -G Ninja && cmake --build build
@@ -10,17 +10,17 @@
 using namespace aggview;
 
 int main() {
-  // 1. A session owns the catalog, the optimizer configuration and the
-  //    worker pool. threads = 4 runs every query's scans, hash joins and
-  //    aggregations morsel-parallel on 4 pipeline instances; the results
-  //    are identical to threads = 1.
-  SessionOptions options;
+  // 1. A server owns the catalog, the optimizer configuration, the plan
+  //    cache and the worker pool. threads = 4 runs every query's scans, hash
+  //    joins and aggregations morsel-parallel on 4 pipeline instances; the
+  //    results are identical to threads = 1.
+  ServerOptions options;
   options.threads = 4;
-  Session session(options);
+  Server server(options);
 
   // 2. Schema: the paper's running example — emp(eno, dno, sal, age) and
   //    dept(dno, budget), with emp.dno a foreign key into dept.
-  auto tables = CreateEmpDeptSchema(&session.catalog());
+  auto tables = CreateEmpDeptSchema(&server.catalog());
   if (!tables.ok()) {
     std::fprintf(stderr, "%s\n", tables.status().ToString().c_str());
     return 1;
@@ -30,7 +30,7 @@ int main() {
   EmpDeptOptions data;
   data.num_employees = 20'000;
   data.num_departments = 800;
-  Status st = GenerateEmpDeptData(&session.catalog(), *tables, data);
+  Status st = GenerateEmpDeptData(&server.catalog(), *tables, data);
   if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
@@ -48,7 +48,10 @@ from emp e1, a1 b
 where e1.dno = b.dno and e1.age < 22 and e1.sal > b.asal
 )sql";
 
-  auto prepared = session.Sql(sql);
+  // A connection is a client's handle on the server; this program is its
+  // only client.
+  ServerSession conn = server.Connect();
+  auto prepared = conn.Sql(sql);
   if (!prepared.ok()) {
     std::fprintf(stderr, "%s\n", prepared.status().ToString().c_str());
     return 1;
@@ -57,7 +60,7 @@ where e1.dno = b.dno and e1.age < 22 and e1.sal > b.asal
               prepared->Explain().c_str());
 
   // 5. Execute and measure. The charged IO pages are independent of the
-  //    session's thread count — parallelism changes wall time, not the
+  //    server's thread count — parallelism changes wall time, not the
   //    simulated IO.
   auto result = prepared->Execute();
   if (!result.ok()) {

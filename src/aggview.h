@@ -4,17 +4,17 @@
 /// Umbrella header for the AggView library: cost-based optimization of
 /// queries with aggregate views (Chaudhuri & Shim, EDBT 1996).
 ///
-/// Typical flow — the Session facade (session.h):
-///   Session session(SessionOptions{.threads = 8});
-///   ... populate session.catalog() (tables + stats + data) ...
-///   auto q = session.Sql(sql);        // parse -> bind -> optimize
+/// The front door is the Server (server/server.h), for one embedded caller
+/// and many concurrent clients alike:
+///   Server server(ServerOptions{.threads = 8});
+///   ... populate server.catalog() (tables + stats + data) ...
+///   ServerSession conn = server.Connect();   // one per client thread
+///   auto q = conn.Sql(sql);           // parse -> bind -> rewrite -> optimize
 ///   auto result = q->Execute();       // morsel-parallel on 8 threads
 ///   std::cout << q->Explain();        // or q->ExplainAnalyze()
-///
-/// Multi-query serving — the Server layer (server/server.h): one Server
-/// owns the catalog, a plan cache keyed on normalized SQL + stats epoch +
-/// optimizer config, a shared worker pool, and FIFO admission control;
-/// any number of client threads Connect() and issue Sql()/Execute().
+/// The Server owns the catalog, a plan cache keyed on normalized SQL +
+/// optimizer config with per-dependency epoch stamps, a shared worker pool,
+/// and FIFO admission control.
 ///
 /// The layers underneath remain directly usable: ParseAndBind (sql/binder.h),
 /// OptimizeQueryWithAggViews (optimizer/aggview_optimizer.h), and
@@ -44,7 +44,6 @@
 #include "optimizer/traditional.h"
 #include "server/plan_cache.h"
 #include "server/server.h"
-#include "session.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
 #include "tpcd/dbgen.h"

@@ -164,11 +164,6 @@ struct TransformationAudit {
   std::vector<InvariantCertificate> invariants;
   std::vector<CoalescingCertificate> coalescings;
   std::vector<ViewRewriteCertificate> view_rewrites;
-  /// Bytecode certificates of the most recent lowering of the plan (refilled
-  /// per execution when ExecContext::audit points here). Not counted by
-  /// size(): that counts the optimizer's transformation claims, which are
-  /// fixed at Sql() time, while compilations vary with the execution backend.
-  std::vector<CompilationCertificate> compilations;
 
   int64_t size() const {
     return static_cast<int64_t>(pullups.size() + invariants.size() +

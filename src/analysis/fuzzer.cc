@@ -15,7 +15,7 @@
 #include "optimizer/aggview_optimizer.h"
 #include "optimizer/plan_validator.h"
 #include "optimizer/traditional.h"
-#include "session.h"
+#include "server/server.h"
 #include "sql/binder.h"
 #include "tpcd/dbgen.h"
 #include "verify/prover.h"
@@ -631,14 +631,14 @@ Result<FuzzReport> RunDifferentialFuzz(const FuzzOptions& options) {
         // checked against the statically derived dataflow facts.
         for (int threads : options.cross_backend_thread_counts) {
           for (int batch_size : options.cross_backend_batch_sizes) {
-            TransformationAudit compile_audit;
+            std::vector<CompilationCertificate> compilations;
             auto rerun = ExecutePlan(optimized->plan, optimized->query,
                                      ExecContext{}
                                          .WithBackend(ExecBackend::kCompiled)
                                          .WithThreads(threads)
                                          .WithBatchSize(batch_size)
                                          .WithVerify(&verifier)
-                                         .WithAudit(&compile_audit));
+                                         .WithCompilations(&compilations));
             if (!rerun.ok()) {
               return fail("execute compiled at threads=" +
                               std::to_string(threads) +
@@ -649,8 +649,7 @@ Result<FuzzReport> RunDifferentialFuzz(const FuzzOptions& options) {
             // the static verifier — a rejection inside the fuzz corpus means
             // either a compiler bug (it emitted an unfaithful program) or a
             // verifier bug (it rejected a faithful one); both must surface.
-            for (const CompilationCertificate& cert :
-                 compile_audit.compilations) {
+            for (const CompilationCertificate& cert : compilations) {
               if (!cert.verified) {
                 return fail("bytecode verifier rejected a compiled program "
                             "(node " + cert.node + ", " + cert.kind + ")",

@@ -12,10 +12,10 @@ namespace aggview {
 
 class DataflowVerifier;
 class IoAccountant;
+struct CompilationCertificate;
 struct OpStats;
 class RuntimeStatsCollector;
 class ThreadPool;
-struct TransformationAudit;
 
 /// Default number of rows per morsel — the unit of work a parallel scan hands
 /// to a worker. Large enough that claiming one (an atomic fetch-add) is noise
@@ -99,11 +99,11 @@ BytecodeVerifyMode BytecodeVerifyEnvKnob(const char* name,
                                          BytecodeVerifyMode fallback);
 
 /// The one shared surface resolving the execution-default environment knobs
-/// (AGGVIEW_TEST_THREADS, AGGVIEW_TEST_BATCH_SIZE, AGGVIEW_TEST_BACKEND).
-/// ExecContext::Default(), SessionOptions::Default() and
-/// ServerOptions::Default() all read their defaults from here, so a CI lane
-/// that exports one of the knobs steers the executor, the session layer, the
-/// server and the fuzzer identically.
+/// (AGGVIEW_TEST_THREADS, AGGVIEW_TEST_BATCH_SIZE, AGGVIEW_TEST_BACKEND,
+/// AGGVIEW_VERIFY_BYTECODE). ExecContext::Default() and
+/// ServerOptions::Default() both read their defaults from here, so a CI lane
+/// that exports one of the knobs steers the executor, the server and the
+/// fuzzer identically.
 struct ExecDefaults {
   int threads = 1;
   int batch_size = kDefaultBatchSize;
@@ -140,7 +140,7 @@ struct ExecContext {
   IoAccountant* io = nullptr;
   /// EXPLAIN ANALYZE collector; null runs uninstrumented (no clocks).
   RuntimeStatsCollector* stats = nullptr;
-  /// External worker pool to run on (e.g. a Session's). Null lets the
+  /// External worker pool to run on (e.g. a Server's). Null lets the
   /// executor create a private pool for the query when threads > 1.
   ThreadPool* pool = nullptr;
   /// Debug self-verification mode: when set, every operator checks each
@@ -154,10 +154,10 @@ struct ExecContext {
   /// allowed to execute (kCompiled only; the interpreter runs no bytecode).
   BytecodeVerifyMode bytecode_verify = BytecodeVerifyMode::kOn;
   /// Optional certificate sink: when set, lowering appends one
-  /// CompilationCertificate per compiled program (verified or rejected) to
-  /// audit->compilations, clearing the previous execution's entries first.
-  /// Must outlive the lowering call.
-  TransformationAudit* audit = nullptr;
+  /// CompilationCertificate per compiled program (verified or rejected),
+  /// clearing the previous execution's entries first. Must outlive the
+  /// lowering call.
+  std::vector<CompilationCertificate>* compilations = nullptr;
 
   ExecContext& WithBatchSize(int n) {
     batch_size = n > 0 ? n : 1;
@@ -195,8 +195,8 @@ struct ExecContext {
     bytecode_verify = mode;
     return *this;
   }
-  ExecContext& WithAudit(TransformationAudit* sink) {
-    audit = sink;
+  ExecContext& WithCompilations(std::vector<CompilationCertificate>* sink) {
+    compilations = sink;
     return *this;
   }
 
@@ -204,9 +204,10 @@ struct ExecContext {
   /// interpreting backend, unless the environment overrides it —
   /// AGGVIEW_TEST_BATCH_SIZE (CI's degenerate one-row-batch runs),
   /// AGGVIEW_TEST_THREADS (CI's TSan job runs the whole suite at 8 threads
-  /// to drive every query through the parallel paths) and
-  /// AGGVIEW_TEST_BACKEND (CI's compiled lane runs the whole suite on the
-  /// compiling backend). All three resolve through ExecDefaults::FromEnv().
+  /// to drive every query through the parallel paths), AGGVIEW_TEST_BACKEND
+  /// (CI's compiled lane runs the whole suite on the compiling backend) and
+  /// AGGVIEW_VERIFY_BYTECODE (CI's paranoid lane). All four resolve through
+  /// ExecDefaults::FromEnv().
   static ExecContext Default();
 };
 

@@ -93,7 +93,7 @@ bool UseCompiled(const LowerCtx& ctx) {
 /// caller then keeps the interpreted evaluation path and tags the operator
 /// with `fallback`. The verification certificate is carried here until the
 /// caller Commit()s it, so an abandoned fusion attempt leaves no stray
-/// certificates in the audit.
+/// certificates in the sink.
 struct PredCompile {
   std::shared_ptr<const PredicateProgram> prog;
   const char* fallback = nullptr;
@@ -123,11 +123,11 @@ PredCompile CompileAndVerify(const std::vector<Predicate>& preds,
     prog = BytecodeTamperHookForTesting()(prog);
   }
   if (ctx.exec.bytecode_verify != BytecodeVerifyMode::kOff) {
-    // Listings are rendered only when an audit sink will record them; the
-    // verdict itself never depends on them.
-    out.cert = VerifyPredicateProgram(prog, preds, layout, ctx.query.columns(),
-                                      ctx.exec.bytecode_verify, node, kind,
-                                      /*want_listing=*/ctx.exec.audit != nullptr);
+    // Listings are rendered only when a certificate sink will record them;
+    // the verdict itself never depends on them.
+    out.cert = VerifyPredicateProgram(
+        prog, preds, layout, ctx.query.columns(), ctx.exec.bytecode_verify,
+        node, kind, /*want_listing=*/ctx.exec.compilations != nullptr);
     out.has_cert = true;
     if (!out.cert.verified) {
       out.fallback = "verifier-rejected";
@@ -138,13 +138,13 @@ PredCompile CompileAndVerify(const std::vector<Predicate>& preds,
   return out;
 }
 
-/// Files the attempt's certificate into the audit sink (when both exist).
-/// Called exactly once per program that reaches a final lowering decision;
-/// fused kernels drop the certificates of an abandoned attempt instead (the
-/// per-operator fallback path re-attempts and re-files them).
+/// Files the attempt's certificate into the certificate sink (when both
+/// exist). Called exactly once per program that reaches a final lowering
+/// decision; fused kernels drop the certificates of an abandoned attempt
+/// instead (the per-operator fallback path re-attempts and re-files them).
 void Commit(const LowerCtx& ctx, PredCompile* pc) {
-  if (pc->has_cert && ctx.exec.audit != nullptr) {
-    ctx.exec.audit->compilations.push_back(std::move(pc->cert));
+  if (pc->has_cert && ctx.exec.compilations != nullptr) {
+    ctx.exec.compilations->push_back(std::move(pc->cert));
   }
   pc->has_cert = false;
 }
@@ -511,7 +511,7 @@ Result<OperatorPtr> LowerPlan(const PlanPtr& plan, const Query& query,
                               const ExecContext& ctx) {
   // Compilation certificates describe one lowering; a re-execution of the
   // same prepared plan refills them rather than accumulating stale entries.
-  if (ctx.audit != nullptr) ctx.audit->compilations.clear();
+  if (ctx.compilations != nullptr) ctx.compilations->clear();
   LowerCtx lctx{query, ctx.io, ctx.stats, ctx,
                 std::make_shared<ExecRuntime>(ctx.threads, ctx.morsel_rows,
                                               ctx.pool)};

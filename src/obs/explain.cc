@@ -174,14 +174,14 @@ std::string ExplainAnalyze(const PlanPtr& plan, const Query& query,
   return out;
 }
 
-std::string ExplainAnalyze(const PlanPtr& plan, const Query& query,
-                           const RuntimeStatsCollector& stats,
-                           const TransformationAudit* audit) {
+std::string ExplainAnalyze(
+    const PlanPtr& plan, const Query& query, const RuntimeStatsCollector& stats,
+    const std::vector<CompilationCertificate>& compilations) {
   std::string out = ExplainAnalyze(plan, query, stats);
-  if (audit == nullptr || audit->compilations.empty()) return out;
+  if (compilations.empty()) return out;
   out += StrFormat("-- %d compiled program(s):\n",
-                   static_cast<int>(audit->compilations.size()));
-  for (const CompilationCertificate& cert : audit->compilations) {
+                   static_cast<int>(compilations.size()));
+  for (const CompilationCertificate& cert : compilations) {
     out += StrFormat("[%s/%s] %s\n", cert.node.c_str(), cert.kind.c_str(),
                      cert.source.c_str());
     if (cert.verified) {

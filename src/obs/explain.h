@@ -49,17 +49,17 @@ QErrorSummary SummarizeQError(const std::vector<NodeQError>& nodes);
 std::string ExplainAnalyze(const PlanPtr& plan, const Query& query,
                            const RuntimeStatsCollector& stats);
 
-struct TransformationAudit;
+struct CompilationCertificate;
 
 /// Verbose EXPLAIN ANALYZE: the annotated plan tree plus one section per
-/// compiled bytecode program of the execution's lowering (from
-/// audit->compilations): which operator it belongs to, the source
-/// predicate, the verification verdict with witness-row count, and the full
-/// disassembly. `audit` may be null or certificate-free — the output then
-/// equals the plain overload's.
-std::string ExplainAnalyze(const PlanPtr& plan, const Query& query,
-                           const RuntimeStatsCollector& stats,
-                           const TransformationAudit* audit);
+/// compiled bytecode program of the execution's lowering (the certificates
+/// ExecContext::compilations collected): which operator it belongs to, the
+/// source predicate, the verification verdict with witness-row count, and
+/// the full disassembly. With no certificates the output equals the plain
+/// overload's.
+std::string ExplainAnalyze(
+    const PlanPtr& plan, const Query& query, const RuntimeStatsCollector& stats,
+    const std::vector<CompilationCertificate>& compilations);
 
 }  // namespace aggview
 

@@ -8,9 +8,11 @@
 #include "exec/thread_pool.h"
 #include "obs/explain.h"
 #include "obs/runtime_stats.h"
-#include "session.h"
+#include "optimizer/traditional.h"
+#include "sql/binder.h"
 #include "storage/io_accountant.h"
 #include "view/matview.h"
+#include "view/rewriter.h"
 
 namespace aggview {
 
@@ -36,12 +38,15 @@ class AdmissionPass {
 /// the execution backend, so a future compiled-artifact cache can never
 /// serve one backend's entry to the other. Thread/batch knobs are
 /// deliberately absent: they change throughput, never the plan.
-std::string ConfigFingerprint(const ServerOptions& options) {
+/// `use_traditional` is the connection's choice, which may differ from
+/// options.use_traditional.
+std::string ConfigFingerprint(const ServerOptions& options,
+                              bool use_traditional) {
   const OptimizerOptions& opt = options.optimizer;
   return StrFormat(
       "trad=%d;mv=%d;prop=%d;pull=%d;shared=%d;shrink=%d;maxw=%d;inctrad=%d;"
       "greedy=%d;inv=%d;coal=%d;backend=%s",
-      options.use_traditional ? 1 : 0,
+      use_traditional ? 1 : 0,
       options.use_materialized_views ? 1 : 0,
       opt.propagate_predicates ? 1 : 0,
       opt.max_pullup, opt.require_shared_predicate ? 1 : 0,
@@ -99,7 +104,8 @@ int64_t AdmissionController::total_admitted() const {
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
-      config_fingerprint_(ConfigFingerprint(options_)),
+      config_fingerprints_{ConfigFingerprint(options_, false),
+                           ConfigFingerprint(options_, true)},
       cache_(options_.plan_cache_capacity),
       admission_(options_.max_concurrent_queries),
       self_(std::make_shared<Server*>(this)) {
@@ -115,9 +121,9 @@ Server::Server(ServerOptions options)
 Server::~Server() { *self_ = nullptr; }
 
 ServerSession Server::Connect() {
-  return ServerSession(self_,
-                       next_session_id_.fetch_add(1, std::memory_order_relaxed)
-                           + 1);
+  return ServerSession(
+      self_, next_session_id_.fetch_add(1, std::memory_order_relaxed) + 1,
+      options_.use_traditional);
 }
 
 ExecContext Server::MakeContext() {
@@ -167,10 +173,38 @@ std::vector<PlanDependency> Server::CollectDependencies(
   return deps;
 }
 
+Result<OptimizedQuery> PrepareStatement(const Catalog& catalog,
+                                        const std::string& text,
+                                        bool use_materialized_views,
+                                        bool use_traditional,
+                                        const OptimizerOptions& optimizer) {
+  AGGVIEW_ASSIGN_OR_RETURN(Query query, ParseAndBind(catalog, text));
+  std::vector<ViewRewriteCertificate> view_certs;
+  int view_rewrites = 0;
+  if (use_materialized_views && catalog.num_views() > 0) {
+    AGGVIEW_ASSIGN_OR_RETURN(
+        view_rewrites,
+        RewriteWithMaterializedViews(catalog, &query, &view_certs));
+  }
+  AGGVIEW_ASSIGN_OR_RETURN(
+      OptimizedQuery optimized,
+      use_traditional ? OptimizeTraditional(query)
+                      : OptimizeQueryWithAggViews(query, optimizer));
+  if (view_rewrites > 0) {
+    // The optimizers emit no view-rewrite certificates of their own.
+    optimized.audit.view_rewrites = std::move(view_certs);
+    optimized.description =
+        "answered " + std::to_string(view_rewrites) +
+        " block(s) from materialized views; " + optimized.description;
+  }
+  return optimized;
+}
+
 Result<std::shared_ptr<const OptimizedQuery>> Server::Prepare(
-    const std::string& text, bool* cache_hit) {
+    const std::string& text, bool use_traditional, bool* cache_hit) {
   *cache_hit = false;
-  const std::string key = NormalizeSql(text) + '\x1f' + config_fingerprint_;
+  const std::string key = NormalizeSql(text) + '\x1f' +
+                          config_fingerprints_[use_traditional ? 1 : 0];
   std::shared_lock<std::shared_mutex> catalog_lock(catalog_mu_);
   // Read the epoch before optimizing: a concurrent mutation (blocked on the
   // exclusive lock until we finish) stamps the entry with the older epoch
@@ -201,7 +235,7 @@ Result<std::shared_ptr<const OptimizedQuery>> Server::Prepare(
   AGGVIEW_ASSIGN_OR_RETURN(
       OptimizedQuery optimized,
       PrepareStatement(catalog_, text, options_.use_materialized_views,
-                       options_.use_traditional, options_.optimizer));
+                       use_traditional, options_.optimizer));
   std::vector<PlanDependency> deps = CollectDependencies(optimized);
   auto shared =
       std::make_shared<const OptimizedQuery>(std::move(optimized));
@@ -234,7 +268,7 @@ Result<ServerQuery> ServerSession::Sql(const std::string& text) {
   }
   bool cache_hit = false;
   AGGVIEW_ASSIGN_OR_RETURN(std::shared_ptr<const OptimizedQuery> optimized,
-                           server->Prepare(text, &cache_hit));
+                           server->Prepare(text, use_traditional_, &cache_hit));
   return ServerQuery(server_, std::move(optimized), cache_hit);
 }
 
@@ -278,7 +312,8 @@ Result<QueryResult> ServerQuery::Execute() {
   AGGVIEW_ASSIGN_OR_RETURN(
       QueryResult result,
       ExecutePlan(optimized_->plan, optimized_->query,
-                  server->MakeContext().WithIo(&io)));
+                  server->MakeContext().WithIo(&io).WithCompilations(
+                      &compilations_)));
   last_io_pages_ = io.total();
   return result;
 }
@@ -290,18 +325,24 @@ std::string ServerQuery::Explain() const {
   return out;
 }
 
-Result<std::string> ServerQuery::ExplainAnalyze() {
+Result<std::string> ServerQuery::ExplainAnalyze(bool verbose) {
   AGGVIEW_ASSIGN_OR_RETURN(Server * server, this->server());
   AdmissionPass pass(&server->admission_);
   std::shared_lock<std::shared_mutex> catalog_lock(server->catalog_mu_);
   IoAccountant io;
   RuntimeStatsCollector stats;
-  AGGVIEW_RETURN_NOT_OK(
-      ExecutePlan(optimized_->plan, optimized_->query,
-                  server->MakeContext().WithIo(&io).WithStats(&stats))
-          .status());
+  AGGVIEW_RETURN_NOT_OK(ExecutePlan(optimized_->plan, optimized_->query,
+                                    server->MakeContext()
+                                        .WithIo(&io)
+                                        .WithStats(&stats)
+                                        .WithCompilations(&compilations_))
+                            .status());
   last_io_pages_ = io.total();
-  return aggview::ExplainAnalyze(optimized_->plan, optimized_->query, stats);
+  if (!verbose) {
+    return aggview::ExplainAnalyze(optimized_->plan, optimized_->query, stats);
+  }
+  return aggview::ExplainAnalyze(optimized_->plan, optimized_->query, stats,
+                                 compilations_);
 }
 
 }  // namespace aggview

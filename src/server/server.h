@@ -7,7 +7,9 @@
 #include <memory>
 #include <shared_mutex>
 #include <string>
+#include <vector>
 
+#include "analysis/certificate.h"
 #include "catalog/catalog.h"
 #include "common/result.h"
 #include "common/thread_annotations.h"
@@ -39,7 +41,9 @@ struct ServerOptions {
   /// backend runs bytecode.
   BytecodeVerifyMode bytecode_verify = BytecodeVerifyMode::kOn;
   /// Optimize with the traditional two-phase optimizer instead of the
-  /// paper's aggregate-view optimizer (for comparisons).
+  /// paper's aggregate-view optimizer (for comparisons). The starting value
+  /// of every connection; ServerSession::set_use_traditional flips it for
+  /// one connection.
   bool use_traditional = false;
   /// Options of the aggregate-view optimizer (ignored by use_traditional).
   OptimizerOptions optimizer;
@@ -56,12 +60,23 @@ struct ServerOptions {
   /// the thread pool's per-region FIFO lease.
   int max_concurrent_queries = 0;
 
-  /// Serial, default batch size, interpreting backend — unless the
-  /// environment overrides them (AGGVIEW_TEST_THREADS /
-  /// AGGVIEW_TEST_BATCH_SIZE / AGGVIEW_TEST_BACKEND via
-  /// ExecDefaults::FromEnv(), the same knobs ExecContext::Default() reads).
+  /// Serial, default batch size, interpreting backend, bytecode verifier on
+  /// — unless the environment overrides them (AGGVIEW_TEST_THREADS /
+  /// AGGVIEW_TEST_BATCH_SIZE / AGGVIEW_TEST_BACKEND /
+  /// AGGVIEW_VERIFY_BYTECODE via ExecDefaults::FromEnv(), the same knobs
+  /// ExecContext::Default() reads).
   static ServerOptions Default();
 };
+
+/// The one prepare path behind ServerSession::Sql (and the fuzzer's
+/// view-answering leg): parse → bind → materialized-view rewrite
+/// (certificates land in the audit) → optimize, traditionally or with the
+/// aggregate-view optimizer under `optimizer`.
+Result<OptimizedQuery> PrepareStatement(const Catalog& catalog,
+                                        const std::string& text,
+                                        bool use_materialized_views,
+                                        bool use_traditional,
+                                        const OptimizerOptions& optimizer);
 
 /// FIFO admission controller: a counting semaphore whose waiters are served
 /// strictly in arrival order, so a steady stream of cheap queries can never
@@ -104,14 +119,16 @@ class AdmissionController {
 /// optimized plan plus everything needed to run it on the server's pool
 /// under admission control. Obtained from ServerSession::Sql; any number of
 /// ServerQuery objects — across any number of client threads — may hold and
-/// execute the same cached plan concurrently.
+/// execute the same cached plan concurrently. The plan is never copied or
+/// mutated: what one execution learns (IO pages, compilation certificates)
+/// lives in the handle.
 ///
-/// Like PreparedQuery, lifetime is guarded explicitly: executing a query
-/// whose Server has been destroyed, or a moved-from query, returns a clear
-/// error Status instead of dereferencing a dangling pointer. A move
-/// transfers the right to execute but leaves the source with shared read
-/// access to the immutable plan, so the introspection accessors — Explain(),
-/// plan(), query(), description() — stay valid on a moved-from query too.
+/// Lifetime is guarded explicitly: executing a query whose Server has been
+/// destroyed, or a moved-from query, returns a clear error Status instead of
+/// dereferencing a dangling pointer. A move transfers the right to execute
+/// but leaves the source with shared read access to the immutable plan, so
+/// the introspection accessors — Explain(), plan(), query(), description(),
+/// alternatives() — stay valid on a moved-from query too.
 class ServerQuery {
  public:
   ServerQuery(ServerQuery&& other) noexcept
@@ -121,12 +138,14 @@ class ServerQuery {
         // nulled server_ token still refuses Execute/ExplainAnalyze.
         optimized_(other.optimized_),
         cache_hit_(other.cache_hit_),
-        last_io_pages_(other.last_io_pages_) {}
+        last_io_pages_(other.last_io_pages_),
+        compilations_(std::move(other.compilations_)) {}
   ServerQuery& operator=(ServerQuery&& other) noexcept {
     server_ = std::move(other.server_);
     optimized_ = other.optimized_;
     cache_hit_ = other.cache_hit_;
     last_io_pages_ = other.last_io_pages_;
+    compilations_ = std::move(other.compilations_);
     return *this;
   }
 
@@ -137,8 +156,12 @@ class ServerQuery {
   /// The optimizer's one-line rationale plus the physical plan tree.
   std::string Explain() const;
 
-  /// Runs the plan instrumented and renders the annotated plan tree.
-  Result<std::string> ExplainAnalyze();
+  /// Runs the plan instrumented and renders the plan tree annotated with
+  /// actual cardinalities, timings, IO and worker counts. Under the compiled
+  /// backend, interpreted operators additionally show `fallback=<reason>`.
+  /// `verbose` appends one section per compiled bytecode program: source
+  /// predicate, verification verdict, and the full disassembly.
+  Result<std::string> ExplainAnalyze(bool verbose = false);
 
   /// True when Sql() answered this statement from the plan cache (the
   /// parse/bind/optimize pipeline was skipped entirely).
@@ -152,9 +175,19 @@ class ServerQuery {
   const PlanPtr& plan() const { return optimized_->plan; }
   const Query& query() const { return optimized_->query; }
   const std::string& description() const { return optimized_->description; }
+  /// Every W-assignment alternative the optimizer evaluated.
+  const std::vector<PlanAlternative>& alternatives() const {
+    return optimized_->alternatives;
+  }
   /// Pages (reads + writes) charged by the most recent Execute /
   /// ExplainAnalyze, -1 before the first run.
   int64_t last_io_pages() const { return last_io_pages_; }
+  /// One certificate per bytecode program the most recent Execute /
+  /// ExplainAnalyze compiled (verified or rejected); empty before the first
+  /// run, under the interpreting backend, and with the verifier off.
+  const std::vector<CompilationCertificate>& compilations() const {
+    return compilations_;
+  }
 
  private:
   friend class ServerSession;
@@ -172,6 +205,8 @@ class ServerQuery {
   std::shared_ptr<const OptimizedQuery> optimized_;
   bool cache_hit_ = false;
   int64_t last_io_pages_ = -1;
+  /// Filled by lowering, and only when it compiles a program.
+  std::vector<CompilationCertificate> compilations_;
 };
 
 /// A client connection to a Server: a cheap value handle safe to move to
@@ -202,16 +237,26 @@ class ServerSession {
   Status ApplyDelta(const TableDelta& delta, MaintenanceReport* report =
                                                  nullptr);
 
+  /// Switches which optimizer this connection's subsequent Sql() calls use
+  /// (starts at ServerOptions::use_traditional; already-prepared queries are
+  /// unaffected). The choice is part of the plan-cache key, so the two
+  /// optimizers' plans for one statement never shadow each other.
+  void set_use_traditional(bool on) { use_traditional_ = on; }
+  bool use_traditional() const { return use_traditional_; }
+
   /// This connection's id (1-based, in Connect() order).
   int id() const { return id_; }
 
  private:
   friend class Server;
-  ServerSession(std::shared_ptr<Server*> server, int id)
-      : server_(std::move(server)), id_(id) {}
+  ServerSession(std::shared_ptr<Server*> server, int id, bool use_traditional)
+      : server_(std::move(server)),
+        id_(id),
+        use_traditional_(use_traditional) {}
 
   std::shared_ptr<Server*> server_;
   int id_ = 0;
+  bool use_traditional_ = false;
 };
 
 /// The multi-query serving layer: one object owning the catalog, the plan
@@ -223,6 +268,10 @@ class ServerSession {
 ///   ServerSession conn = server.Connect();             // one per client
 ///   AGGVIEW_ASSIGN_OR_RETURN(ServerQuery q, conn.Sql("SELECT ..."));
 ///   AGGVIEW_ASSIGN_OR_RETURN(QueryResult result, q.Execute());
+///
+/// The same object serves a single embedded caller (the examples, the shell
+/// and most tests): populate the catalog, Connect() once, and issue
+/// statements on that one connection.
 ///
 /// Concurrency contract: Connect() and every ServerSession/ServerQuery
 /// operation are safe from any thread once the catalog is populated.
@@ -275,11 +324,11 @@ class Server {
 
   /// Cache-aware prepare: normalized text + config fingerprint key the
   /// cache; entries carry per-dependency epoch stamps checked on every
-  /// lookup. A miss pays parse → bind → (view rewrite) → optimize and
-  /// publishes the result for every other session. Takes the catalog lock
-  /// shared.
+  /// lookup. A miss pays PrepareStatement (parse → bind → view rewrite →
+  /// optimize) and publishes the result for every other session. Takes the
+  /// catalog lock shared.
   Result<std::shared_ptr<const OptimizedQuery>> Prepare(
-      const std::string& text, bool* cache_hit);
+      const std::string& text, bool use_traditional, bool* cache_hit);
 
   /// The dependency stamps of a freshly optimized plan: one "t:<id>" per
   /// scanned table (base tables and view backings alike), one "v:<name>"
@@ -297,9 +346,10 @@ class Server {
   /// Acquired after admission so a queued writer never holds an execution
   /// slot hostage.
   mutable std::shared_mutex catalog_mu_;
-  /// Cache-key suffix encoding every optimizer option that changes plan
-  /// choice; computed once (options are immutable after construction).
-  std::string config_fingerprint_;
+  /// Cache-key suffixes encoding every optimizer option that changes plan
+  /// choice, indexed by the connection's use_traditional; computed once
+  /// (options are immutable after construction).
+  std::string config_fingerprints_[2];
   Catalog catalog_;
   PlanCache cache_;
   AdmissionController admission_;

@@ -32,7 +32,7 @@ Result<AstSelect> ParseSelect(const std::string& sql);
 Result<AstMatViewDdl> ParseMatViewDdl(const std::string& sql);
 
 /// Cheap classifier: does `sql` start like a materialized-view DDL
-/// statement? (Used by the session layer to dispatch before parsing.)
+/// statement? (Used by the shell to route DDL before parsing.)
 bool IsMatViewDdl(const std::string& sql);
 
 }  // namespace aggview

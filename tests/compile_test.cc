@@ -281,12 +281,10 @@ TEST(BackendEnvTest, SharedDefaultsFlowIntoSessionAndServerOptions) {
   ScopedEnv env("AGGVIEW_TEST_BACKEND");
   env.Set("compiled");
   // One consolidated env surface: ExecDefaults::FromEnv feeds the exec
-  // context, the session layer and the serving layer alike.
+  // context and the serving layer alike.
   EXPECT_EQ(ExecDefaults::FromEnv().backend, ExecBackend::kCompiled);
-  EXPECT_EQ(SessionOptions::Default().backend, ExecBackend::kCompiled);
   EXPECT_EQ(ServerOptions::Default().backend, ExecBackend::kCompiled);
   env.Unset();
-  EXPECT_EQ(SessionOptions::Default().backend, ExecBackend::kInterpret);
   EXPECT_EQ(ServerOptions::Default().backend, ExecBackend::kInterpret);
 }
 
@@ -597,16 +595,16 @@ TEST_F(CompiledGroupingEdgeTest, NullAndMixedTypeKeysMatchInterpreter) {
 // ------------------------------------------------------------ observability
 
 TEST(BackendObservabilityTest, ExplainAnalyzeLabelsBackendPerOperator) {
-  SessionOptions compiled_opts;
+  ServerOptions compiled_opts;
   compiled_opts.backend = ExecBackend::kCompiled;
-  Session compiled(compiled_opts);
+  Server compiled(compiled_opts);
   auto tables = CreateEmpDeptSchema(&compiled.catalog());
   ASSERT_OK(tables);
   ASSERT_OK(GenerateEmpDeptData(&compiled.catalog(), *tables, {}));
-  auto q = compiled.Sql(
+  auto q = compiled.Connect().Sql(
       "select e.dno, count(*) from emp e where e.sal > 100 group by e.dno");
   ASSERT_OK(q);
-  EXPECT_EQ(q->backend(), ExecBackend::kCompiled);
+  EXPECT_EQ(compiled.options().backend, ExecBackend::kCompiled);
   auto analyzed = q->ExplainAnalyze();
   ASSERT_OK(analyzed);
   // Every executed node is attributed to a backend under the compiled
@@ -614,18 +612,18 @@ TEST(BackendObservabilityTest, ExplainAnalyzeLabelsBackendPerOperator) {
   EXPECT_NE(analyzed->find("backend=compiled"), std::string::npos)
       << *analyzed;
 
-  Session interpreted{[] {
-    SessionOptions o;
+  Server interpreted{[] {
+    ServerOptions o;
     o.backend = ExecBackend::kInterpret;
     return o;
   }()};
   auto tables2 = CreateEmpDeptSchema(&interpreted.catalog());
   ASSERT_OK(tables2);
   ASSERT_OK(GenerateEmpDeptData(&interpreted.catalog(), *tables2, {}));
-  auto q2 = interpreted.Sql(
+  auto q2 = interpreted.Connect().Sql(
       "select e.dno, count(*) from emp e where e.sal > 100 group by e.dno");
   ASSERT_OK(q2);
-  EXPECT_EQ(q2->backend(), ExecBackend::kInterpret);
+  EXPECT_EQ(interpreted.options().backend, ExecBackend::kInterpret);
   auto analyzed2 = q2->ExplainAnalyze();
   ASSERT_OK(analyzed2);
   // The interpreter-only rendering is unchanged: no backend column at all.

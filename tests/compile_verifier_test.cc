@@ -643,13 +643,12 @@ struct ScopedTamperHook {
   ~ScopedTamperHook() { SetBytecodeTamperHookForTesting(nullptr); }
 };
 
-/// One emp/dept session per backend configuration, same deterministic data.
-Result<PreparedQuery> PrepareOn(Session* session, const std::string& sql) {
-  auto tables = CreateEmpDeptSchema(&session->catalog());
+/// One emp/dept server per backend configuration, same deterministic data.
+Result<ServerQuery> PrepareOn(Server* server, const std::string& sql) {
+  auto tables = CreateEmpDeptSchema(&server->catalog());
   AGGVIEW_RETURN_NOT_OK(tables.status());
-  AGGVIEW_RETURN_NOT_OK(
-      GenerateEmpDeptData(&session->catalog(), *tables, {}));
-  return session->Sql(sql);
+  AGGVIEW_RETURN_NOT_OK(GenerateEmpDeptData(&server->catalog(), *tables, {}));
+  return server->Connect().Sql(sql);
 }
 
 TEST(VerifierIntegrationTest, TamperedProgramsFallBackToInterpreterSafely) {
@@ -657,8 +656,8 @@ TEST(VerifierIntegrationTest, TamperedProgramsFallBackToInterpreterSafely) {
       "select e.eno, e.sal from emp e where e.sal > 100 and e.age < 60";
 
   // Reference: the interpreter, no compilation anywhere.
-  Session interpreted{[] {
-    SessionOptions o;
+  Server interpreted{[] {
+    ServerOptions o;
     o.backend = ExecBackend::kInterpret;
     return o;
   }()};
@@ -667,14 +666,14 @@ TEST(VerifierIntegrationTest, TamperedProgramsFallBackToInterpreterSafely) {
   auto want = ref->Execute();
   ASSERT_OK(want);
 
-  // Compiled session whose every non-empty predicate program is corrupted
+  // Compiled server whose every non-empty predicate program is corrupted
   // after compilation and before verification: flip the first conjunct's
   // comparison. The verifier must catch each one and lowering must fall
   // back — the query still answers, correctly.
-  SessionOptions opts;
+  ServerOptions opts;
   opts.backend = ExecBackend::kCompiled;
   opts.bytecode_verify = BytecodeVerifyMode::kOn;
-  Session compiled(opts);
+  Server compiled(opts);
   auto q = PrepareOn(&compiled, sql);
   ASSERT_OK(q);
 
@@ -696,9 +695,9 @@ TEST(VerifierIntegrationTest, TamperedProgramsFallBackToInterpreterSafely) {
   ASSERT_OK(analyzed);
   EXPECT_NE(analyzed->find("fallback=verifier-rejected"), std::string::npos)
       << *analyzed;
-  // ... the audit's certificates...
+  // ... the query's certificates...
   int rejected = 0;
-  for (const CompilationCertificate& cert : q->audit().compilations) {
+  for (const CompilationCertificate& cert : q->compilations()) {
     if (!cert.verified) {
       ++rejected;
       EXPECT_FALSE(cert.rejection.empty());
@@ -725,16 +724,16 @@ TEST(VerifierIntegrationTest, EveryCompiledProgramIsVerifiedBeforeUse) {
       Example2Sql(),
   };
   for (const std::string& sql : corpus) {
-    SessionOptions opts;
+    ServerOptions opts;
     opts.backend = ExecBackend::kCompiled;
     opts.bytecode_verify = BytecodeVerifyMode::kParanoid;
-    Session session(opts);
+    Server server(opts);
     SCOPED_TRACE(sql);
-    auto q = PrepareOn(&session, sql);
+    auto q = PrepareOn(&server, sql);
     ASSERT_OK(q);
     ASSERT_OK(q->Execute());
-    EXPECT_FALSE(q->audit().compilations.empty()) << sql;
-    for (const CompilationCertificate& cert : q->audit().compilations) {
+    EXPECT_FALSE(q->compilations().empty()) << sql;
+    for (const CompilationCertificate& cert : q->compilations()) {
       EXPECT_TRUE(cert.verified)
           << sql << "\n[" << cert.node << "/" << cert.kind
           << "]: " << cert.rejection;
@@ -752,15 +751,14 @@ TEST(VerifierIntegrationTest, EveryCompiledProgramIsVerifiedBeforeUse) {
 TEST(VerifierIntegrationTest, VerifyOffSkipsCertificates) {
   // kOff is an escape hatch: no verification, no certificates — and the
   // interpreted backend never compiles at all, so it has none either.
-  SessionOptions opts;
+  ServerOptions opts;
   opts.backend = ExecBackend::kCompiled;
   opts.bytecode_verify = BytecodeVerifyMode::kOff;
-  Session session(opts);
-  auto q = PrepareOn(&session,
-                     "select e.eno from emp e where e.sal > 100");
+  Server server(opts);
+  auto q = PrepareOn(&server, "select e.eno from emp e where e.sal > 100");
   ASSERT_OK(q);
   ASSERT_OK(q->Execute());
-  EXPECT_TRUE(q->audit().compilations.empty());
+  EXPECT_TRUE(q->compilations().empty());
 }
 
 TEST(VerifierIntegrationTest, EnvKnobParsesStrictly) {

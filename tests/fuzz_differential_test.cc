@@ -5,7 +5,7 @@
 #include "analysis/dataflow.h"
 #include "analysis/fuzzer.h"
 #include "common/random.h"
-#include "session.h"
+#include "server/server.h"
 #include "test_util.h"
 #include "view/matview.h"
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 
 #include "../bench/bench_util.h"
 
@@ -94,8 +95,15 @@ TEST(JsonWriterTest, EmitsWellFormedDocumentForHostileCells) {
   }
   std::string doc = testing::internal::GetCapturedStdout();
 
+  // The host stamp: this test binary gets no build definitions, so build
+  // type and compiler fall back to "unknown".
+  const std::string host =
+      "{\"cores\": " +
+      std::to_string(std::thread::hardware_concurrency()) +
+      ", \"build_type\": \"unknown\", \"compiler\": \"unknown\"}";
   EXPECT_EQ(doc,
-            "{\"experiment\": \"E\\\"99\\\"\\n\", \"rows\": [\n"
+            "{\"experiment\": \"E\\\"99\\\"\\n\", \"host\": " + host +
+            ", \"rows\": [\n"
             "  {\"name\": \"q\\\\1\", \"qps\": 123.4, \"note\": "
             "\"took\\t5ms\"},\n"
             "  {\"name\": \"q2\", \"qps\": \"inf\", \"note\": "

@@ -293,12 +293,13 @@ TEST(MatViewRewrite, StaleViewSkippedUntilRefresh) {
 }
 
 TEST(MatViewSession, DdlRewriteAndAudit) {
-  Session session;
-  auto tables = CreateEmpDeptSchema(&session.catalog());
+  Server server;
+  auto tables = CreateEmpDeptSchema(&server.catalog());
   ASSERT_OK(tables);
-  ASSERT_OK(GenerateEmpDeptData(&session.catalog(), *tables, SmallData()));
+  ASSERT_OK(GenerateEmpDeptData(&server.catalog(), *tables, SmallData()));
+  ServerSession conn = server.Connect();
 
-  auto created = session.ExecuteDdl(
+  auto created = conn.ExecuteDdl(
       "create materialized view dsal (dno, total, cnt) as "
       "select e.dno, sum(e.sal), count(*) from emp e group by e.dno");
   ASSERT_OK(created);
@@ -306,23 +307,23 @@ TEST(MatViewSession, DdlRewriteAndAudit) {
 
   const std::string sql =
       "select e.dno, sum(e.sal) from emp e group by e.dno";
-  auto answered = session.Sql(sql);
+  auto answered = conn.Sql(sql);
   ASSERT_OK(answered);
   EXPECT_NE(answered->description().find("materialized views"),
             std::string::npos);
   auto res_answered = answered->Execute();
   ASSERT_OK(res_answered);
 
-  // A second session with the rewriter disabled: base plan, same bytes.
-  Session base{[] {
-    SessionOptions o = SessionOptions::Default();
+  // A second server with the rewriter disabled: base plan, same bytes.
+  Server base{[] {
+    ServerOptions o = ServerOptions::Default();
     o.use_materialized_views = false;
     return o;
   }()};
   auto base_tables = CreateEmpDeptSchema(&base.catalog());
   ASSERT_OK(base_tables);
   ASSERT_OK(GenerateEmpDeptData(&base.catalog(), *base_tables, SmallData()));
-  auto plain = base.Sql(sql);
+  auto plain = base.Connect().Sql(sql);
   ASSERT_OK(plain);
   EXPECT_EQ(plain->description().find("materialized views"),
             std::string::npos);

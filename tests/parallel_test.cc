@@ -315,30 +315,30 @@ TEST(ParallelNodeCounters, TpcdProbeAndAggregate) {
       "from lineitem l group by l.l_suppkey");
 }
 
-/// The session facade: Sql() → PreparedQuery, identical results and IO
-/// charges whether the session runs serial or with a shared 8-worker pool.
+/// The server front door: Sql() → ServerQuery, identical results and IO
+/// charges whether the server runs serial or with a shared 8-worker pool.
 TEST(SessionApi, ParallelSessionMatchesSerialSession) {
-  auto make_session = [](int threads) {
-    SessionOptions options;
+  auto make_server = [](int threads) {
+    ServerOptions options;
     options.threads = threads;
-    auto session = std::make_unique<Session>(options);
-    auto tables = CreateEmpDeptSchema(&session->catalog());
+    auto server = std::make_unique<Server>(options);
+    auto tables = CreateEmpDeptSchema(&server->catalog());
     EXPECT_OK(tables);
     EmpDeptOptions data;
     data.num_employees = 3'000;
     data.num_departments = 40;
     data.young_fraction = 0.3;
-    EXPECT_OK(GenerateEmpDeptData(&session->catalog(), *tables, data));
-    return session;
+    EXPECT_OK(GenerateEmpDeptData(&server->catalog(), *tables, data));
+    return server;
   };
 
-  auto serial = make_session(1);
-  auto parallel = make_session(8);
+  auto serial = make_server(1);
+  auto parallel = make_server(8);
   EXPECT_EQ(parallel->options().threads, 8);
 
-  auto q1 = serial->Sql(Example1Sql());
+  auto q1 = serial->Connect().Sql(Example1Sql());
   ASSERT_OK(q1);
-  auto q8 = parallel->Sql(Example1Sql());
+  auto q8 = parallel->Connect().Sql(Example1Sql());
   ASSERT_OK(q8);
 
   // Same catalog contents + same optimizer: same plan, same explanation.
@@ -364,19 +364,20 @@ TEST(SessionApi, ParallelSessionMatchesSerialSession) {
   EXPECT_EQ(again->Fingerprint(), r8->Fingerprint());
 }
 
-/// EXPLAIN ANALYZE through a parallel session reports the worker count on
+/// EXPLAIN ANALYZE through a parallel server reports the worker count on
 /// morsel-parallel operators (aggregate-over-scan always parallelizes).
 TEST(SessionApi, ExplainAnalyzeReportsWorkers) {
-  SessionOptions options;
+  ServerOptions options;
   options.threads = 8;
-  Session session(options);
-  auto tables = CreateEmpDeptSchema(&session.catalog());
+  Server server(options);
+  auto tables = CreateEmpDeptSchema(&server.catalog());
   ASSERT_OK(tables);
   EmpDeptOptions data;
   data.num_employees = 2'000;
-  ASSERT_OK(GenerateEmpDeptData(&session.catalog(), *tables, data));
+  ASSERT_OK(GenerateEmpDeptData(&server.catalog(), *tables, data));
 
-  auto prepared = session.Sql("select count(*), sum(e.sal) from emp e");
+  auto prepared =
+      server.Connect().Sql("select count(*), sum(e.sal) from emp e");
   ASSERT_OK(prepared);
   auto analyzed = prepared->ExplainAnalyze();
   ASSERT_OK(analyzed);
@@ -384,34 +385,36 @@ TEST(SessionApi, ExplainAnalyzeReportsWorkers) {
   // ExplainAnalyze executed the plan, so IO is measured now.
   EXPECT_GT(prepared->last_io_pages(), 0);
 
-  // A serial session never reports a workers= column.
-  Session serial{SessionOptions{}};
+  // A serial server never reports a workers= column.
+  Server serial{ServerOptions{}};
   auto t2 = CreateEmpDeptSchema(&serial.catalog());
   ASSERT_OK(t2);
   ASSERT_OK(GenerateEmpDeptData(&serial.catalog(), *t2, data));
-  auto p2 = serial.Sql("select count(*), sum(e.sal) from emp e");
+  auto p2 = serial.Connect().Sql("select count(*), sum(e.sal) from emp e");
   ASSERT_OK(p2);
   auto a2 = p2->ExplainAnalyze();
   ASSERT_OK(a2);
   EXPECT_EQ(a2->find("workers="), std::string::npos) << *a2;
 }
 
-/// Sql() surfaces binder errors instead of crashing, and the traditional
-/// toggle switches the optimizer for subsequent statements.
+/// Sql() surfaces binder errors instead of crashing, and the connection's
+/// traditional toggle switches the optimizer for subsequent statements.
 TEST(SessionApi, ErrorsAndTraditionalToggle) {
-  Session session;
-  auto tables = CreateEmpDeptSchema(&session.catalog());
+  Server server;
+  auto tables = CreateEmpDeptSchema(&server.catalog());
   ASSERT_OK(tables);
-  ASSERT_OK(GenerateEmpDeptData(&session.catalog(), *tables, EmpDeptOptions{}));
+  ASSERT_OK(GenerateEmpDeptData(&server.catalog(), *tables, EmpDeptOptions{}));
+  ServerSession conn = server.Connect();
 
-  auto bad = session.Sql("select nope.x from emp e");
+  auto bad = conn.Sql("select nope.x from emp e");
   EXPECT_FALSE(bad.ok());
 
-  auto extended = session.Sql(Example1Sql());
+  auto extended = conn.Sql(Example1Sql());
   ASSERT_OK(extended);
-  session.set_use_traditional(true);
-  auto traditional = session.Sql(Example1Sql());
+  conn.set_use_traditional(true);
+  auto traditional = conn.Sql(Example1Sql());
   ASSERT_OK(traditional);
+  EXPECT_FALSE(traditional->cache_hit());
 
   auto re = extended->Execute();
   ASSERT_OK(re);

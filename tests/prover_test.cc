@@ -257,10 +257,9 @@ TEST_F(ProverTest, BatchGeometryEquivalence) {
 /// the view plan would answer from content belonging to a different database.
 TEST_F(ProverTest, MatViewRewriteCertifiedOnSmallScope) {
   ASSERT_OK(ExecuteMatViewStatement(
-                fixture_.catalog.get(),
-                "create materialized view pdsal (dno, total) as "
-                "select e.dno, sum(e.sal) from emp e group by e.dno")
-                .status());
+      fixture_.catalog.get(),
+      "create materialized view pdsal (dno, total) as "
+      "select e.dno, sum(e.sal) from emp e group by e.dno"));
 
   const std::string sql =
       "select e.dno, sum(e.sal) from emp e group by e.dno";

@@ -189,7 +189,7 @@ TEST(ServerTest, UnrelatedTableMutationKeepsCachedPlan) {
   // Example 1's first query reads only emp (table 0); dept is table 1.
   const std::string emp_only =
       "select dno, sum(sal) as dsal from emp group by dno;";
-  ASSERT_OK(conn.Sql(emp_only).status());
+  ASSERT_OK(conn.Sql(emp_only));
 
   // Mutating dept bumps its table epoch and the global stats epoch, but the
   // emp-only plan's dependency stamps all still match.
@@ -271,7 +271,7 @@ TEST(ServerMatViewTest, ViewBackedPlanInvalidatesOnDeltaAndRefresh) {
   auto recached = conn.Sql(sql);
   ASSERT_OK(recached.status());
   EXPECT_TRUE(recached->cache_hit());
-  ASSERT_OK(conn.ExecuteDdl("refresh materialized view dsal").status());
+  ASSERT_OK(conn.ExecuteDdl("refresh materialized view dsal"));
   auto after_refresh = conn.Sql(sql);
   ASSERT_OK(after_refresh.status());
   EXPECT_FALSE(after_refresh->cache_hit());
@@ -288,10 +288,9 @@ TEST(ServerMatViewTest, DroppedStalenessPathRefreshRestoresServing) {
   PopulateEmpDept(&server);
   ServerSession conn = server.Connect();
   ASSERT_OK(conn.ExecuteDdl(
-                    "create materialized view dept_pay (dno, total) as "
-                    "select e.dno, sum(e.sal) from emp e, dept d "
-                    "where e.dno = d.dno group by e.dno")
-                .status());
+      "create materialized view dept_pay (dno, total) as "
+      "select e.dno, sum(e.sal) from emp e, dept d "
+      "where e.dno = d.dno group by e.dno"));
 
   const std::string sql =
       "select e.dno, sum(e.sal) from emp e, dept d "
@@ -317,7 +316,7 @@ TEST(ServerMatViewTest, DroppedStalenessPathRefreshRestoresServing) {
   auto base_bytes = base_plan->Execute();
   ASSERT_OK(base_bytes.status());
 
-  ASSERT_OK(conn.ExecuteDdl("refresh materialized view dept_pay").status());
+  ASSERT_OK(conn.ExecuteDdl("refresh materialized view dept_pay"));
   auto restored = conn.Sql(sql);
   ASSERT_OK(restored.status());
   EXPECT_TRUE(restored->view_backed());
@@ -333,11 +332,9 @@ TEST(ServerMatViewTest, ConcurrentRefreshAndReadsStayConsistent) {
   Server server;
   PopulateEmpDept(&server);
   ServerSession ddl_conn = server.Connect();
-  ASSERT_OK(ddl_conn
-                .ExecuteDdl("create materialized view dsal (dno, total) as "
-                            "select e.dno, sum(e.sal) from emp e group by "
-                            "e.dno")
-                .status());
+  ASSERT_OK(ddl_conn.ExecuteDdl(
+      "create materialized view dsal (dno, total) as "
+      "select e.dno, sum(e.sal) from emp e group by e.dno"));
 
   constexpr int kReaders = 4;
   constexpr int kRoundsPerReader = 25;
@@ -381,7 +378,7 @@ TEST(ServerMatViewTest, ConcurrentRefreshAndReadsStayConsistent) {
 
   // After the dust settles, the view is either fresh (maintained) and must
   // agree with base bytes, byte for byte.
-  ASSERT_OK(ddl_conn.ExecuteDdl("refresh materialized view dsal").status());
+  ASSERT_OK(ddl_conn.ExecuteDdl("refresh materialized view dsal"));
   ServerSession conn = server.Connect();
   const std::string sql =
       "select e.dno, sum(e.sal) from emp e group by e.dno;";
@@ -605,45 +602,61 @@ TEST(ServerTest, SteadyStateServingDoesNotBumpEpoch) {
   EXPECT_EQ(server.stats_epoch(), epoch);
 }
 
-TEST(SessionLifetimeTest, PreparedQueryOutlivingSessionFailsCleanly) {
-  auto session = std::make_unique<Session>();
-  {
-    auto tables = CreateEmpDeptSchema(&session->catalog());
-    ASSERT_OK(tables.status());
-    ASSERT_OK(GenerateEmpDeptData(&session->catalog(), *tables,
-                                  EmpDeptOptions{}));
-  }
-  auto q = session->Sql(Example2Sql());
-  ASSERT_OK(q.status());
-  ASSERT_OK(q->Execute());
+TEST(ServerTest, PerConnectionTraditionalKeysTheCache) {
+  Server server;
+  PopulateEmpDept(&server);
+  ServerSession extended = server.Connect();
+  ServerSession traditional = server.Connect();
+  traditional.set_use_traditional(true);
+  EXPECT_FALSE(extended.use_traditional());
 
-  session.reset();
+  // The paper's view query whose cheapest plan pulls a relation up into the
+  // view: the two optimizers choose different plans for the same text.
+  const std::string sql = R"sql(
+create view c (dno, asal) as
+  select e2.dno, avg(e2.sal)
+  from emp e2, dept d2
+  where e2.dno = d2.dno and d2.budget < 1000000
+  group by e2.dno;
+select e1.sal
+from emp e1, c
+where e1.dno = c.dno and e1.age < 22 and e1.sal > c.asal
+)sql";
+  auto bound = ParseAndBind(server.catalog(), sql);
+  ASSERT_OK(bound.status());
+  auto want_extended = OptimizeQueryWithAggViews(*bound, OptimizerOptions{});
+  ASSERT_OK(want_extended.status());
+  auto want_traditional = OptimizeTraditional(*bound);
+  ASSERT_OK(want_traditional.status());
+  ASSERT_NE(want_extended->description, want_traditional->description);
 
-  auto result = q->Execute();
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.status().ToString().find("destroyed"), std::string::npos)
-      << result.status().ToString();
-  auto analyzed = q->ExplainAnalyze();
-  ASSERT_FALSE(analyzed.ok());
-}
+  // One miss per connection: the toggle keys a different cache entry, so
+  // neither optimizer's plan shadows the other's.
+  auto e1 = extended.Sql(sql);
+  ASSERT_OK(e1.status());
+  EXPECT_FALSE(e1->cache_hit());
+  auto t1 = traditional.Sql(sql);
+  ASSERT_OK(t1.status());
+  EXPECT_FALSE(t1->cache_hit());
+  // Then one hit per connection, each on its own optimizer's plan.
+  auto e2 = extended.Sql(sql);
+  ASSERT_OK(e2.status());
+  EXPECT_TRUE(e2->cache_hit());
+  auto t2 = traditional.Sql(sql);
+  ASSERT_OK(t2.status());
+  EXPECT_TRUE(t2->cache_hit());
 
-TEST(SessionLifetimeTest, MovedFromPreparedQueryFailsCleanly) {
-  Session session;
-  {
-    auto tables = CreateEmpDeptSchema(&session.catalog());
-    ASSERT_OK(tables.status());
-    ASSERT_OK(
-        GenerateEmpDeptData(&session.catalog(), *tables, EmpDeptOptions{}));
-  }
-  auto q = session.Sql(Example2Sql());
-  ASSERT_OK(q.status());
+  PlanCacheStats stats = server.cache_stats();
+  EXPECT_EQ(stats.misses, 2);
+  EXPECT_EQ(stats.hits, 2);
+  EXPECT_EQ(e2->description(), want_extended->description);
+  EXPECT_EQ(t2->description(), want_traditional->description);
 
-  PreparedQuery moved = std::move(*q);
-  auto result = q->Execute();
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.status().ToString().find("moved-from"), std::string::npos)
-      << result.status().ToString();
-  ASSERT_OK(moved.Execute());
+  auto re = e2->Execute();
+  ASSERT_OK(re.status());
+  auto rt = t2->Execute();
+  ASSERT_OK(rt.status());
+  EXPECT_EQ(re->Fingerprint(), rt->Fingerprint());
 }
 
 }  // namespace
