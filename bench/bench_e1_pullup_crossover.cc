@@ -13,6 +13,9 @@
 // optimizer picks. The expected shape: B wins in the many-departments /
 // few-young corner; A wins in the few-departments / many-young corner; the
 // optimizer's pick always matches the cheaper column.
+//
+// --smoke runs the same sweep over 3000 employees (a correctness run, for
+// CI: any failing step exits 1 with its cause).
 #include "bench_util.h"
 #include "transform/pullup.h"
 
@@ -51,11 +54,13 @@ RunOutcome RunPlanB(const Catalog& catalog, const std::string& sql) {
   return out;
 }
 
-void Run() {
+void Run(bool smoke) {
+  const int64_t employees = smoke ? 3'000 : 60'000;
   Banner("E1", "pull-up crossover (paper Example 1 / Figure 1)");
   std::printf(
       "planA = traditional (view computed locally), planB = pulled-up "
-      "single block.\nemp rows fixed at 60000; ages uniform in [18,65].\n\n");
+      "single block.\nemp rows fixed at %lld; ages uniform in [18,65].\n\n",
+      static_cast<long long>(employees));
 
   TablePrinter table({"depts", "age<", "sel%", "A_est", "B_est", "A_io",
                       "B_io", "opt_pick", "opt_est"});
@@ -63,7 +68,7 @@ void Run() {
   for (int64_t depts : {50, 1000, 20000}) {
     for (int age_cutoff : {20, 30, 55}) {
       EmpDeptOptions data;
-      data.num_employees = 60'000;
+      data.num_employees = employees;
       data.num_departments = depts;
       data.young_fraction = 4.0 / 48.0;  // ages effectively uniform 18..65
       EmpDeptDb db = MakeEmpDeptDb(data);
@@ -93,7 +98,7 @@ void Run() {
 }  // namespace bench
 }  // namespace aggview
 
-int main() {
-  aggview::bench::Run();
+int main(int argc, char** argv) {
+  aggview::bench::Run(aggview::bench::HasFlag(argc, argv, "--smoke"));
   return 0;
 }

@@ -144,9 +144,9 @@ Status CheckNode(const PlanPtr& plan, const Query& query,
         }
       }
       // Obligation: coalescing combine inputs that carry counts are
-      // never-null. AggAccumulator::Add/Merge silently skip a row with a
-      // NULL argument, so a NULL partial count would lose every row it
-      // stands for (the COUNT-combine-as-SUM bug class).
+      // never-null. AggAccumulator::Add1/Add2/Merge silently skip a row
+      // with a NULL argument, so a NULL partial count would lose every row
+      // it stands for (the COUNT-combine-as-SUM bug class).
       ColId count_input = kInvalidColId;
       if (a.kind == AggKind::kCountSum && !a.args.empty()) {
         count_input = a.args[0];

@@ -65,7 +65,7 @@ class DataflowAnalysis {
 ///    and their domain proves >= 0;
 ///  - coalescing combine inputs that carry counts (the kCountSum argument
 ///    and the count side of kAvgFinal) derive never-NULL — a NULL there is
-///    silently skipped by AggAccumulator::Add/Merge and loses rows;
+///    silently skipped by AggAccumulator::Add1/Add2/Merge and loses rows;
 ///  - no predicate (scan filter, residual filter, join predicate, HAVING)
 ///    references an always-NULL column outside COALESCE: such a conjunct is
 ///    statically false and the plan is dead weight at best, a miscompiled

@@ -624,11 +624,11 @@ Result<FuzzReport> RunDifferentialFuzz(const FuzzOptions& options) {
           }
         }
         // The compiled backend must be equally invisible: the same plan
-        // re-executed on bytecode predicates and fused pipeline kernels —
-        // serial and morsel-parallel, degenerate and default batch geometry
-        // — has to reproduce the interpreted reference fingerprint bit for
-        // bit. The verifier stays installed, so fused kernels are also
-        // checked against the statically derived dataflow facts.
+        // re-executed with bytecode programs in its operators — serial and
+        // morsel-parallel, degenerate and default batch geometry — has to
+        // reproduce the interpreted reference fingerprint bit for bit. The
+        // verifier stays installed, so compiled operators are also checked
+        // against the statically derived dataflow facts.
         for (int threads : options.cross_backend_thread_counts) {
           for (int batch_size : options.cross_backend_batch_sizes) {
             std::vector<CompilationCertificate> compilations;

@@ -64,8 +64,8 @@ struct FuzzOptions {
   std::vector<int> cross_thread_counts = {1, 2, 8};
   std::vector<int> cross_thread_batch_sizes = {1, 1024};
   /// The reference plan is further re-executed under the compiled backend
-  /// (ExecBackend::kCompiled — bytecode predicates plus fused pipeline
-  /// kernels) at every (threads × batch size) combination of these lists,
+  /// (ExecBackend::kCompiled — bytecode programs swapped into the shared
+  /// operators) at every (threads × batch size) combination of these lists,
   /// and every fingerprint must be byte-identical to the interpreted
   /// reference — the backend must be invisible to query semantics. Either
   /// list empty disables the check.

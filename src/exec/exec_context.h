@@ -43,13 +43,14 @@ int EnvKnob(const char* name, int fallback, int max_value);
 ///
 /// kInterpret is the Volcano batch interpreter: every operator is lowered
 /// one-to-one, predicates and scalar expressions evaluate by virtual-dispatch
-/// tree walks. kCompiled lowers predicate/expression trees to flat typed
-/// bytecode (src/exec/compile/) and fuses the hottest pipeline shapes
-/// (scan->filter->project, scan->filter->aggregate) into single operators;
-/// anything the compiler does not cover falls back operator-by-operator to
-/// the interpreter, so every plan executes under either backend and the two
-/// produce byte-identical results (the differential fuzzer's backend axis
-/// enforces this).
+/// tree walks. kCompiled lowers the same operators and swaps flat typed
+/// bytecode (src/exec/compile/) in for their predicate trees: scan filters
+/// (with a kFilter residual fused onto its scan), join residuals and
+/// HAVING. Grouping, accumulation and join key matching run the same native
+/// code under both backends. A predicate the compiler does not cover falls
+/// back operator-by-operator to the interpreter, so every plan executes
+/// under either backend and the two produce byte-identical results (the
+/// differential fuzzer's backend axis enforces this).
 enum class ExecBackend {
   kInterpret,
   kCompiled,
@@ -121,9 +122,8 @@ struct ExecDefaults {
 ///               ExecContext{}.WithThreads(8).WithBatchSize(1024)
 ///                            .WithStats(&collector));
 ///
-/// Replaces the old positional tail (io, stats, options); the deprecated thin
-/// overloads forward here. Plain aggregate struct: copyable, no ownership —
-/// the pointers (io, stats, pool) must outlive the execution.
+/// Plain aggregate struct: copyable, no ownership — the pointers (io, stats,
+/// pool) must outlive the execution.
 struct ExecContext {
   /// Capacity of every batch flowing through the operator tree (1 degrades
   /// to row-at-a-time Volcano behaviour).
@@ -134,7 +134,7 @@ struct ExecContext {
   /// Rows per scan morsel.
   int64_t morsel_rows = kDefaultMorselRows;
   /// Execution engine: the Volcano batch interpreter or the compiling
-  /// backend (fused pipelines over flat predicate/expression bytecode).
+  /// backend (the same operators with bytecode predicate programs).
   ExecBackend backend = ExecBackend::kInterpret;
   /// IO page charge sink; may be null (uncharged execution).
   IoAccountant* io = nullptr;

@@ -5,7 +5,6 @@
 
 #include "analysis/certificate.h"
 #include "exec/compile/expr_compiler.h"
-#include "exec/compile/fused_ops.h"
 #include "exec/compile/verifier.h"
 #include "obs/runtime_stats.h"
 
@@ -54,15 +53,13 @@ void SplitJoinPredicates(const std::vector<Predicate>& preds,
 /// node's output).
 ///
 /// `backend_label` feeds EXPLAIN ANALYZE's backend column: under the
-/// compiled backend every operator is attributed either "compiled" (fused
-/// kernel, or predicate/expression work running on bytecode) or "interpret"
-/// (fell back to the Volcano interpreter). Under the interpreting backend
-/// the label stays empty and EXPLAIN output is unchanged.
+/// compiled backend every operator is attributed either "compiled"
+/// (predicate/expression work running on bytecode) or "interpret" (runs no
+/// bytecode). Under the interpreting backend the label stays empty and
+/// EXPLAIN output is unchanged.
 /// `fallback` is the short token EXPLAIN ANALYZE renders as `fallback=` for
 /// operators that stayed interpreted although the compiled backend was
-/// requested. It is recorded only for interpreted operators — a compiled
-/// operator's token (e.g. a fused aggregate whose fusion attempt failed
-/// earlier) would be stale.
+/// requested; callers pass it only together with a null `backend_label`.
 OperatorPtr Tag(OperatorPtr op, const PlanPtr& plan, const char* name,
                 const LowerCtx& ctx, const char* backend_label = nullptr,
                 const char* fallback = nullptr) {
@@ -72,9 +69,7 @@ OperatorPtr Tag(OperatorPtr op, const PlanPtr& plan, const char* name,
     OpStats* stats = ctx.stats->Register(plan.get(), name);
     if (ctx.exec.backend == ExecBackend::kCompiled) {
       stats->backend = backend_label != nullptr ? backend_label : "interpret";
-      if (fallback != nullptr && backend_label == nullptr) {
-        stats->fallback = fallback;
-      }
+      if (fallback != nullptr) stats->fallback = fallback;
     }
     op->set_stats(stats);
   }
@@ -140,8 +135,9 @@ PredCompile CompileAndVerify(const std::vector<Predicate>& preds,
 
 /// Files the attempt's certificate into the certificate sink (when both
 /// exist). Called exactly once per program that reaches a final lowering
-/// decision; fused kernels drop the certificates of an abandoned attempt
-/// instead (the per-operator fallback path re-attempts and re-files them).
+/// decision; the fused scan->filter kernel drops the certificates of an
+/// abandoned attempt instead (the per-operator fallback path re-attempts and
+/// re-files them).
 void Commit(const LowerCtx& ctx, PredCompile* pc) {
   if (pc->has_cert && ctx.exec.compilations != nullptr) {
     ctx.exec.compilations->push_back(std::move(pc->cert));
@@ -149,111 +145,30 @@ void Commit(const LowerCtx& ctx, PredCompile* pc) {
   pc->has_cert = false;
 }
 
-/// Registers an interior stats block for a plan node a fused kernel covers
-/// (the node has no operator of its own, but EXPLAIN ANALYZE and the
-/// dataflow verifier's per-node cardinality checks still see its counters).
-OpStats* RegisterInterior(const PlanPtr& node, const char* name,
-                          const LowerCtx& ctx) {
-  if (ctx.stats == nullptr) return nullptr;
-  OpStats* stats = ctx.stats->Register(node.get(), name);
-  stats->backend = "compiled";
-  return stats;
-}
-
-/// Attempts the scan->filter->aggregate fused kernel for a kGroupBy over a
-/// kScan or kFilter(kScan) shape. Returns null when the shape, the layouts
-/// or the predicates are outside the kernel's coverage (the caller falls
-/// back to HashAggregateOp) — including parallel execution, which uses
-/// thread-local aggregation over a fused scan instead. `why` receives the
-/// fallback token on a null return.
-OperatorPtr TryLowerFusedAggregate(const PlanPtr& plan, const LowerCtx& ctx,
-                                   const char** why) {
-  if (ctx.runtime->parallel()) {
-    *why = "parallel-aggregate";
+/// The label rule for the operators whose core runs natively under both
+/// backends (hash-join key matching, hash-aggregate grouping and
+/// accumulation): the compiled backend can only inject a program for their
+/// optional predicate (join residual, HAVING). The operator is labelled
+/// compiled when that program is installed; otherwise it stays interpreted
+/// with the compile attempt's fallback token, or `core_token` when there was
+/// no predicate to compile. Returns the program to install (null when none).
+std::shared_ptr<const PredicateProgram> CompileNativeCorePreds(
+    const std::vector<Predicate>& preds, const RowLayout& layout,
+    const LowerCtx& ctx, const char* node, const char* kind,
+    const char* core_token, const char** label, const char** fallback) {
+  if (!UseCompiled(ctx)) return nullptr;
+  if (preds.empty()) {
+    *fallback = core_token;
     return nullptr;
   }
-  const PlanPtr& child = plan->left;
-  const PlanPtr* filter_plan = nullptr;
-  const PlanPtr* scan_plan = nullptr;
-  if (child->kind == PlanNode::Kind::kScan) {
-    scan_plan = &child;
-  } else if (child->kind == PlanNode::Kind::kFilter &&
-             child->left->kind == PlanNode::Kind::kScan) {
-    filter_plan = &child;
-    scan_plan = &child->left;
+  PredCompile pc = CompileAndVerify(preds, layout, ctx, node, kind);
+  Commit(ctx, &pc);
+  if (pc.prog != nullptr) {
+    *label = "compiled";
   } else {
-    *why = "plan-shape";
-    return nullptr;
+    *fallback = pc.fallback;
   }
-  const RangeVar& rv = ctx.query.range_var((*scan_plan)->rel_id);
-  const TableDef& def = ctx.query.catalog().table(rv.table);
-  if (def.data == nullptr) {
-    *why = "no-table-data";  // interpreted path reports it
-    return nullptr;
-  }
-
-  const ColumnCatalog& columns = ctx.query.columns();
-  CompiledAggregateOp::Spec spec;
-  spec.table = def.data.get();
-  spec.table_layout = RowLayout(rv.columns);
-  for (ColId g : plan->group_by.grouping) {
-    int idx = spec.table_layout.IndexOf(g);
-    if (idx < 0) {
-      *why = "derived-column";  // grouping on e.g. a synthetic rowid
-      return nullptr;
-    }
-    spec.group_idx.push_back(idx);
-  }
-  for (const AggregateCall& a : plan->group_by.aggregates) {
-    std::vector<int> idxs;
-    for (ColId arg : a.args) {
-      int idx = spec.table_layout.IndexOf(arg);
-      if (idx < 0) {
-        *why = "derived-column";
-        return nullptr;
-      }
-      idxs.push_back(idx);
-    }
-    spec.arg_idx.push_back(std::move(idxs));
-  }
-  PredCompile scan_pc =
-      CompileAndVerify((*scan_plan)->scan_filter, spec.table_layout, ctx,
-                       "CompiledAggregate", "scan-filter");
-  PredCompile filter_pc = CompileAndVerify(
-      filter_plan != nullptr ? (*filter_plan)->filter_preds
-                             : std::vector<Predicate>{},
-      spec.table_layout, ctx, "CompiledAggregate", "filter");
-  RowLayout out_layout(plan->group_by.OutputColumns());
-  PredCompile having_pc = CompileAndVerify(plan->group_by.having, out_layout,
-                                           ctx, "CompiledAggregate", "having");
-  if (scan_pc.prog == nullptr || filter_pc.prog == nullptr ||
-      having_pc.prog == nullptr) {
-    *why = scan_pc.prog == nullptr
-               ? scan_pc.fallback
-               : (filter_pc.prog == nullptr ? filter_pc.fallback
-                                            : having_pc.fallback);
-    return nullptr;
-  }
-  Commit(ctx, &scan_pc);
-  Commit(ctx, &filter_pc);
-  Commit(ctx, &having_pc);
-  spec.scan_filter = std::move(scan_pc.prog);
-  spec.filter = std::move(filter_pc.prog);
-  spec.having = std::move(having_pc.prog);
-  spec.group_by = plan->group_by;
-  spec.input_row_width = child->output.RowWidth(columns);
-  spec.charge_scan = true;
-
-  auto fused =
-      std::make_unique<CompiledAggregateOp>(std::move(spec), &columns, ctx.io);
-  CompiledAggregateOp* raw = fused.get();
-  OperatorPtr op =
-      Tag(std::move(fused), plan, "CompiledAggregate", ctx, "compiled");
-  raw->set_scan_stats(RegisterInterior(*scan_plan, "TableScan", ctx));
-  if (filter_plan != nullptr) {
-    raw->set_filter_stats(RegisterInterior(*filter_plan, "Filter", ctx));
-  }
-  return op;
+  return std::move(pc.prog);
 }
 
 Result<OperatorPtr> Lower(const PlanPtr& plan, const LowerCtx& ctx,
@@ -316,11 +231,14 @@ OperatorPtr TryLowerFusedFilter(const PlanPtr& plan, const LowerCtx& ctx) {
       plan->output, ctx.io, /*charge_io=*/true, rv.rowid);
   fused->set_compiled_filter(std::move(scan_pc.prog),
                              std::move(filter_pc.prog));
-  TableScanOp* raw = fused.get();
-  OperatorPtr op =
-      Tag(std::move(fused), plan, "FusedScanFilter", ctx, "compiled");
-  raw->set_scan_stats(RegisterInterior(scan, "TableScan", ctx));
-  return op;
+  if (ctx.stats != nullptr) {
+    // The fused-away scan node keeps a stats block of its own, so EXPLAIN
+    // ANALYZE and the dataflow verifier's per-node checks still see it.
+    OpStats* scan_stats = ctx.stats->Register(scan.get(), "TableScan");
+    scan_stats->backend = "compiled";
+    fused->set_scan_stats(scan_stats);
+  }
+  return Tag(std::move(fused), plan, "FusedScanFilter", ctx, "compiled");
 }
 
 Result<OperatorPtr> LowerJoin(const PlanPtr& plan, const LowerCtx& ctx) {
@@ -383,22 +301,12 @@ Result<OperatorPtr> LowerJoin(const PlanPtr& plan, const LowerCtx& ctx) {
             std::move(left), std::move(right), std::move(keys),
             std::move(residual), &ctx.query.columns(), ctx.io,
             plan->left_outer);
-        if (!residual_copy.empty()) {
-          // Residual conjuncts see the concatenated probe row; compile them
-          // against the join's own layout.
-          PredCompile pc = CompileAndVerify(residual_copy, hj->layout(), ctx,
-                                            "HashJoin", "join-residual");
-          Commit(ctx, &pc);
-          if (pc.prog != nullptr) {
-            hj->set_compiled_residual(std::move(pc.prog));
-            join_label = "compiled";
-          } else {
-            join_fallback = pc.fallback;
-          }
-        } else if (UseCompiled(ctx)) {
-          // Key matching runs in the native probe loop; there is no
-          // bytecode for this operator at all.
-          join_fallback = "join-core-interpreted";
+        // Residual conjuncts see the concatenated probe row; compile them
+        // against the join's own layout.
+        if (auto prog = CompileNativeCorePreds(
+                residual_copy, hj->layout(), ctx, "HashJoin", "join-residual",
+                "join-core-interpreted", &join_label, &join_fallback)) {
+          hj->set_compiled_residual(std::move(prog));
         }
         join = std::move(hj);
         op_name = "HashJoin";
@@ -461,30 +369,19 @@ Result<OperatorPtr> Lower(const PlanPtr& plan, const LowerCtx& ctx,
     case PlanNode::Kind::kJoin:
       return LowerJoin(plan, ctx);
     case PlanNode::Kind::kGroupBy: {
-      OperatorPtr op;
-      const char* fused_why = nullptr;
-      if (UseCompiled(ctx)) op = TryLowerFusedAggregate(plan, ctx, &fused_why);
-      if (op == nullptr) {
-        AGGVIEW_ASSIGN_OR_RETURN(OperatorPtr child,
-                                 Lower(plan->left, ctx, true));
-        auto agg = std::make_unique<HashAggregateOp>(
-            std::move(child), plan->group_by, &ctx.query.columns(), ctx.io);
-        const char* label = nullptr;
-        const char* fallback = fused_why;
-        if (UseCompiled(ctx) && !plan->group_by.having.empty()) {
-          PredCompile pc = CompileAndVerify(plan->group_by.having,
-                                            agg->layout(), ctx,
-                                            "HashAggregate", "having");
-          Commit(ctx, &pc);
-          if (pc.prog != nullptr) {
-            agg->set_compiled_having(std::move(pc.prog));
-            label = "compiled";
-          } else {
-            fallback = pc.fallback;
-          }
-        }
-        op = Tag(std::move(agg), plan, "HashAggregate", ctx, label, fallback);
+      AGGVIEW_ASSIGN_OR_RETURN(OperatorPtr child,
+                               Lower(plan->left, ctx, true));
+      auto agg = std::make_unique<HashAggregateOp>(
+          std::move(child), plan->group_by, &ctx.query.columns(), ctx.io);
+      const char* label = nullptr;
+      const char* fallback = nullptr;
+      if (auto prog = CompileNativeCorePreds(
+              plan->group_by.having, agg->layout(), ctx, "HashAggregate",
+              "having", "aggregate-core-interpreted", &label, &fallback)) {
+        agg->set_compiled_having(std::move(prog));
       }
+      OperatorPtr op =
+          Tag(std::move(agg), plan, "HashAggregate", ctx, label, fallback);
       if (op->layout().columns() != plan->output.columns()) {
         op = Tag(std::make_unique<ProjectOp>(std::move(op), plan->output),
                  plan, "Project", ctx);

@@ -1002,17 +1002,62 @@ HashAggregateOp::HashAggregateOp(OperatorPtr child, GroupBySpec spec,
   layout_ = RowLayout(spec_.OutputColumns());
 }
 
+void HashAggregateOp::GroupTable::MigrateToGeneric() {
+  rows.reserve(ints.size() + 1);
+  for (auto& [k, g] : ints) rows.emplace(Row{Value::Int(k)}, std::move(g));
+  if (null_group.has_value()) {
+    rows.emplace(Row{Value::Null()}, std::move(*null_group));
+  }
+  ints.clear();
+  null_group.reset();
+  int_lane = false;
+}
+
+int64_t HashAggregateOp::GroupTable::size() const {
+  return static_cast<int64_t>(ints.size() + rows.size()) +
+         (null_group.has_value() ? 1 : 0);
+}
+
+HashAggregateOp::Group HashAggregateOp::NewGroup() const {
+  Group g;
+  g.accs.reserve(spec_.aggregates.size());
+  for (const AggregateCall& a : spec_.aggregates) g.accs.emplace_back(a.kind);
+  return g;
+}
+
+HashAggregateOp::Group& HashAggregateOp::FindGroup(
+    const Row& row, const std::vector<int>& group_idx, GroupTable* table,
+    Row* key) const {
+  if (table->int_lane) {
+    const Value& k = row[static_cast<size_t>(group_idx[0])];
+    if (k.is_int()) {
+      auto [it, inserted] = table->ints.try_emplace(k.AsInt());
+      if (inserted) it->second = NewGroup();
+      return it->second;
+    }
+    if (k.is_null()) {
+      if (!table->null_group.has_value()) table->null_group = NewGroup();
+      return *table->null_group;
+    }
+    table->MigrateToGeneric();
+  }
+  key->clear();
+  for (int idx : group_idx) key->push_back(row[static_cast<size_t>(idx)]);
+  auto it = table->rows.find(*key);
+  if (it == table->rows.end()) it = table->rows.emplace(*key, NewGroup()).first;
+  return it->second;
+}
+
 Status HashAggregateOp::Accumulate(Operator* src,
                                    const std::vector<int>& group_idx,
                                    const std::vector<std::vector<int>>& arg_idx,
-                                   GroupMap* groups, int64_t* input_rows) {
-  // A whole input batch is accumulated per child dispatch; the group key and
-  // argument buffers are reused across rows. In a parallel drain this runs
-  // once per worker against a thread-local map and must not touch the
-  // operator's shared stats block — the caller counts the summed input.
+                                   GroupTable* table, int64_t* input_rows) {
+  // A whole input batch is accumulated per child dispatch; the group key
+  // buffer is reused across rows. In a parallel drain this runs once per
+  // worker against a thread-local table and must not touch the operator's
+  // shared stats block — the caller counts the summed input.
   RowBatch batch(batch_size_);
   Row key;
-  std::vector<Value> args;
   while (true) {
     auto more = src->Next(&batch);
     if (!more.ok()) return more.status();
@@ -1020,21 +1065,57 @@ Status HashAggregateOp::Accumulate(Operator* src,
     *input_rows += batch.size();
     for (int i = 0; i < batch.size(); ++i) {
       const Row& row = batch.row(i);
-      key.clear();
-      key.reserve(group_idx.size());
-      for (int idx : group_idx) key.push_back(row[static_cast<size_t>(idx)]);
-      auto it = groups->find(key);
-      if (it == groups->end()) {
-        Group g;
-        for (const AggregateCall& a : spec_.aggregates) {
-          g.accs.emplace_back(a.kind);
+      Group& g = FindGroup(row, group_idx, table, &key);
+      for (size_t a = 0; a < arg_idx.size(); ++a) {
+        const std::vector<int>& idxs = arg_idx[a];
+        switch (idxs.size()) {
+          case 0:
+            g.accs[a].Add0();
+            break;
+          case 1:
+            g.accs[a].Add1(row[static_cast<size_t>(idxs[0])]);
+            break;
+          default:
+            g.accs[a].Add2(row[static_cast<size_t>(idxs[0])],
+                           row[static_cast<size_t>(idxs[1])]);
+            break;
         }
-        it = groups->emplace(key, std::move(g)).first;
       }
-      for (size_t a = 0; a < spec_.aggregates.size(); ++a) {
-        args.clear();
-        for (int idx : arg_idx[a]) args.push_back(row[static_cast<size_t>(idx)]);
-        it->second.accs[a].Add(args);
+    }
+  }
+}
+
+void HashAggregateOp::MergePartials(std::vector<GroupTable>* partials) {
+  // Lanes must agree before groups can meet: Int(3) in one partial's lane
+  // and Real(3.0) in another's generic map are the same group.
+  bool generic = std::any_of(partials->begin(), partials->end(),
+                             [](const GroupTable& t) { return !t.int_lane; });
+  if (generic) {
+    for (GroupTable& t : *partials) {
+      if (t.int_lane) t.MigrateToGeneric();
+    }
+  }
+  auto merge_group = [](Group* into, const Group& from) {
+    for (size_t a = 0; a < from.accs.size(); ++a) {
+      into->accs[a].Merge(from.accs[a]);
+    }
+  };
+  auto merge_map = [&](auto* into, auto* from) {
+    for (auto& [key, group] : *from) {
+      auto [it, inserted] = into->try_emplace(key, std::move(group));
+      if (!inserted) merge_group(&it->second, group);
+    }
+  };
+  GroupTable& out = (*partials)[0];
+  for (size_t w = 1; w < partials->size(); ++w) {
+    GroupTable& part = (*partials)[w];
+    merge_map(&out.rows, &part.rows);
+    merge_map(&out.ints, &part.ints);
+    if (part.null_group.has_value()) {
+      if (out.null_group.has_value()) {
+        merge_group(&*out.null_group, *part.null_group);
+      } else {
+        out.null_group = std::move(part.null_group);
       }
     }
   }
@@ -1061,53 +1142,34 @@ Status HashAggregateOp::OpenImpl() {
     arg_idx.push_back(std::move(idxs));
   }
 
-  GroupMap groups;
-  int64_t input_rows = 0;
+  GroupTable fresh;
+  fresh.int_lane = group_idx.size() == 1;
   int workers = MorselWorkers(*child_);
-  if (workers > 1) {
-    // Thread-local partial aggregation: every worker folds its morsels into
-    // a private group table, then the partials merge on the driver in worker
-    // order — AggAccumulator::Merge is the decomposable-aggregate combine
-    // (and MEDIAN's exact sample concatenation), so the merged state is the
-    // state a serial run would have reached.
-    std::vector<GroupMap> partials(static_cast<size_t>(workers));
-    std::vector<int64_t> counts(static_cast<size_t>(workers), 0);
-    AGGVIEW_RETURN_NOT_OK(RunMorselParallel(
-        child_.get(), workers, [&](int w, Operator* src) {
-          return Accumulate(src, group_idx, arg_idx,
-                            &partials[static_cast<size_t>(w)],
-                            &counts[static_cast<size_t>(w)]);
-        }));
-    groups = std::move(partials[0]);
-    for (int w = 1; w < workers; ++w) {
-      for (auto& [key, group] : partials[static_cast<size_t>(w)]) {
-        auto it = groups.find(key);
-        if (it == groups.end()) {
-          groups.emplace(key, std::move(group));
-        } else {
-          for (size_t a = 0; a < group.accs.size(); ++a) {
-            it->second.accs[a].Merge(group.accs[a]);
-          }
-        }
-      }
-    }
-    for (int64_t c : counts) input_rows += c;
-    if (stats_ != nullptr) stats_->workers = workers;
-  } else {
-    AGGVIEW_RETURN_NOT_OK(
-        Accumulate(child_.get(), group_idx, arg_idx, &groups, &input_rows));
-  }
+  // Thread-local partial aggregation when workers > 1: every worker folds
+  // its morsels into a private group table, then the partials merge on the
+  // driver in worker order — AggAccumulator::Merge is the decomposable-
+  // aggregate combine (and MEDIAN's exact sample concatenation), so the
+  // merged state is the state a serial run would have reached.
+  std::vector<GroupTable> partials(static_cast<size_t>(workers), fresh);
+  std::vector<int64_t> counts(static_cast<size_t>(workers), 0);
+  AGGVIEW_RETURN_NOT_OK(RunMorselParallel(
+      child_.get(), workers, [&](int w, Operator* src) {
+        return Accumulate(src, group_idx, arg_idx,
+                          &partials[static_cast<size_t>(w)],
+                          &counts[static_cast<size_t>(w)]);
+      }));
+  MergePartials(&partials);
+  GroupTable& groups = partials[0];
+  int64_t input_rows = 0;
+  for (int64_t c : counts) input_rows += c;
+  if (workers > 1 && stats_ != nullptr) stats_->workers = workers;
   CountInput(input_rows);
 
   // SQL: a scalar aggregate (no GROUP BY) over zero input rows yields
   // exactly one row — COUNT = 0, SUM/MIN/MAX/AVG = NULL. Grouped queries
   // correctly yield no rows.
-  if (groups.empty() && spec_.grouping.empty()) {
-    Group g;
-    for (const AggregateCall& a : spec_.aggregates) {
-      g.accs.emplace_back(a.kind);
-    }
-    groups.emplace(Row{}, std::move(g));
+  if (groups.size() == 0 && spec_.grouping.empty()) {
+    groups.rows.emplace(Row{}, NewGroup());
   }
 
   double in_pages = ActualPages(input_rows, in.RowWidth(*columns_));
@@ -1116,19 +1178,22 @@ Status HashAggregateOp::OpenImpl() {
   ChargeRead(io_, static_cast<int64_t>(spill / 2.0));
   if (stats_ != nullptr) {
     stats_->spill_pages += static_cast<int64_t>(spill / 2.0) * 2;
-    stats_->hash_build_rows = static_cast<int64_t>(groups.size());
+    stats_->hash_build_rows = groups.size();
   }
 
   results_.clear();
-  for (auto& [group_key, group] : groups) {
-    Row out = group_key;
-    for (AggAccumulator& acc : group.accs) out.push_back(acc.Finish());
+  auto emit = [&](Row out, Group* group) {
+    for (AggAccumulator& acc : group->accs) out.push_back(acc.Finish());
     bool pass = compiled_having_ != nullptr
                     ? compiled_having_->EvalRow(out, &scratch_)
                     : EvalConjunction(spec_.having, out, layout_);
-    if (!pass) continue;
-    results_.push_back(std::move(out));
+    if (pass) results_.push_back(std::move(out));
+  };
+  for (auto& [k, group] : groups.ints) emit(Row{Value::Int(k)}, &group);
+  if (groups.null_group.has_value()) {
+    emit(Row{Value::Null()}, &*groups.null_group);
   }
+  for (auto& [group_key, group] : groups.rows) emit(group_key, &group);
   pos_ = 0;
   return Status::OK();
 }

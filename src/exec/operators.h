@@ -4,6 +4,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -531,7 +532,15 @@ class SortOp final : public Operator {
 /// accumulators, HAVING. Consumes its child at Open, accumulating a whole
 /// input batch per pull. A scalar aggregate (empty grouping) over zero input
 /// rows produces exactly one row, with COUNT = 0 and SUM/MIN/MAX/AVG = NULL
-/// (SQL semantics).
+/// (SQL semantics). The one group-by operator of both backends: under the
+/// compiled backend only the child's filters and the HAVING conjunction run
+/// as bytecode.
+///
+/// Grouping on exactly one column starts on an INT64 lane: an int64-keyed
+/// map plus one NULL group, with no key Row built per input row. The first
+/// non-integer, non-NULL key migrates the lane into the generic Row-keyed
+/// map, where Value's cross-type numeric equality keeps 3 and 3.0 in one
+/// group, so grouping semantics never depend on the lane.
 ///
 /// The pipeline breaker of parallel plans: when the runtime grants threads
 /// and the child pipeline is morsel-parallel, Open drains it with worker
@@ -540,8 +549,10 @@ class SortOp final : public Operator {
 /// driver — partial accumulators of the same group fold together with
 /// AggAccumulator::Merge, the execution-time form of the decomposable-
 /// aggregate combines (COUNT partials merge with kCountSum's empty-is-0
-/// semantics; MEDIAN merges exactly by sample concatenation). The spill
-/// charge is computed on the summed input cardinality, identical to serial.
+/// semantics; MEDIAN merges exactly by sample concatenation). Partials may
+/// sit in different lanes; if any worker migrated, every partial migrates
+/// before the merge. The spill charge is computed on the summed input
+/// cardinality, identical to serial.
 class HashAggregateOp final : public Operator {
  public:
   HashAggregateOp(OperatorPtr child, GroupBySpec spec,
@@ -564,11 +575,34 @@ class HashAggregateOp final : public Operator {
   };
   using GroupMap = std::unordered_map<Row, Group, RowHash, RowEq>;
 
-  /// Drains `src` into `groups`, accumulating every row; adds the consumed
+  /// One group table: the serial run's, or one worker's partial. While
+  /// `int_lane` holds, groups live in `ints` and `null_group`; afterwards
+  /// (and from the start unless there is exactly one grouping column) they
+  /// live in `rows`.
+  struct GroupTable {
+    bool int_lane = false;
+    std::unordered_map<int64_t, Group> ints;
+    std::optional<Group> null_group;
+    GroupMap rows;
+
+    /// Re-keys every lane group as the one-column Row the generic map would
+    /// have built for its input rows (Int(k), or NULL) and leaves the lane.
+    void MigrateToGeneric();
+    int64_t size() const;
+  };
+
+  Group NewGroup() const;
+  /// The group of input row `row`, created empty on first sight; may migrate
+  /// the table off the INT64 lane. `key` is reusable scratch.
+  Group& FindGroup(const Row& row, const std::vector<int>& group_idx,
+                   GroupTable* table, Row* key) const;
+  /// Drains `src` into `table`, accumulating every row; adds the consumed
   /// row count to `input_rows`. Runs once serially or once per worker.
   Status Accumulate(Operator* src, const std::vector<int>& group_idx,
                     const std::vector<std::vector<int>>& arg_idx,
-                    GroupMap* groups, int64_t* input_rows);
+                    GroupTable* table, int64_t* input_rows);
+  /// Folds worker partials 1..n-1 into partials[0], in worker order.
+  static void MergePartials(std::vector<GroupTable>* partials);
 
   OperatorPtr child_;
   GroupBySpec spec_;

@@ -80,21 +80,6 @@ std::string AggregateCall::ToString(const ColumnCatalog& cat) const {
   return name + "(" + inner + ")";
 }
 
-void AggAccumulator::Add(const std::vector<Value>& args) {
-  switch (args.size()) {
-    case 0:
-      Add0();
-      return;
-    case 1:
-      Add1(args[0]);
-      return;
-    default:
-      assert(args.size() == 2);
-      Add2(args[0], args[1]);
-      return;
-  }
-}
-
 void AggAccumulator::Add0() {
   // Only COUNT(*) is nullary: it counts rows regardless of values.
   assert(kind_ == AggKind::kCountStar);

@@ -66,14 +66,9 @@ class AggAccumulator {
  public:
   explicit AggAccumulator(AggKind kind) : kind_(kind) {}
 
-  /// Feeds the argument values of one input row (arity matches the call).
-  void Add(const std::vector<Value>& args);
-
-  /// Arity-explicit forms of Add, for callers (the compiled backend's fused
-  /// aggregate kernel) that feed values straight from an input row without
-  /// staging them in a vector: Add0 is COUNT(*)'s nullary form, Add1 the
-  /// unary aggregates, Add2 AVG-final's (sum, count) pair. Add() dispatches
-  /// here by arity, so the semantics have one definition.
+  /// Feeds the argument values of one input row, by arity: Add0 for
+  /// COUNT(*), Add1 for the unary aggregates, Add2 for AVG-final's
+  /// (sum, count) pair. Callers pass values straight from the input row.
   void Add0();
   void Add1(const Value& v);
   void Add2(const Value& a, const Value& b);

@@ -25,9 +25,9 @@ struct OpStats {
   std::string op_name;
 
   /// Which engine ran this operator, for EXPLAIN ANALYZE's backend column:
-  /// "compiled" when the operator is a fused kernel or evaluates compiled
-  /// predicate/expression programs, "interpret" when it fell back to the
-  /// Volcano interpreter. Empty under the pure interpreting backend (the
+  /// "compiled" when the operator evaluates compiled predicate/expression
+  /// programs, "interpret" when it runs none (fell back to the Volcano
+  /// interpreter, or has no predicate to compile). Empty under the pure interpreting backend (the
   /// column is only rendered when a compiled execution was requested, so
   /// interpreter-only EXPLAIN output is unchanged).
   std::string backend;

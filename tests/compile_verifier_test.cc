@@ -713,7 +713,8 @@ TEST(VerifierIntegrationTest, TamperedProgramsFallBackToInterpreterSafely) {
 TEST(VerifierIntegrationTest, EveryCompiledProgramIsVerifiedBeforeUse) {
   // The acceptance property: under the compiled backend every program that
   // executes carries a verified certificate, across plan shapes (fused
-  // scan/filter, fused aggregate, HAVING, joins with residuals).
+  // scan/filter, aggregate over a compiled scan, HAVING, joins with
+  // residuals).
   const std::vector<std::string> corpus = {
       "select e.eno, e.sal from emp e where e.sal > 100",
       "select e.dno, count(*), avg(e.sal) from emp e "

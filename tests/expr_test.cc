@@ -168,16 +168,16 @@ TEST(AggregateTest, DuplicateInsensitivity) {
 
 TEST(AggregateTest, SumAccumulator) {
   AggAccumulator acc(AggKind::kSum);
-  acc.Add({Value::Int(1)});
-  acc.Add({Value::Int(2)});
-  acc.Add({Value::Int(3)});
+  acc.Add1(Value::Int(1));
+  acc.Add1(Value::Int(2));
+  acc.Add1(Value::Int(3));
   EXPECT_EQ(acc.Finish().AsInt(), 6);
 }
 
 TEST(AggregateTest, SumPromotesOnMixedInput) {
   AggAccumulator acc(AggKind::kSum);
-  acc.Add({Value::Int(1)});
-  acc.Add({Value::Real(2.5)});
+  acc.Add1(Value::Int(1));
+  acc.Add1(Value::Real(2.5));
   Value v = acc.Finish();
   EXPECT_TRUE(v.is_double());
   EXPECT_DOUBLE_EQ(v.AsDouble(), 3.5);
@@ -185,19 +185,19 @@ TEST(AggregateTest, SumPromotesOnMixedInput) {
 
 TEST(AggregateTest, CountAndCountStar) {
   AggAccumulator c(AggKind::kCount);
-  c.Add({Value::Int(5)});
-  c.Add({Value::Int(5)});
+  c.Add1(Value::Int(5));
+  c.Add1(Value::Int(5));
   EXPECT_EQ(c.Finish().AsInt(), 2);
   AggAccumulator cs(AggKind::kCountStar);
-  cs.Add({});
+  cs.Add0();
   EXPECT_EQ(cs.Finish().AsInt(), 1);
 }
 
 TEST(AggregateTest, MinMax) {
   AggAccumulator mn(AggKind::kMin), mx(AggKind::kMax);
   for (int v : {5, 2, 9, 3}) {
-    mn.Add({Value::Int(v)});
-    mx.Add({Value::Int(v)});
+    mn.Add1(Value::Int(v));
+    mx.Add1(Value::Int(v));
   }
   EXPECT_EQ(mn.Finish().AsInt(), 2);
   EXPECT_EQ(mx.Finish().AsInt(), 9);
@@ -205,31 +205,31 @@ TEST(AggregateTest, MinMax) {
 
 TEST(AggregateTest, MinOnStrings) {
   AggAccumulator mn(AggKind::kMin);
-  mn.Add({Value::Str("pear")});
-  mn.Add({Value::Str("apple")});
+  mn.Add1(Value::Str("pear"));
+  mn.Add1(Value::Str("apple"));
   EXPECT_EQ(mn.Finish().AsString(), "apple");
 }
 
 TEST(AggregateTest, Avg) {
   AggAccumulator acc(AggKind::kAvg);
-  acc.Add({Value::Int(1)});
-  acc.Add({Value::Int(2)});
+  acc.Add1(Value::Int(1));
+  acc.Add1(Value::Int(2));
   EXPECT_DOUBLE_EQ(acc.Finish().AsDouble(), 1.5);
 }
 
 TEST(AggregateTest, MedianOddAndEven) {
   AggAccumulator odd(AggKind::kMedian);
-  for (int v : {5, 1, 3}) odd.Add({Value::Int(v)});
+  for (int v : {5, 1, 3}) odd.Add1(Value::Int(v));
   EXPECT_DOUBLE_EQ(odd.Finish().AsDouble(), 3.0);
   AggAccumulator even(AggKind::kMedian);
-  for (int v : {4, 1, 3, 2}) even.Add({Value::Int(v)});
+  for (int v : {4, 1, 3, 2}) even.Add1(Value::Int(v));
   EXPECT_DOUBLE_EQ(even.Finish().AsDouble(), 2.5);
 }
 
 TEST(AggregateTest, AvgFinalCombinesPartials) {
   AggAccumulator acc(AggKind::kAvgFinal);
-  acc.Add({Value::Real(10.0), Value::Int(4)});  // sum=10 over 4 rows
-  acc.Add({Value::Real(2.0), Value::Int(2)});   // sum=2 over 2 rows
+  acc.Add2(Value::Real(10.0), Value::Int(4));  // sum=10 over 4 rows
+  acc.Add2(Value::Real(2.0), Value::Int(2));   // sum=2 over 2 rows
   EXPECT_DOUBLE_EQ(acc.Finish().AsDouble(), 2.0);
 }
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <string>
+
 #include "exec/operators.h"
 #include "test_util.h"
 
@@ -275,6 +279,97 @@ TEST_F(OperatorsTest, ScalarAggregateEmptyGrouping) {
   auto rows = DrainAll(agg.get());
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0][0].AsInt(), 10);
+}
+
+/// A morsel-parallel source whose instance k (the primary is 0, the k-th
+/// clone is k) emits the k-th scripted partition, so a parallel
+/// HashAggregateOp's worker partials have known contents regardless of
+/// scheduling.
+class ScriptedPartitionsOp final : public Operator {
+ public:
+  ScriptedPartitionsOp(RowLayout layout, std::vector<std::vector<Row>> parts)
+      : parts_(std::make_shared<const std::vector<std::vector<Row>>>(
+            std::move(parts))) {
+    layout_ = std::move(layout);
+  }
+
+  bool CanRunMorselParallel() const override { return true; }
+  OperatorPtr CloneForWorker() override {
+    return OperatorPtr(new ScriptedPartitionsOp(*this, ++clones_));
+  }
+
+ protected:
+  Status OpenImpl() override { return Status::OK(); }
+  Result<bool> NextBatchImpl(RowBatch* out) override {
+    const std::vector<Row>& part = (*parts_)[index_];
+    while (pos_ < part.size() && !out->full()) out->AppendRow() = part[pos_++];
+    return !out->empty();
+  }
+
+ private:
+  ScriptedPartitionsOp(const ScriptedPartitionsOp& primary, size_t index)
+      : parts_(primary.parts_), index_(index) {
+    InitWorkerClone(primary);
+  }
+
+  std::shared_ptr<const std::vector<std::vector<Row>>> parts_;
+  size_t index_ = 0;
+  size_t clones_ = 0;
+  size_t pos_ = 0;
+};
+
+/// Worker partials in different lanes: a worker that met a Real key left the
+/// INT64 lane, one that met only Int and NULL keys did not. Whichever worker
+/// order they merge in, 1 and 1.0 must stay one group and NULL one group.
+TEST_F(OperatorsTest, ParallelAggregateMergesPartialsAcrossLanes) {
+  ColId cnt = cat_.Add("count(*)", DataType::kInt64);
+  ColId total = cat_.Add("sum(v)", DataType::kDouble);
+  GroupBySpec spec;
+  spec.grouping = {grp_};
+  spec.aggregates = {{AggKind::kCountStar, {}, cnt},
+                     {AggKind::kSum, {v_}, total}};
+  auto row = [](Value grp, double v) {
+    return Row{Value::Int(0), std::move(grp), Value::Real(v)};
+  };
+  const std::vector<Row> migrated = {row(Value::Real(1.0), 1),
+                                     row(Value::Null(), 2),
+                                     row(Value::Int(2), 4)};
+  const std::vector<Row> int_lane = {row(Value::Int(1), 8),
+                                     row(Value::Null(), 16),
+                                     row(Value::Int(3), 32)};
+  auto render = [](const Row& r) {
+    char key[32] = "NULL";
+    if (!r[0].is_null()) {
+      std::snprintf(key, sizeof(key), "%g", r[0].AsNumeric());
+    }
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "%s|%lld|%g", key,
+                  static_cast<long long>(r[1].AsInt()), r[2].AsNumeric());
+    return std::string(buf);
+  };
+  struct Case {
+    std::vector<std::vector<Row>> parts;
+    std::vector<std::string> want;  // sorted "key|count|sum" lines
+  };
+  const Case cases[] = {
+      {{migrated, int_lane}, {"1|2|9", "2|1|4", "3|1|32", "NULL|2|18"}},
+      {{int_lane, migrated}, {"1|2|9", "2|1|4", "3|1|32", "NULL|2|18"}},
+      {{int_lane, migrated, int_lane},
+       {"1|3|17", "2|1|4", "3|2|64", "NULL|3|34"}},
+  };
+  for (const Case& c : cases) {
+    auto runtime = std::make_shared<ExecRuntime>(
+        static_cast<int>(c.parts.size()), kDefaultMorselRows, nullptr);
+    auto source =
+        std::make_unique<ScriptedPartitionsOp>(table_layout_, c.parts);
+    source->set_exec(runtime);
+    HashAggregateOp agg(std::move(source), spec, &cat_, &io_);
+    agg.set_exec(runtime);
+    std::vector<std::string> got;
+    for (const Row& r : DrainAll(&agg)) got.push_back(render(r));
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, c.want) << "partials: " << c.parts.size();
+  }
 }
 
 TEST_F(OperatorsTest, HashAggregateMissingColumnFails) {

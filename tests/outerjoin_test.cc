@@ -50,19 +50,19 @@ TEST(NullValueTest, CoalesceSubstitutes) {
 
 TEST(NullValueTest, AggregatesSkipNulls) {
   AggAccumulator sum(AggKind::kSum);
-  sum.Add({Value::Int(5)});
-  sum.Add({Value::Null()});
-  sum.Add({Value::Int(3)});
+  sum.Add1(Value::Int(5));
+  sum.Add1(Value::Null());
+  sum.Add1(Value::Int(3));
   EXPECT_EQ(sum.Finish().AsInt(), 8);
 
   AggAccumulator cnt(AggKind::kCount);
-  cnt.Add({Value::Int(1)});
-  cnt.Add({Value::Null()});
+  cnt.Add1(Value::Int(1));
+  cnt.Add1(Value::Null());
   EXPECT_EQ(cnt.Finish().AsInt(), 1);
 
   AggAccumulator star(AggKind::kCountStar);
-  star.Add({});
-  star.Add({});
+  star.Add0();
+  star.Add0();
   EXPECT_EQ(star.Finish().AsInt(), 2);
 }
 
