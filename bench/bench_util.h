@@ -1,8 +1,14 @@
 #ifndef AGGVIEW_BENCH_BENCH_UTIL_H_
 #define AGGVIEW_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
+#include <cctype>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -15,6 +21,9 @@
 #endif
 #ifndef AGGVIEW_BENCH_COMPILER
 #define AGGVIEW_BENCH_COMPILER "unknown"
+#endif
+#ifndef AGGVIEW_BENCH_SOURCE_DIR
+#define AGGVIEW_BENCH_SOURCE_DIR ""
 #endif
 
 namespace aggview {
@@ -165,15 +174,63 @@ class JsonWriter {
   }
 
  private:
-  /// The machine and build a document's numbers were measured on: logical
-  /// cores, CMake build type and compiler (bench/CMakeLists.txt passes the
-  /// last two; other includers report "unknown").
+  /// The machine, build and source a document's numbers were measured on:
+  /// logical cores, CMake build type, compiler and SourceStamp()
+  /// (bench/CMakeLists.txt passes the build type, compiler and source
+  /// directory; other includers report "unknown").
   static std::string HostJson() {
     return "{\"cores\": " +
            std::to_string(std::thread::hardware_concurrency()) +
            ", \"build_type\": \"" + JsonEscape(AGGVIEW_BENCH_BUILD_TYPE) +
            "\", \"compiler\": \"" + JsonEscape(AGGVIEW_BENCH_COMPILER) +
-           "\"}";
+           "\", \"git_sha\": \"" + JsonEscape(SourceStamp()) + "\"}";
+  }
+
+  /// The rule perfbench/run.py stamps its results with: "git:<commit>" when
+  /// the source directory is a git checkout, else "tree:<digest>", an
+  /// FNV-1a digest of the paths and contents of every file under its src/
+  /// and bench/ (sorted by path); "unknown" without a source directory.
+  static std::string SourceStamp() {
+    namespace fs = std::filesystem;
+    const std::string root = AGGVIEW_BENCH_SOURCE_DIR;
+    if (root.empty()) return "unknown";
+    const std::string cmd = "git -C '" + root + "' rev-parse HEAD 2>/dev/null";
+    if (FILE* pipe = popen(cmd.c_str(), "r")) {
+      std::string sha;
+      char buf[128];
+      while (std::fgets(buf, sizeof(buf), pipe) != nullptr) sha += buf;
+      const bool ok = pclose(pipe) == 0;
+      while (!sha.empty() && std::isspace(static_cast<unsigned char>(
+                                 sha.back()))) {
+        sha.pop_back();
+      }
+      if (ok && !sha.empty()) return "git:" + sha;
+    }
+    std::vector<fs::path> files;
+    for (const char* top : {"src", "bench"}) {
+      std::error_code ec;
+      for (fs::recursive_directory_iterator it(fs::path(root) / top, ec), end;
+           !ec && it != end; it.increment(ec)) {
+        if (it->is_regular_file()) files.push_back(it->path());
+      }
+    }
+    std::sort(files.begin(), files.end());
+    uint64_t h = 1469598103934665603ull;
+    auto mix = [&h](const std::string& bytes) {
+      for (unsigned char c : bytes) {
+        h ^= c;
+        h *= 1099511628211ull;
+      }
+    };
+    for (const fs::path& f : files) {
+      mix(fs::relative(f, root).generic_string());
+      std::ifstream in(f, std::ios::binary);
+      mix(std::string(std::istreambuf_iterator<char>(in), {}));
+    }
+    char digest[17];
+    std::snprintf(digest, sizeof(digest), "%016llx",
+                  static_cast<unsigned long long>(h));
+    return std::string("tree:") + digest;
   }
 
   std::vector<std::string> headers_;

@@ -125,38 +125,6 @@ struct ViewRewriteCertificate {
   std::set<ColId> ReferencedColumns() const;
 };
 
-/// Emitted by lowering for every predicate/expression program it compiles
-/// under ExecBackend::kCompiled (exec/compile/verifier.h produces it). Unlike
-/// the transformation certificates above it records a *machine-code* claim:
-/// the bytecode program is well-formed (stack-balanced, forward jumps only,
-/// operands in bounds, canonical lanes, documented NULL conventions) and a
-/// faithful translation of its source tree (agreeing abstract nullability /
-/// value domains, and identical results on every co-evaluated witness row).
-/// A certificate with verified == false records a program the verifier
-/// rejected — that program never executed; the operator fell back to the
-/// interpreter and EXPLAIN ANALYZE shows the fallback reason.
-struct CompilationCertificate {
-  /// Operator the program was lowered for ("Filter", "TableScan", ...).
-  std::string node;
-  /// Which program of the operator ("scan-filter", "filter", "having",
-  /// "join-residual").
-  std::string kind;
-  /// Rendering of the source predicate conjunction / expression tree.
-  std::string source;
-  /// Full bytecode listing (exec/compile/disasm.h), recorded even for
-  /// rejected programs so the corruption is inspectable.
-  std::string disassembly;
-  /// Program shape: conjunct frames plus nested bytecode instructions, and
-  /// the deepest abstract stack any nested program reaches.
-  int instructions = 0;
-  int max_stack_depth = 0;
-  /// Witness rows co-evaluated against the source tree in stage 2.
-  int witness_rows = 0;
-  bool verified = false;
-  /// Instruction-indexed verifier diagnostic when !verified.
-  std::string rejection;
-};
-
 /// Audit trail of one optimization: every certificate the winning rewrite
 /// emitted, for observability and post-hoc re-verification.
 struct TransformationAudit {

@@ -623,59 +623,6 @@ Result<FuzzReport> RunDifferentialFuzz(const FuzzOptions& options) {
             ++report.thread_checks;
           }
         }
-        // The compiled backend must be equally invisible: the same plan
-        // re-executed with bytecode programs in its operators — serial and
-        // morsel-parallel, degenerate and default batch geometry — has to
-        // reproduce the interpreted reference fingerprint bit for bit. The
-        // verifier stays installed, so compiled operators are also checked
-        // against the statically derived dataflow facts.
-        for (int threads : options.cross_backend_thread_counts) {
-          for (int batch_size : options.cross_backend_batch_sizes) {
-            std::vector<CompilationCertificate> compilations;
-            auto rerun = ExecutePlan(optimized->plan, optimized->query,
-                                     ExecContext{}
-                                         .WithBackend(ExecBackend::kCompiled)
-                                         .WithThreads(threads)
-                                         .WithBatchSize(batch_size)
-                                         .WithVerify(&verifier)
-                                         .WithCompilations(&compilations));
-            if (!rerun.ok()) {
-              return fail("execute compiled at threads=" +
-                              std::to_string(threads) +
-                              " batch_size=" + std::to_string(batch_size),
-                          rerun.status());
-            }
-            // Every bytecode program this lowering compiled must have passed
-            // the static verifier — a rejection inside the fuzz corpus means
-            // either a compiler bug (it emitted an unfaithful program) or a
-            // verifier bug (it rejected a faithful one); both must surface.
-            for (const CompilationCertificate& cert : compilations) {
-              if (!cert.verified) {
-                return fail("bytecode verifier rejected a compiled program "
-                            "(node " + cert.node + ", " + cert.kind + ")",
-                            Status::Internal(cert.rejection));
-              }
-              ++report.bytecode_checks;
-            }
-            if (rerun->Fingerprint() != reference) {
-              std::string note = MinimizeDivergenceNote(
-                  &catalog, optimized->query, optimized->plan, ExecContext{},
-                  optimized->query, optimized->plan,
-                  ExecContext{}
-                      .WithBackend(ExecBackend::kCompiled)
-                      .WithThreads(threads)
-                      .WithBatchSize(batch_size),
-                  "fuzz_compiled_t" + std::to_string(threads) + "_b" +
-                      std::to_string(batch_size));
-              return fail("compiled backend at threads=" +
-                              std::to_string(threads) +
-                              " batch_size=" + std::to_string(batch_size) +
-                              " diverges from the interpreted reference",
-                          Status::Internal("fingerprints differ" + note));
-            }
-            ++report.backend_checks;
-          }
-        }
       } else if (result->Fingerprint() != reference) {
         std::string note =
             reference_opt.has_value()

@@ -63,14 +63,6 @@ struct FuzzOptions {
   /// geometry. Either list empty disables the check.
   std::vector<int> cross_thread_counts = {1, 2, 8};
   std::vector<int> cross_thread_batch_sizes = {1, 1024};
-  /// The reference plan is further re-executed under the compiled backend
-  /// (ExecBackend::kCompiled — bytecode programs swapped into the shared
-  /// operators) at every (threads × batch size) combination of these lists,
-  /// and every fingerprint must be byte-identical to the interpreted
-  /// reference — the backend must be invisible to query semantics. Either
-  /// list empty disables the check.
-  std::vector<int> cross_backend_thread_counts = {1, 8};
-  std::vector<int> cross_backend_batch_sizes = {1, 1024};
   /// Materialize the generated queries' view definitions and differentially
   /// test the whole materialized-view stack against the reference: each
   /// supported inline view (no HAVING, no MEDIAN — rejected ones count as
@@ -95,15 +87,6 @@ struct FuzzReport {
   /// Reference-plan re-executions at a (threads, batch size) combination
   /// whose fingerprint matched the serial reference fingerprint.
   int thread_checks = 0;
-  /// Reference-plan re-executions under the compiled backend whose
-  /// fingerprint matched the interpreted reference fingerprint.
-  int backend_checks = 0;
-  /// Compiled bytecode programs of the backend-axis reruns that carried a
-  /// passing verification certificate (exec/compile/verifier.h). A rejected
-  /// certificate fails the fuzz run outright: inside the corpus every
-  /// compiled program must verify — a rejection is a compiler bug (an
-  /// unfaithful program) or a verifier bug (a faithful one rejected).
-  int64_t bytecode_checks = 0;
   int64_t plans_checked = 0;        // analyzer invocations from dp_check
   int64_t certificates_verified = 0;
   /// Runtime dataflow facts checked by the self-verification mode: every

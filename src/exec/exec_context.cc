@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <cstdlib>
-#include <string>
 
 #include "exec/thread_pool.h"
 #include "obs/runtime_stats.h"
@@ -26,89 +25,11 @@ int EnvKnob(const char* name, int fallback, int max_value) {
   return static_cast<int>(v);
 }
 
-const char* ExecBackendName(ExecBackend backend) {
-  switch (backend) {
-    case ExecBackend::kInterpret:
-      return "interpret";
-    case ExecBackend::kCompiled:
-      return "compiled";
-  }
-  return "interpret";
-}
-
-bool ParseExecBackend(const char* text, ExecBackend* out) {
-  if (text == nullptr) return false;
-  const std::string s(text);
-  if (s == "interpret") {
-    *out = ExecBackend::kInterpret;
-    return true;
-  }
-  if (s == "compiled") {
-    *out = ExecBackend::kCompiled;
-    return true;
-  }
-  return false;
-}
-
-ExecBackend BackendEnvKnob(const char* name, ExecBackend fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  // Like EnvKnob, garbage falls back rather than silently picking an engine:
-  // only the exact backend names select one.
-  ExecBackend parsed = fallback;
-  if (!ParseExecBackend(env, &parsed)) return fallback;
-  return parsed;
-}
-
-const char* BytecodeVerifyModeName(BytecodeVerifyMode mode) {
-  switch (mode) {
-    case BytecodeVerifyMode::kOff:
-      return "off";
-    case BytecodeVerifyMode::kOn:
-      return "on";
-    case BytecodeVerifyMode::kParanoid:
-      return "paranoid";
-  }
-  return "on";
-}
-
-bool ParseBytecodeVerifyMode(const char* text, BytecodeVerifyMode* out) {
-  if (text == nullptr) return false;
-  const std::string s(text);
-  if (s == "off") {
-    *out = BytecodeVerifyMode::kOff;
-    return true;
-  }
-  if (s == "on") {
-    *out = BytecodeVerifyMode::kOn;
-    return true;
-  }
-  if (s == "paranoid") {
-    *out = BytecodeVerifyMode::kParanoid;
-    return true;
-  }
-  return false;
-}
-
-BytecodeVerifyMode BytecodeVerifyEnvKnob(const char* name,
-                                         BytecodeVerifyMode fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  // Garbage falls back rather than silently disabling verification: only
-  // the exact mode names select one.
-  BytecodeVerifyMode parsed = fallback;
-  if (!ParseBytecodeVerifyMode(env, &parsed)) return fallback;
-  return parsed;
-}
-
 ExecDefaults ExecDefaults::FromEnv() {
   ExecDefaults d;
   d.batch_size =
       EnvKnob("AGGVIEW_TEST_BATCH_SIZE", d.batch_size, kMaxEnvBatchSize);
   d.threads = EnvKnob("AGGVIEW_TEST_THREADS", d.threads, kMaxEnvThreads);
-  d.backend = BackendEnvKnob("AGGVIEW_TEST_BACKEND", d.backend);
-  d.bytecode_verify =
-      BytecodeVerifyEnvKnob("AGGVIEW_VERIFY_BYTECODE", d.bytecode_verify);
   return d;
 }
 
@@ -117,8 +38,6 @@ ExecContext ExecContext::Default() {
   ExecContext ctx;
   ctx.batch_size = d.batch_size;
   ctx.threads = d.threads;
-  ctx.backend = d.backend;
-  ctx.bytecode_verify = d.bytecode_verify;
   return ctx;
 }
 

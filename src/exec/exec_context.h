@@ -12,7 +12,6 @@ namespace aggview {
 
 class DataflowVerifier;
 class IoAccountant;
-struct CompilationCertificate;
 struct OpStats;
 class RuntimeStatsCollector;
 class ThreadPool;
@@ -39,79 +38,24 @@ inline constexpr int kMaxEnvBatchSize = 1 << 20;
 /// verbatim.
 int EnvKnob(const char* name, int fallback, int max_value);
 
-/// Which execution engine runs the physical plan.
-///
-/// kInterpret is the Volcano batch interpreter: every operator is lowered
-/// one-to-one, predicates and scalar expressions evaluate by virtual-dispatch
-/// tree walks. kCompiled lowers the same operators and swaps flat typed
-/// bytecode (src/exec/compile/) in for their predicate trees: scan filters
-/// (with a kFilter residual fused onto its scan), join residuals and
-/// HAVING. Grouping, accumulation and join key matching run the same native
-/// code under both backends. A predicate the compiler does not cover falls
-/// back operator-by-operator to the interpreter, so every plan executes
-/// under either backend and the two produce byte-identical results (the
-/// differential fuzzer's backend axis enforces this).
-enum class ExecBackend {
-  kInterpret,
-  kCompiled,
-};
-
-/// "interpret" / "compiled" — the spelling AGGVIEW_TEST_BACKEND accepts and
-/// EXPLAIN ANALYZE prints.
-const char* ExecBackendName(ExecBackend backend);
-
-/// Parses `text` as an ExecBackend name. Returns false (leaving `out`
-/// untouched) for anything but the exact strings "interpret" / "compiled".
-bool ParseExecBackend(const char* text, ExecBackend* out);
-
-/// Reads environment variable `name` as an ExecBackend knob, with the same
-/// contract as EnvKnob: unset, empty, or unparseable values fall back.
-ExecBackend BackendEnvKnob(const char* name, ExecBackend fallback);
-
-/// How much static checking every compiled program gets at lowering time
-/// (exec/compile/verifier.h). Verification is a one-time lowering cost: the
-/// program that executes per row is byte-identical under every mode.
-///
-/// kOff skips verification (exists so the bench can isolate its cost; not a
-/// supported production mode). kOn — the default — runs both stages on every
-/// program lowered under ExecBackend::kCompiled: well-formedness (stack
-/// discipline, jump topology, operand bounds, canonical lanes, NULL
-/// conventions) and translation validation against the source tree (abstract
-/// co-interpretation plus witness co-evaluation); a rejected program falls
-/// back to the interpreter with a recorded reason, never a crash. kParanoid
-/// additionally re-proves each certificate by recompiling the source and
-/// requiring a byte-identical program, and widens the witness sweep.
-enum class BytecodeVerifyMode {
-  kOff,
-  kOn,
-  kParanoid,
-};
-
-/// "off" / "on" / "paranoid" — the spelling AGGVIEW_VERIFY_BYTECODE accepts.
-const char* BytecodeVerifyModeName(BytecodeVerifyMode mode);
-
-/// Parses `text` as a BytecodeVerifyMode name. Returns false (leaving `out`
-/// untouched) for anything but the exact mode names.
-bool ParseBytecodeVerifyMode(const char* text, BytecodeVerifyMode* out);
-
-/// Reads environment variable `name` as a BytecodeVerifyMode knob, with the
-/// same contract as EnvKnob: unset, empty, or unparseable values fall back.
-BytecodeVerifyMode BytecodeVerifyEnvKnob(const char* name,
-                                         BytecodeVerifyMode fallback);
+// Compatibility stubs for the perfbench/ package, which still spells these
+// names: it pins ServerOptions::backend = ExecBackend::kInterpret and
+// bytecode_verify = BytecodeVerifyMode::kOn, and copies both fields into an
+// ExecContext. There is one evaluation engine, so each enum has one value
+// and nothing reads the four fields (ExecContext::backend/bytecode_verify,
+// ServerOptions::backend/bytecode_verify). They go together with
+// perfbench's TracedServer.
+enum class ExecBackend { kInterpret };
+enum class BytecodeVerifyMode { kOn };
 
 /// The one shared surface resolving the execution-default environment knobs
-/// (AGGVIEW_TEST_THREADS, AGGVIEW_TEST_BATCH_SIZE, AGGVIEW_TEST_BACKEND,
-/// AGGVIEW_VERIFY_BYTECODE). ExecContext::Default() and
+/// (AGGVIEW_TEST_THREADS, AGGVIEW_TEST_BATCH_SIZE). ExecContext::Default() and
 /// ServerOptions::Default() both read their defaults from here, so a CI lane
 /// that exports one of the knobs steers the executor, the server and the
 /// fuzzer identically.
 struct ExecDefaults {
   int threads = 1;
   int batch_size = kDefaultBatchSize;
-  ExecBackend backend = ExecBackend::kInterpret;
-  /// AGGVIEW_VERIFY_BYTECODE steers how hard lowering checks each compiled
-  /// program (off / on / paranoid; CI's paranoid lane exports it).
-  BytecodeVerifyMode bytecode_verify = BytecodeVerifyMode::kOn;
 
   static ExecDefaults FromEnv();
 };
@@ -133,8 +77,7 @@ struct ExecContext {
   int threads = 1;
   /// Rows per scan morsel.
   int64_t morsel_rows = kDefaultMorselRows;
-  /// Execution engine: the Volcano batch interpreter or the compiling
-  /// backend (the same operators with bytecode predicate programs).
+  /// Unread; see ExecBackend.
   ExecBackend backend = ExecBackend::kInterpret;
   /// IO page charge sink; may be null (uncharged execution).
   IoAccountant* io = nullptr;
@@ -150,14 +93,8 @@ struct ExecContext {
   /// [lo, hi] after the drain. The verifier must have been built for the
   /// same plan that is executed, and must outlive the execution.
   const DataflowVerifier* verify = nullptr;
-  /// How hard lowering statically checks each compiled program before it is
-  /// allowed to execute (kCompiled only; the interpreter runs no bytecode).
+  /// Unread; see ExecBackend.
   BytecodeVerifyMode bytecode_verify = BytecodeVerifyMode::kOn;
-  /// Optional certificate sink: when set, lowering appends one
-  /// CompilationCertificate per compiled program (verified or rejected),
-  /// clearing the previous execution's entries first. Must outlive the
-  /// lowering call.
-  std::vector<CompilationCertificate>* compilations = nullptr;
 
   ExecContext& WithBatchSize(int n) {
     batch_size = n > 0 ? n : 1;
@@ -169,10 +106,6 @@ struct ExecContext {
   }
   ExecContext& WithMorselRows(int64_t n) {
     morsel_rows = n > 0 ? n : 1;
-    return *this;
-  }
-  ExecContext& WithBackend(ExecBackend b) {
-    backend = b;
     return *this;
   }
   ExecContext& WithIo(IoAccountant* accountant) {
@@ -191,23 +124,12 @@ struct ExecContext {
     verify = verifier;
     return *this;
   }
-  ExecContext& WithBytecodeVerify(BytecodeVerifyMode mode) {
-    bytecode_verify = mode;
-    return *this;
-  }
-  ExecContext& WithCompilations(std::vector<CompilationCertificate>* sink) {
-    compilations = sink;
-    return *this;
-  }
 
-  /// The standard context: default batch size, serial execution and the
-  /// interpreting backend, unless the environment overrides it —
-  /// AGGVIEW_TEST_BATCH_SIZE (CI's degenerate one-row-batch runs),
-  /// AGGVIEW_TEST_THREADS (CI's TSan job runs the whole suite at 8 threads
-  /// to drive every query through the parallel paths), AGGVIEW_TEST_BACKEND
-  /// (CI's compiled lane runs the whole suite on the compiling backend) and
-  /// AGGVIEW_VERIFY_BYTECODE (CI's paranoid lane). All four resolve through
-  /// ExecDefaults::FromEnv().
+  /// The standard context: default batch size and serial execution, unless
+  /// the environment overrides it — AGGVIEW_TEST_BATCH_SIZE (CI's degenerate
+  /// one-row-batch runs) and AGGVIEW_TEST_THREADS (CI's TSan job runs the
+  /// whole suite at 8 threads to drive every query through the parallel
+  /// paths). Both resolve through ExecDefaults::FromEnv().
   static ExecContext Default();
 };
 

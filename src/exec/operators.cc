@@ -38,22 +38,6 @@ void ConcatInto(const Row& a, const Row& b, Row* out) {
   out->insert(out->end(), b.begin(), b.end());
 }
 
-/// Rejects predicates that reference a column the operator's layout does not
-/// carry. Column-ref eval on a missing column is undefined behavior in
-/// release builds, so a malformed plan (e.g. an unsound transformation that
-/// dropped a column a later predicate still needs) must fail cleanly at
-/// Open() instead.
-Status ValidatePredicateColumns(const std::vector<Predicate>& preds,
-                                const RowLayout& layout, const char* op) {
-  for (ColId c : ConjunctionColumns(preds)) {
-    if (layout.IndexOf(c) < 0) {
-      return Status::Internal(std::string(op) +
-                              ": predicate column missing from input layout");
-    }
-  }
-  return Status::OK();
-}
-
 /// Drains `op` batch-by-batch into `rows` (Open-time materialization).
 Status Drain(Operator* op, int batch_size, std::vector<Row>* rows) {
   RowBatch batch(batch_size);
@@ -166,10 +150,12 @@ Status RunMorselParallel(Operator* primary, int workers,
 
 TableScanOp::TableScanOp(const Table* table, RowLayout table_layout,
                          std::vector<Predicate> filter, RowLayout output,
-                         IoAccountant* io, bool charge_io, ColId rowid_col)
+                         const ColumnCatalog* columns, IoAccountant* io,
+                         bool charge_io, ColId rowid_col)
     : table_(table),
       table_layout_(std::move(table_layout)),
       filter_(std::move(filter)),
+      columns_(columns),
       io_(io),
       charge_io_(charge_io) {
   layout_ = std::move(output);
@@ -186,14 +172,13 @@ TableScanOp::TableScanOp(const TableScanOp& primary, WorkerCloneTag)
     : table_(primary.table_),
       table_layout_(primary.table_layout_),
       filter_(primary.filter_),
-      compiled_filter_(primary.compiled_filter_),
-      compiled_residual_(primary.compiled_residual_),
+      bound_filter_(primary.bound_filter_),
+      columns_(primary.columns_),
       projection_(primary.projection_),
       io_(primary.io_),
       charge_io_(false),  // the primary charged the table's pages at Open
       morsels_(primary.morsels_) {
   InitWorkerClone(primary);
-  scan_stats_ = exec_->WorkerStats(primary.scan_stats_);
 }
 
 OperatorPtr TableScanOp::CloneForWorker() {
@@ -204,27 +189,21 @@ Status TableScanOp::OpenImpl() {
   morsels_ = std::make_shared<MorselDispenser>();
   if (exec_ != nullptr) morsels_->morsel_rows = exec_->morsel_rows();
   pos_ = pos_end_ = 0;
-  if (charge_io_) {
-    // With an interior block the pages belong to the fused-away scan node.
-    int64_t pages = table_->page_count();
-    OpStats* page_stats = scan_stats_ != nullptr ? scan_stats_ : stats_;
-    if (io_ != nullptr) io_->ChargeRead(pages);
-    if (page_stats != nullptr) page_stats->pages_charged += pages;
-  }
+  if (charge_io_) ChargeRead(io_, table_->page_count());
   for (int idx : projection_) {
     if (idx < 0 && idx != kRowIdIndex) {
       return Status::Internal("scan projects a non-table column");
     }
   }
+  AGGVIEW_ASSIGN_OR_RETURN(
+      bound_filter_,
+      BoundConjunction::Bind(filter_, table_layout_, *columns_, "scan"));
   return Status::OK();
 }
 
 Result<bool> TableScanOp::NextBatchImpl(RowBatch* out) {
   const int64_t n = table_->row_count();
-  const PredicateProgram* filter = compiled_filter_.get();
-  const PredicateProgram* residual = compiled_residual_.get();
   int64_t examined = 0;
-  int64_t passed_scan = 0;
   while (!out->full()) {
     if (pos_ >= pos_end_) {
       // Claim the next morsel. A lone instance claims every morsel in
@@ -239,12 +218,7 @@ Result<bool> TableScanOp::NextBatchImpl(RowBatch* out) {
       int64_t rowid = pos_;
       const Row& row = table_->row(pos_++);
       ++examined;
-      bool pass = filter != nullptr
-                      ? filter->EvalRow(row, &scratch_)
-                      : EvalConjunction(filter_, row, table_layout_);
-      if (!pass) continue;
-      ++passed_scan;
-      if (residual != nullptr && !residual->EvalRow(row, &scratch_)) continue;
+      if (!bound_filter_.Eval(row)) continue;
       Row& dst = out->AppendRow();
       dst.reserve(projection_.size());
       for (int idx : projection_) {
@@ -256,29 +230,23 @@ Result<bool> TableScanOp::NextBatchImpl(RowBatch* out) {
       }
     }
   }
-  if (scan_stats_ != nullptr) {
-    // The fused-away scan node saw every examined row; the operator's own
-    // block (the filter node) counts the rows entering the residual.
-    scan_stats_->input_rows += examined;
-    scan_stats_->rows_produced += passed_scan;
-    CountInput(passed_scan);
-  } else {
-    CountInput(examined);
-  }
+  CountInput(examined);
   return !out->empty();
 }
 
 // ------------------------------------------------------------------- Filter
 
-FilterOp::FilterOp(OperatorPtr child, std::vector<Predicate> preds)
-    : child_(std::move(child)), preds_(std::move(preds)) {
+FilterOp::FilterOp(OperatorPtr child, std::vector<Predicate> preds,
+                   const ColumnCatalog* columns)
+    : child_(std::move(child)), preds_(std::move(preds)), columns_(columns) {
   layout_ = child_->layout();
 }
 
 FilterOp::FilterOp(const FilterOp& primary, OperatorPtr child)
     : child_(std::move(child)),
       preds_(primary.preds_),
-      compiled_preds_(primary.compiled_preds_) {
+      bound_preds_(primary.bound_preds_),
+      columns_(primary.columns_) {
   InitWorkerClone(primary);
 }
 
@@ -287,7 +255,9 @@ OperatorPtr FilterOp::CloneForWorker() {
 }
 
 Status FilterOp::OpenImpl() {
-  AGGVIEW_RETURN_NOT_OK(ValidatePredicateColumns(preds_, layout_, "filter"));
+  AGGVIEW_ASSIGN_OR_RETURN(
+      bound_preds_,
+      BoundConjunction::Bind(preds_, layout_, *columns_, "filter"));
   return child_->Open();
 }
 
@@ -299,13 +269,10 @@ Result<bool> FilterOp::NextBatchImpl(RowBatch* out) {
     CountInput(out->size());
     // Selection compaction: swap survivors to the front (buffer pointer
     // swaps, no row copies) and truncate.
-    const PredicateProgram* prog = compiled_preds_.get();
     int kept = 0;
     for (int i = 0; i < out->size(); ++i) {
       Row& row = out->row(i);
-      bool pass = prog != nullptr ? prog->EvalRow(row, &scratch_)
-                                  : EvalConjunction(preds_, row, layout_);
-      if (pass) {
+      if (bound_preds_.Eval(row)) {
         if (kept != i) out->row(kept).swap(row);
         ++kept;
       }
@@ -425,7 +392,7 @@ HashJoinOp::HashJoinOp(const HashJoinOp& primary, OperatorPtr left)
     : left_(std::move(left)),
       right_(nullptr),  // the build side was drained once, by the primary
       residual_(primary.residual_),
-      compiled_residual_(primary.compiled_residual_),
+      bound_residual_(primary.bound_residual_),
       columns_(primary.columns_),
       io_(primary.io_),
       left_key_idx_(primary.left_key_idx_),
@@ -509,8 +476,9 @@ Status HashJoinOp::OpenImpl() {
   for (int idx : right_key_idx_) {
     if (idx < 0) return Status::Internal("hash join: right key column missing");
   }
-  AGGVIEW_RETURN_NOT_OK(
-      ValidatePredicateColumns(residual_, layout_, "hash join"));
+  AGGVIEW_ASSIGN_OR_RETURN(
+      bound_residual_,
+      BoundConjunction::Bind(residual_, layout_, *columns_, "hash join"));
   AGGVIEW_RETURN_NOT_OK(left_->Open());
   AGGVIEW_RETURN_NOT_OK(right_->Open());
   build_ = std::make_shared<BuildTable>();
@@ -570,10 +538,7 @@ Result<bool> HashJoinOp::NextBatchImpl(RowBatch* out) {
         if (out->full()) return true;
         Row& dst = out->AppendRow();
         ConcatInto(*current_left_, *matches_[match_pos_++], &dst);
-        bool pass = compiled_residual_ != nullptr
-                        ? compiled_residual_->EvalRow(dst, &scratch_)
-                        : EvalConjunction(residual_, dst, layout_);
-        if (pass) {
+        if (bound_residual_.Eval(dst)) {
           emitted_for_left_ = true;
         } else {
           out->PopRow();
@@ -648,8 +613,9 @@ NestedLoopJoinOp::NestedLoopJoinOp(OperatorPtr left, OperatorPtr right,
 }
 
 Status NestedLoopJoinOp::OpenImpl() {
-  AGGVIEW_RETURN_NOT_OK(
-      ValidatePredicateColumns(preds_, layout_, "nested-loop join"));
+  AGGVIEW_ASSIGN_OR_RETURN(
+      bound_preds_,
+      BoundConjunction::Bind(preds_, layout_, *columns_, "nested-loop join"));
   AGGVIEW_RETURN_NOT_OK(left_->Open());
   AGGVIEW_RETURN_NOT_OK(right_->Open());
   AGGVIEW_RETURN_NOT_OK(Drain(right_.get(), batch_size_, &inner_));
@@ -663,7 +629,7 @@ Status NestedLoopJoinOp::OpenImpl() {
   // accounting below is unaffected).
   left_key_idx_.clear();
   right_key_idx_.clear();
-  residual_.clear();
+  std::vector<Predicate> residual;
   for (const Predicate& p : preds_) {
     ColId a, b;
     if (p.AsColumnEquality(&a, &b)) {
@@ -680,8 +646,11 @@ Status NestedLoopJoinOp::OpenImpl() {
         continue;
       }
     }
-    residual_.push_back(p);
+    residual.push_back(p);
   }
+  AGGVIEW_ASSIGN_OR_RETURN(
+      bound_residual_,
+      BoundConjunction::Bind(residual, layout_, *columns_, "nested-loop join"));
   use_index_ = !left_key_idx_.empty();
   if (use_index_) {
     index_.clear();
@@ -714,7 +683,7 @@ Result<bool> NestedLoopJoinOp::NextBatchImpl(RowBatch* out) {
           }
           Row& dst = out->AppendRow();
           ConcatInto(*current_left_, inner_row, &dst);
-          if (EvalConjunction(residual_, dst, layout_)) {
+          if (bound_residual_.Eval(dst)) {
             emitted_for_left_ = true;
           } else {
             out->PopRow();
@@ -725,7 +694,7 @@ Result<bool> NestedLoopJoinOp::NextBatchImpl(RowBatch* out) {
           if (out->full()) return true;
           Row& dst = out->AppendRow();
           ConcatInto(*current_left_, inner_[inner_pos_++], &dst);
-          if (EvalConjunction(preds_, dst, layout_)) {
+          if (bound_preds_.Eval(dst)) {
             emitted_for_left_ = true;
           } else {
             out->PopRow();
@@ -830,8 +799,9 @@ Status SortMergeJoinOp::OpenImpl() {
   for (int idx : right_key_idx_) {
     if (idx < 0) return Status::Internal("merge join: right key column missing");
   }
-  AGGVIEW_RETURN_NOT_OK(
-      ValidatePredicateColumns(residual_, layout_, "merge join"));
+  AGGVIEW_ASSIGN_OR_RETURN(
+      bound_residual_,
+      BoundConjunction::Bind(residual_, layout_, *columns_, "merge join"));
   AGGVIEW_RETURN_NOT_OK(left_->Open());
   AGGVIEW_RETURN_NOT_OK(right_->Open());
   AGGVIEW_RETURN_NOT_OK(Drain(left_.get(), batch_size_, &lrows_));
@@ -873,7 +843,7 @@ Result<bool> SortMergeJoinOp::NextBatchImpl(RowBatch* out) {
         if (out->full()) return true;
         Row& dst = out->AppendRow();
         ConcatInto(lrows_[block_l_], rrows_[block_r_++], &dst);
-        if (!EvalConjunction(residual_, dst, layout_)) out->PopRow();
+        if (!bound_residual_.Eval(dst)) out->PopRow();
         continue;
       }
       // Advance within the key-equal block.
@@ -1122,6 +1092,9 @@ void HashAggregateOp::MergePartials(std::vector<GroupTable>* partials) {
 }
 
 Status HashAggregateOp::OpenImpl() {
+  AGGVIEW_ASSIGN_OR_RETURN(
+      BoundConjunction having,
+      BoundConjunction::Bind(spec_.having, layout_, *columns_, "having"));
   AGGVIEW_RETURN_NOT_OK(child_->Open());
   const RowLayout& in = child_->layout();
 
@@ -1184,10 +1157,7 @@ Status HashAggregateOp::OpenImpl() {
   results_.clear();
   auto emit = [&](Row out, Group* group) {
     for (AggAccumulator& acc : group->accs) out.push_back(acc.Finish());
-    bool pass = compiled_having_ != nullptr
-                    ? compiled_having_->EvalRow(out, &scratch_)
-                    : EvalConjunction(spec_.having, out, layout_);
-    if (pass) results_.push_back(std::move(out));
+    if (having.Eval(out)) results_.push_back(std::move(out));
   };
   for (auto& [k, group] : groups.ints) emit(Row{Value::Int(k)}, &group);
   if (groups.null_group.has_value()) {

@@ -11,9 +11,9 @@
 #include "algebra/query.h"
 #include "common/result.h"
 #include "common/thread_annotations.h"
-#include "exec/compile/expr_compiler.h"
 #include "exec/exec_context.h"
 #include "exec/row_batch.h"
+#include "expr/bound_expr.h"
 #include "storage/io_accountant.h"
 #include "storage/table.h"
 
@@ -26,6 +26,10 @@ class Operator;
 using OperatorPtr = std::unique_ptr<Operator>;
 
 /// Batch-at-a-time physical operator: Open / Next(RowBatch*) / Close.
+/// Operators evaluate predicates in bound form (expr/bound_expr.h): Open
+/// binds each conjunction once against the operator's own layout, so the
+/// per-row path does no layout lookup; a conjunct naming a column the layout
+/// lacks fails Open with a Status instead of evaluating garbage.
 /// Operators charge the IoAccountant with the same page-granularity formulas
 /// the cost model uses, evaluated on *actual* (not estimated) cardinalities,
 /// so measured IO is the ground truth the estimates are judged against.
@@ -173,40 +177,17 @@ int MorselWorkers(const Operator& pipeline);
 /// instance claims every morsel in order and is byte-identical to the
 /// pre-morsel serial scan.
 ///
-/// Under the compiled backend the same operator is the scan->filter->project
-/// kernel: set_compiled_filter swaps the tree-walked scan filter for its
-/// bytecode program and may add a residual program (a kFilter node fused
-/// onto the scan), both evaluated directly on the table row, so survivors
-/// project straight into the output batch with no batch hand-off between
-/// the scan and the filter.
+/// The filter is evaluated on the table row, so survivors project straight
+/// into the output batch.
 class TableScanOp final : public Operator {
  public:
   /// `rowid_col`, when valid, names a synthetic output column materialized
-  /// as the scanned row's position (the internal tuple id).
+  /// as the scanned row's position (the internal tuple id). `columns` types
+  /// the filter's comparison lanes and must outlive the operator.
   TableScanOp(const Table* table, RowLayout table_layout,
               std::vector<Predicate> filter, RowLayout output,
-              IoAccountant* io, bool charge_io,
+              const ColumnCatalog* columns, IoAccountant* io, bool charge_io,
               ColId rowid_col = kInvalidColId);
-
-  /// Compiled-backend injection: `scan_filter` replaces the tree-walked
-  /// scan filter and `residual` (may be null or empty) is a further
-  /// conjunction evaluated on the rows that pass it; both are compiled
-  /// against the table layout. Worker clones share the immutable programs.
-  void set_compiled_filter(std::shared_ptr<const PredicateProgram> scan_filter,
-                           std::shared_ptr<const PredicateProgram> residual) {
-    compiled_filter_ = std::move(scan_filter);
-    if (residual != nullptr && !residual->empty()) {
-      compiled_residual_ = std::move(residual);
-    }
-  }
-
-  /// Interior stats block for a fused-away kScan node: when the operator is
-  /// registered as the kFilter node above the scan, this block receives the
-  /// scan node's counters (rows examined, rows passing the scan filter,
-  /// pages) and the operator's own block counts rows entering the residual,
-  /// so per-node attribution is unchanged by fusion. Must be set before
-  /// Open; worker clones count into private blocks folded back into it.
-  void set_scan_stats(OpStats* stats) { scan_stats_ = stats; }
 
   bool CanRunMorselParallel() const override { return true; }
   OperatorPtr CloneForWorker() override;
@@ -231,13 +212,11 @@ class TableScanOp final : public Operator {
   const Table* table_;
   RowLayout table_layout_;
   std::vector<Predicate> filter_;
-  std::shared_ptr<const PredicateProgram> compiled_filter_;
-  std::shared_ptr<const PredicateProgram> compiled_residual_;
-  EvalScratch scratch_;
+  BoundConjunction bound_filter_;  // filter_ against table_layout_, at Open
+  const ColumnCatalog* columns_;
   std::vector<int> projection_;  // table-layout indices per output column
   IoAccountant* io_;
   bool charge_io_;
-  OpStats* scan_stats_ = nullptr;
   std::shared_ptr<MorselDispenser> morsels_;
   int64_t pos_ = 0;      // next row id within the claimed morsel
   int64_t pos_end_ = 0;  // end of the claimed morsel
@@ -250,15 +229,8 @@ class TableScanOp final : public Operator {
 /// (fully-filtered input batches are skipped).
 class FilterOp final : public Operator {
  public:
-  FilterOp(OperatorPtr child, std::vector<Predicate> preds);
-
-  /// Compiled-backend injection: when set, the conjunction evaluates via the
-  /// bytecode program (compiled against this operator's layout) instead of
-  /// tree-walking preds_ — identical results, no per-row virtual calls.
-  /// Worker clones share the immutable program.
-  void set_compiled_preds(std::shared_ptr<const PredicateProgram> program) {
-    compiled_preds_ = std::move(program);
-  }
+  FilterOp(OperatorPtr child, std::vector<Predicate> preds,
+           const ColumnCatalog* columns);
 
   bool CanRunMorselParallel() const override {
     return child_->CanRunMorselParallel();
@@ -275,8 +247,8 @@ class FilterOp final : public Operator {
 
   OperatorPtr child_;
   std::vector<Predicate> preds_;
-  std::shared_ptr<const PredicateProgram> compiled_preds_;
-  EvalScratch scratch_;
+  BoundConjunction bound_preds_;
+  const ColumnCatalog* columns_;
 };
 
 /// Projects the child's output to a (sub)set of its columns, reordering.
@@ -334,12 +306,6 @@ class HashJoinOp final : public Operator {
              std::vector<Predicate> residual, const ColumnCatalog* columns,
              IoAccountant* io, bool left_outer = false);
 
-  /// Compiled-backend injection for the residual conjunction (compiled
-  /// against the concatenated left|right layout). Worker clones share it.
-  void set_compiled_residual(std::shared_ptr<const PredicateProgram> program) {
-    compiled_residual_ = std::move(program);
-  }
-
   bool CanRunMorselParallel() const override {
     return left_->CanRunMorselParallel();
   }
@@ -385,8 +351,7 @@ class HashJoinOp final : public Operator {
   OperatorPtr right_;
   std::vector<std::pair<ColId, ColId>> keys_;
   std::vector<Predicate> residual_;
-  std::shared_ptr<const PredicateProgram> compiled_residual_;
-  EvalScratch scratch_;
+  BoundConjunction bound_residual_;  // against the concatenated layout
   const ColumnCatalog* columns_;
   IoAccountant* io_;
 
@@ -455,7 +420,8 @@ class NestedLoopJoinOp final : public Operator {
   // never probe (matching the predicate-eval semantics of the slow path).
   std::vector<int> left_key_idx_;
   std::vector<int> right_key_idx_;
-  std::vector<Predicate> residual_;
+  BoundConjunction bound_preds_;     // every conjunct: the unindexed path
+  BoundConjunction bound_residual_;  // the non-key conjuncts: indexed path
   std::unordered_multimap<size_t, size_t> index_;  // key hash -> inner row
   std::vector<size_t> probe_matches_;
   size_t probe_pos_ = 0;
@@ -489,6 +455,7 @@ class SortMergeJoinOp final : public Operator {
   OperatorPtr right_;
   std::vector<std::pair<ColId, ColId>> keys_;
   std::vector<Predicate> residual_;
+  BoundConjunction bound_residual_;
   const ColumnCatalog* columns_;
   IoAccountant* io_;
 
@@ -532,9 +499,8 @@ class SortOp final : public Operator {
 /// accumulators, HAVING. Consumes its child at Open, accumulating a whole
 /// input batch per pull. A scalar aggregate (empty grouping) over zero input
 /// rows produces exactly one row, with COUNT = 0 and SUM/MIN/MAX/AVG = NULL
-/// (SQL semantics). The one group-by operator of both backends: under the
-/// compiled backend only the child's filters and the HAVING conjunction run
-/// as bytecode.
+/// (SQL semantics). HAVING is bound against the output layout (grouping
+/// columns + aggregate outputs).
 ///
 /// Grouping on exactly one column starts on an INT64 lane: an int64-keyed
 /// map plus one NULL group, with no key Row built per input row. The first
@@ -557,12 +523,6 @@ class HashAggregateOp final : public Operator {
  public:
   HashAggregateOp(OperatorPtr child, GroupBySpec spec,
                   const ColumnCatalog* columns, IoAccountant* io);
-
-  /// Compiled-backend injection for the HAVING conjunction (compiled against
-  /// the output layout: grouping columns + aggregate outputs).
-  void set_compiled_having(std::shared_ptr<const PredicateProgram> program) {
-    compiled_having_ = std::move(program);
-  }
 
  protected:
   Status OpenImpl() override;
@@ -606,8 +566,6 @@ class HashAggregateOp final : public Operator {
 
   OperatorPtr child_;
   GroupBySpec spec_;
-  std::shared_ptr<const PredicateProgram> compiled_having_;
-  EvalScratch scratch_;
   const ColumnCatalog* columns_;
   IoAccountant* io_;
 

@@ -43,22 +43,7 @@ bool Predicate::Eval(const Row& row, const RowLayout& layout) const {
   Value r = rhs->Eval(row, layout);
   // SQL semantics: comparisons with NULL are not true.
   if (l.is_null() || r.is_null()) return false;
-  int c = l.Compare(r);
-  switch (op) {
-    case CompareOp::kEq:
-      return c == 0;
-    case CompareOp::kNe:
-      return c != 0;
-    case CompareOp::kLt:
-      return c < 0;
-    case CompareOp::kLe:
-      return c <= 0;
-    case CompareOp::kGt:
-      return c > 0;
-    case CompareOp::kGe:
-      return c >= 0;
-  }
-  return false;
+  return CompareOpHolds(op, l.Compare(r));
 }
 
 std::set<ColId> Predicate::Columns() const {
@@ -119,14 +104,6 @@ Predicate Predicate::RemapColumns(
 std::string Predicate::ToString(const ColumnCatalog& cat) const {
   return lhs->ToString(cat) + " " + CompareOpSymbol(op) + " " +
          rhs->ToString(cat);
-}
-
-bool EvalConjunction(const std::vector<Predicate>& preds, const Row& row,
-                     const RowLayout& layout) {
-  for (const Predicate& p : preds) {
-    if (!p.Eval(row, layout)) return false;
-  }
-  return true;
 }
 
 std::set<ColId> ConjunctionColumns(const std::vector<Predicate>& preds) {

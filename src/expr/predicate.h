@@ -16,6 +16,25 @@ const char* CompareOpSymbol(CompareOp op);
 /// The mirrored operator: a < b  <=>  b > a.
 CompareOp FlipCompareOp(CompareOp op);
 
+/// Whether a three-way comparison result `cmp` (<0, 0, >0) satisfies `op`.
+inline bool CompareOpHolds(CompareOp op, int cmp) {
+  switch (op) {
+    case CompareOp::kEq:
+      return cmp == 0;
+    case CompareOp::kNe:
+      return cmp != 0;
+    case CompareOp::kLt:
+      return cmp < 0;
+    case CompareOp::kLe:
+      return cmp <= 0;
+    case CompareOp::kGt:
+      return cmp > 0;
+    case CompareOp::kGe:
+      return cmp >= 0;
+  }
+  return false;
+}
+
 /// One conjunct: `lhs op rhs`. Queries in the paper's class are conjunctions
 /// of comparisons ("cond1 and ... and condn"); conjunctions are represented
 /// as std::vector<Predicate> throughout.
@@ -28,7 +47,9 @@ struct Predicate {
   Predicate(ExprPtr lhs_in, CompareOp op_in, ExprPtr rhs_in)
       : lhs(std::move(lhs_in)), op(op_in), rhs(std::move(rhs_in)) {}
 
-  /// Evaluates to a boolean over `row`.
+  /// Evaluates to a boolean over `row`: the reference semantics that
+  /// BoundConjunction (expr/bound_expr.h), the form operators run, must
+  /// reproduce.
   bool Eval(const Row& row, const RowLayout& layout) const;
 
   /// All ColIds referenced on either side.
@@ -54,10 +75,6 @@ struct Predicate {
 
   std::string ToString(const ColumnCatalog& cat) const;
 };
-
-/// Evaluates a conjunction; the empty conjunction is true.
-bool EvalConjunction(const std::vector<Predicate>& preds, const Row& row,
-                     const RowLayout& layout);
 
 /// Union of column sets over a conjunction.
 std::set<ColId> ConjunctionColumns(const std::vector<Predicate>& preds);

@@ -27,27 +27,32 @@ ExprPtr LiteralExpr::RemapColumns(
   return std::make_shared<LiteralExpr>(value_);
 }
 
-Value ArithExpr::Eval(const Row& row, const RowLayout& layout) const {
-  Value l = lhs_->Eval(row, layout);
-  Value r = rhs_->Eval(row, layout);
+Value EvalArith(ArithOp op, const Value& l, const Value& r) {
   if (l.is_null() || r.is_null()) return Value::Null();
   // Integer arithmetic stays integral except for division, which promotes to
-  // double (SQL-ish, and what AVG-style ratios need).
-  if (l.is_int() && r.is_int() && op_ != ArithOp::kDiv) {
-    int64_t a = l.AsInt(), b = r.AsInt();
-    switch (op_) {
+  // double (SQL-ish, and what AVG-style ratios need). An INT64 result that
+  // would overflow is computed in double instead, as a mixed INT64/DOUBLE
+  // pair is.
+  if (l.is_int() && r.is_int() && op != ArithOp::kDiv) {
+    int64_t a = l.AsInt(), b = r.AsInt(), out = 0;
+    bool overflow = false;
+    switch (op) {
       case ArithOp::kAdd:
-        return Value::Int(a + b);
+        overflow = __builtin_add_overflow(a, b, &out);
+        break;
       case ArithOp::kSub:
-        return Value::Int(a - b);
+        overflow = __builtin_sub_overflow(a, b, &out);
+        break;
       case ArithOp::kMul:
-        return Value::Int(a * b);
+        overflow = __builtin_mul_overflow(a, b, &out);
+        break;
       case ArithOp::kDiv:
         break;
     }
+    if (!overflow) return Value::Int(out);
   }
   double a = l.AsNumeric(), b = r.AsNumeric();
-  switch (op_) {
+  switch (op) {
     case ArithOp::kAdd:
       return Value::Real(a + b);
     case ArithOp::kSub:
@@ -58,6 +63,10 @@ Value ArithExpr::Eval(const Row& row, const RowLayout& layout) const {
       return Value::Real(b == 0.0 ? 0.0 : a / b);
   }
   return Value::Real(0.0);
+}
+
+Value ArithExpr::Eval(const Row& row, const RowLayout& layout) const {
+  return EvalArith(op_, lhs_->Eval(row, layout), rhs_->Eval(row, layout));
 }
 
 DataType ArithExpr::ResultType(const ColumnCatalog& cat) const {

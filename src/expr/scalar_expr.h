@@ -30,8 +30,10 @@ class ScalarExpr {
 
   Kind kind() const { return kind_; }
 
-  /// Evaluates against `row` whose positions are described by `layout`.
-  /// Referencing a column absent from the layout is a lowering bug and
+  /// Evaluates against `row` whose positions are described by `layout`: the
+  /// reference semantics. Operators evaluate the BoundExpr form
+  /// (expr/bound_expr.h), which resolves the layout once instead of per
+  /// row. Referencing a column absent from the layout is a caller bug and
   /// aborts in debug builds.
   virtual Value Eval(const Row& row, const RowLayout& layout) const = 0;
 
@@ -171,6 +173,12 @@ class CoalesceExpr final : public ScalarExpr {
   ExprPtr inner_;
   ExprPtr fallback_;
 };
+
+/// Binary arithmetic on two values, the semantics of ArithExpr: NULL
+/// propagates; INT64 op INT64 stays INT64 for + - * unless the result
+/// overflows, which (like any mixed INT64/DOUBLE pair) computes in DOUBLE;
+/// division always yields DOUBLE, and x / 0 == 0.0.
+Value EvalArith(ArithOp op, const Value& l, const Value& r);
 
 /// Convenience constructors.
 ExprPtr Col(ColId id);

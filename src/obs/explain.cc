@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "analysis/certificate.h"
 #include "common/string_util.h"
 
 namespace aggview {
@@ -89,19 +88,6 @@ void ExplainRec(const PlanPtr& plan, const Query& query,
     if (rt.workers > 1) {
       *out += StrFormat(" workers=%lld", static_cast<long long>(rt.workers));
     }
-    // Which backend implemented this node ("compiled" / "interpret"). Only
-    // labeled when the compiled backend was requested; interpreter-only
-    // output is unchanged. The bottom block is the node's real
-    // implementation (a Project wrapper above it is plumbing).
-    if (!rt.bottom->backend.empty()) {
-      *out += " backend=" + rt.bottom->backend;
-      // Why the node fell back to the interpreter (compiled backend only):
-      // a short token; the full story (e.g. a bytecode verifier rejection)
-      // is in the audit's CompilationCertificate.
-      if (!rt.bottom->fallback.empty()) {
-        *out += " fallback=" + rt.bottom->fallback;
-      }
-    }
     *out += BoundsSuffix(*plan);
     *out += ")";
   } else {
@@ -171,40 +157,6 @@ std::string ExplainAnalyze(const PlanPtr& plan, const Query& query,
       summary.max_q, summary.mean_q,
       summary.worst_label.empty() ? "" : " worst=",
       summary.worst_label.c_str());
-  return out;
-}
-
-std::string ExplainAnalyze(
-    const PlanPtr& plan, const Query& query, const RuntimeStatsCollector& stats,
-    const std::vector<CompilationCertificate>& compilations) {
-  std::string out = ExplainAnalyze(plan, query, stats);
-  if (compilations.empty()) return out;
-  out += StrFormat("-- %d compiled program(s):\n",
-                   static_cast<int>(compilations.size()));
-  for (const CompilationCertificate& cert : compilations) {
-    out += StrFormat("[%s/%s] %s\n", cert.node.c_str(), cert.kind.c_str(),
-                     cert.source.c_str());
-    if (cert.verified) {
-      out += StrFormat(
-          "  verified: %d instruction(s), max stack depth %d, "
-          "%d witness row(s)\n",
-          cert.instructions, cert.max_stack_depth, cert.witness_rows);
-      // Indent the listing two spaces under its certificate header.
-      const std::string& listing = cert.disassembly;
-      size_t start = 0;
-      while (start < listing.size()) {
-        size_t end = listing.find('\n', start);
-        if (end == std::string::npos) end = listing.size();
-        out += "  " + listing.substr(start, end - start) + "\n";
-        start = end + 1;
-      }
-    } else {
-      // The rejection diagnostic already quotes the offending listing.
-      out += "  REJECTED (operator fell back to the interpreter): " +
-             cert.rejection;
-      if (out.back() != '\n') out += "\n";
-    }
-  }
   return out;
 }
 

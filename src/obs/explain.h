@@ -49,18 +49,6 @@ QErrorSummary SummarizeQError(const std::vector<NodeQError>& nodes);
 std::string ExplainAnalyze(const PlanPtr& plan, const Query& query,
                            const RuntimeStatsCollector& stats);
 
-struct CompilationCertificate;
-
-/// Verbose EXPLAIN ANALYZE: the annotated plan tree plus one section per
-/// compiled bytecode program of the execution's lowering (the certificates
-/// ExecContext::compilations collected): which operator it belongs to, the
-/// source predicate, the verification verdict with witness-row count, and
-/// the full disassembly. With no certificates the output equals the plain
-/// overload's.
-std::string ExplainAnalyze(
-    const PlanPtr& plan, const Query& query, const RuntimeStatsCollector& stats,
-    const std::vector<CompilationCertificate>& compilations);
-
 }  // namespace aggview
 
 #endif  // AGGVIEW_OBS_EXPLAIN_H_

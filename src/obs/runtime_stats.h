@@ -24,23 +24,6 @@ struct OpStats {
   /// Operator class name ("TableScan", "HashJoin", ...).
   std::string op_name;
 
-  /// Which engine ran this operator, for EXPLAIN ANALYZE's backend column:
-  /// "compiled" when the operator evaluates compiled predicate/expression
-  /// programs, "interpret" when it runs none (fell back to the Volcano
-  /// interpreter, or has no predicate to compile). Empty under the pure interpreting backend (the
-  /// column is only rendered when a compiled execution was requested, so
-  /// interpreter-only EXPLAIN output is unchanged).
-  std::string backend;
-
-  /// Why this operator is not "compiled" although the compiled backend was
-  /// requested: a short space-free token ("sort", "outer-join",
-  /// "predicate-shape", "verifier-rejected", ...) rendered as `fallback=` by
-  /// EXPLAIN ANALYZE. Empty for compiled operators and under the
-  /// interpreting backend. The detailed diagnostic (e.g. the bytecode
-  /// verifier's instruction-indexed rejection) lives in the audit's
-  /// CompilationCertificate, not here.
-  std::string fallback;
-
   /// Rows returned from Next (the operator's actual output cardinality).
   int64_t rows_produced = 0;
   /// Non-empty batches returned from Next. An exact-multiple result
@@ -83,7 +66,7 @@ struct OpStats {
   int64_t total_ns() const { return open_ns + next_ns; }
 
   /// Folds a worker clone's counters into this (primary) block: counts sum,
-  /// workers accumulate. op_name, backend and fallback are kept.
+  /// workers accumulate. op_name is kept.
   void MergeFrom(const OpStats& other);
 };
 

@@ -34,10 +34,9 @@ class AdmissionPass {
   AdmissionController* admission_;
 };
 
-/// Encodes every option that changes which plan the optimizer picks — plus
-/// the execution backend, so a future compiled-artifact cache can never
-/// serve one backend's entry to the other. Thread/batch knobs are
-/// deliberately absent: they change throughput, never the plan.
+/// Encodes every option that changes which plan the optimizer picks.
+/// Thread/batch knobs are deliberately absent: they change throughput, never
+/// the plan.
 /// `use_traditional` is the connection's choice, which may differ from
 /// options.use_traditional.
 std::string ConfigFingerprint(const ServerOptions& options,
@@ -45,7 +44,7 @@ std::string ConfigFingerprint(const ServerOptions& options,
   const OptimizerOptions& opt = options.optimizer;
   return StrFormat(
       "trad=%d;mv=%d;prop=%d;pull=%d;shared=%d;shrink=%d;maxw=%d;inctrad=%d;"
-      "greedy=%d;inv=%d;coal=%d;backend=%s",
+      "greedy=%d;inv=%d;coal=%d",
       use_traditional ? 1 : 0,
       options.use_materialized_views ? 1 : 0,
       opt.propagate_predicates ? 1 : 0,
@@ -54,8 +53,7 @@ std::string ConfigFingerprint(const ServerOptions& options,
       opt.include_traditional_alternative ? 1 : 0,
       opt.enumerator.greedy_aggregation ? 1 : 0,
       opt.enumerator.enable_invariant ? 1 : 0,
-      opt.enumerator.enable_coalescing ? 1 : 0,
-      ExecBackendName(options.backend));
+      opt.enumerator.enable_coalescing ? 1 : 0);
 }
 
 }  // namespace
@@ -65,8 +63,6 @@ ServerOptions ServerOptions::Default() {
   ExecDefaults env = ExecDefaults::FromEnv();
   options.threads = env.threads;
   options.batch_size = env.batch_size;
-  options.backend = env.backend;
-  options.bytecode_verify = env.bytecode_verify;
   return options;
 }
 
@@ -130,8 +126,6 @@ ExecContext Server::MakeContext() {
   ExecContext ctx;
   ctx.batch_size = options_.batch_size;
   ctx.threads = options_.threads;
-  ctx.backend = options_.backend;
-  ctx.bytecode_verify = options_.bytecode_verify;
   ctx.pool = pool_.get();
   return ctx;
 }
@@ -312,8 +306,7 @@ Result<QueryResult> ServerQuery::Execute() {
   AGGVIEW_ASSIGN_OR_RETURN(
       QueryResult result,
       ExecutePlan(optimized_->plan, optimized_->query,
-                  server->MakeContext().WithIo(&io).WithCompilations(
-                      &compilations_)));
+                  server->MakeContext().WithIo(&io)));
   last_io_pages_ = io.total();
   return result;
 }
@@ -325,24 +318,18 @@ std::string ServerQuery::Explain() const {
   return out;
 }
 
-Result<std::string> ServerQuery::ExplainAnalyze(bool verbose) {
+Result<std::string> ServerQuery::ExplainAnalyze() {
   AGGVIEW_ASSIGN_OR_RETURN(Server * server, this->server());
   AdmissionPass pass(&server->admission_);
   std::shared_lock<std::shared_mutex> catalog_lock(server->catalog_mu_);
   IoAccountant io;
   RuntimeStatsCollector stats;
-  AGGVIEW_RETURN_NOT_OK(ExecutePlan(optimized_->plan, optimized_->query,
-                                    server->MakeContext()
-                                        .WithIo(&io)
-                                        .WithStats(&stats)
-                                        .WithCompilations(&compilations_))
-                            .status());
+  AGGVIEW_RETURN_NOT_OK(
+      ExecutePlan(optimized_->plan, optimized_->query,
+                  server->MakeContext().WithIo(&io).WithStats(&stats))
+          .status());
   last_io_pages_ = io.total();
-  if (!verbose) {
-    return aggview::ExplainAnalyze(optimized_->plan, optimized_->query, stats);
-  }
-  return aggview::ExplainAnalyze(optimized_->plan, optimized_->query, stats,
-                                 compilations_);
+  return aggview::ExplainAnalyze(optimized_->plan, optimized_->query, stats);
 }
 
 }  // namespace aggview

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/certificate.h"
 #include "catalog/catalog.h"
 #include "common/result.h"
 #include "common/thread_annotations.h"
@@ -33,12 +32,8 @@ struct ServerOptions {
   int threads = 1;
   /// Batch capacity of every operator tree the server runs.
   int batch_size = kDefaultBatchSize;
-  /// Execution backend for every query the server runs (interpreter or
-  /// compiled). Part of the plan-cache configuration fingerprint.
+  /// Unread; see ExecBackend (exec/exec_context.h).
   ExecBackend backend = ExecBackend::kInterpret;
-  /// How hard lowering statically checks each compiled bytecode program
-  /// before it may execute (exec/compile/verifier.h); only the compiled
-  /// backend runs bytecode.
   BytecodeVerifyMode bytecode_verify = BytecodeVerifyMode::kOn;
   /// Optimize with the traditional two-phase optimizer instead of the
   /// paper's aggregate-view optimizer (for comparisons). The starting value
@@ -60,11 +55,9 @@ struct ServerOptions {
   /// the thread pool's per-region FIFO lease.
   int max_concurrent_queries = 0;
 
-  /// Serial, default batch size, interpreting backend, bytecode verifier on
-  /// — unless the environment overrides them (AGGVIEW_TEST_THREADS /
-  /// AGGVIEW_TEST_BATCH_SIZE / AGGVIEW_TEST_BACKEND /
-  /// AGGVIEW_VERIFY_BYTECODE via ExecDefaults::FromEnv(), the same knobs
-  /// ExecContext::Default() reads).
+  /// Serial and default batch size — unless the environment overrides them
+  /// (AGGVIEW_TEST_THREADS / AGGVIEW_TEST_BATCH_SIZE via
+  /// ExecDefaults::FromEnv(), the same knobs ExecContext::Default() reads).
   static ServerOptions Default();
 };
 
@@ -120,8 +113,7 @@ class AdmissionController {
 /// under admission control. Obtained from ServerSession::Sql; any number of
 /// ServerQuery objects — across any number of client threads — may hold and
 /// execute the same cached plan concurrently. The plan is never copied or
-/// mutated: what one execution learns (IO pages, compilation certificates)
-/// lives in the handle.
+/// mutated: what one execution learns (its IO pages) lives in the handle.
 ///
 /// Lifetime is guarded explicitly: executing a query whose Server has been
 /// destroyed, or a moved-from query, returns a clear error Status instead of
@@ -138,14 +130,12 @@ class ServerQuery {
         // nulled server_ token still refuses Execute/ExplainAnalyze.
         optimized_(other.optimized_),
         cache_hit_(other.cache_hit_),
-        last_io_pages_(other.last_io_pages_),
-        compilations_(std::move(other.compilations_)) {}
+        last_io_pages_(other.last_io_pages_) {}
   ServerQuery& operator=(ServerQuery&& other) noexcept {
     server_ = std::move(other.server_);
     optimized_ = other.optimized_;
     cache_hit_ = other.cache_hit_;
     last_io_pages_ = other.last_io_pages_;
-    compilations_ = std::move(other.compilations_);
     return *this;
   }
 
@@ -157,11 +147,8 @@ class ServerQuery {
   std::string Explain() const;
 
   /// Runs the plan instrumented and renders the plan tree annotated with
-  /// actual cardinalities, timings, IO and worker counts. Under the compiled
-  /// backend, interpreted operators additionally show `fallback=<reason>`.
-  /// `verbose` appends one section per compiled bytecode program: source
-  /// predicate, verification verdict, and the full disassembly.
-  Result<std::string> ExplainAnalyze(bool verbose = false);
+  /// actual cardinalities, timings, IO and worker counts.
+  Result<std::string> ExplainAnalyze();
 
   /// True when Sql() answered this statement from the plan cache (the
   /// parse/bind/optimize pipeline was skipped entirely).
@@ -182,12 +169,6 @@ class ServerQuery {
   /// Pages (reads + writes) charged by the most recent Execute /
   /// ExplainAnalyze, -1 before the first run.
   int64_t last_io_pages() const { return last_io_pages_; }
-  /// One certificate per bytecode program the most recent Execute /
-  /// ExplainAnalyze compiled (verified or rejected); empty before the first
-  /// run, under the interpreting backend, and with the verifier off.
-  const std::vector<CompilationCertificate>& compilations() const {
-    return compilations_;
-  }
 
  private:
   friend class ServerSession;
@@ -205,8 +186,6 @@ class ServerQuery {
   std::shared_ptr<const OptimizedQuery> optimized_;
   bool cache_hit_ = false;
   int64_t last_io_pages_ = -1;
-  /// Filled by lowering, and only when it compiles a program.
-  std::vector<CompilationCertificate> compilations_;
 };
 
 /// A client connection to a Server: a cheap value handle safe to move to

@@ -1,6 +1,8 @@
 #include "sql/lexer.h"
 
 #include <cctype>
+#include <charconv>
+#include <system_error>
 
 #include "common/string_util.h"
 
@@ -53,10 +55,15 @@ Result<std::vector<Token>> Tokenize(const std::string& sql) {
       }
       std::string text = sql.substr(start, i - start);
       Token t = make(is_real ? TokenKind::kReal : TokenKind::kInteger, text, pos);
-      if (is_real) {
-        t.real_value = std::stod(text);
-      } else {
-        t.int_value = std::stoll(text);
+      const char* first = text.data();
+      const char* last = first + text.size();
+      std::from_chars_result parsed =
+          is_real ? std::from_chars(first, last, t.real_value)
+                  : std::from_chars(first, last, t.int_value);
+      if (parsed.ec != std::errc() || parsed.ptr != last) {
+        return Status::ParseError(
+            StrFormat("numeric literal %s at offset %d is out of range",
+                      text.c_str(), pos));
       }
       tokens.push_back(std::move(t));
       continue;

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "catalog/statistics.h"
-#include "expr/predicate.h"
+#include "expr/bound_expr.h"
 #include "storage/table.h"
 #include "view/definition_analysis.h"
 
@@ -88,8 +88,10 @@ Status MaintainView(Catalog* catalog, ViewDefinition* view,
   }
   const int rel = a.query.base_rels()[0];
   const RangeVar& rv = a.query.range_var(rel);
-  RowLayout layout(rv.columns);
-  const std::vector<Predicate>& preds = a.query.predicates();
+  AGGVIEW_ASSIGN_OR_RETURN(
+      BoundConjunction where,
+      BoundConjunction::Bind(a.query.predicates(), RowLayout(rv.columns),
+                             a.query.columns(), "view maintenance"));
   const size_t ng = static_cast<size_t>(view->num_grouping);
   const size_t np = view->partials.size();
 
@@ -121,7 +123,7 @@ Status MaintainView(Catalog* catalog, ViewDefinition* view,
   }
 
   for (const Row& r : deleted) {
-    if (!EvalConjunction(preds, r, layout)) continue;
+    if (!where.Eval(r)) continue;
     auto it = index.find(group_key(r));
     if (it == index.end()) {
       return Status::Internal("materialized view '" + view->name +
@@ -159,7 +161,7 @@ Status MaintainView(Catalog* catalog, ViewDefinition* view,
   }
 
   for (const Row& r : inserted) {
-    if (!EvalConjunction(preds, r, layout)) continue;
+    if (!where.Eval(r)) continue;
     Row key = group_key(r);
     auto it = index.find(key);
     if (it == index.end()) {
@@ -248,7 +250,7 @@ Status MaintainView(Catalog* catalog, ViewDefinition* view,
     }
     const Table& base = *catalog->table(view->base_tables[0]).data;
     for (const Row& r : base.rows()) {
-      if (!EvalConjunction(preds, r, layout)) continue;
+      if (!where.Eval(r)) continue;
       auto it = rescan.find(group_key(r));
       if (it == rescan.end()) continue;
       Row& g = final_rows[it->second];

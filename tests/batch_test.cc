@@ -122,6 +122,23 @@ TEST(ExecContextEnvTest, ThreadsOverrideIsValidatedAndClamped) {
   EXPECT_EQ(ExecContext::Default().threads, 1);
 }
 
+TEST(ExecContextEnvTest, SharedDefaultsFlowIntoSessionAndServerOptions) {
+  ScopedEnv threads("AGGVIEW_TEST_THREADS");
+  ScopedEnv batch("AGGVIEW_TEST_BATCH_SIZE");
+  threads.Set("3");
+  batch.Set("17");
+  // One consolidated env surface: ExecDefaults::FromEnv feeds the exec
+  // context and the serving layer alike.
+  EXPECT_EQ(ExecDefaults::FromEnv().threads, 3);
+  EXPECT_EQ(ExecDefaults::FromEnv().batch_size, 17);
+  EXPECT_EQ(ServerOptions::Default().threads, 3);
+  EXPECT_EQ(ServerOptions::Default().batch_size, 17);
+  threads.Unset();
+  batch.Unset();
+  EXPECT_EQ(ServerOptions::Default().threads, 1);
+  EXPECT_EQ(ServerOptions::Default().batch_size, kDefaultBatchSize);
+}
+
 /// Ten-row table scanned through small batches, directly at the operator
 /// protocol level where the boundary behaviour is observable.
 class ScanBatchTest : public ::testing::Test {
@@ -141,7 +158,8 @@ TEST_F(ScanBatchTest, ExactMultipleCardinalityHasNoPhantomTailBatch) {
   // that discovers end-of-stream returns false instead of an empty batch.
   RowLayout layout({id_});
   IoAccountant io;
-  TableScanOp scan(&table_, layout, {}, layout, &io, /*charge_io=*/true);
+  TableScanOp scan(&table_, layout, {}, layout, &cat_, &io,
+                   /*charge_io=*/true);
   OpStats stats;
   scan.set_stats(&stats);
   ASSERT_OK(scan.Open());
@@ -173,8 +191,8 @@ TEST_F(ScanBatchTest, EmptyInputAnswersFalseOnFirstNext) {
   RowLayout layout({id_});
   IoAccountant io;
   TableScanOp scan(&table_, layout,
-                   {Cmp(Col(id_), CompareOp::kLt, LitInt(0))}, layout, &io,
-                   /*charge_io=*/true);
+                   {Cmp(Col(id_), CompareOp::kLt, LitInt(0))}, layout, &cat_,
+                   &io, /*charge_io=*/true);
   OpStats stats;
   scan.set_stats(&stats);
   ASSERT_OK(scan.Open());
@@ -189,9 +207,10 @@ TEST_F(ScanBatchTest, EmptyInputAnswersFalseOnFirstNext) {
   scan.Close();
 }
 
-/// End-to-end: the same optimized plan executed at many batch sizes must
-/// fingerprint identically, including sizes that divide the cardinalities
-/// involved (boundary-aligned) and sizes that do not.
+/// End-to-end: the same optimized plan executed at many batch sizes, serial
+/// and on 8 workers, must fingerprint identically, including sizes that
+/// divide the cardinalities involved (boundary-aligned) and sizes that do
+/// not.
 class BatchSizeInvarianceTest : public ::testing::Test {
  protected:
   BatchSizeInvarianceTest() : db_(MakeEmpDept()) {}
@@ -206,13 +225,17 @@ class BatchSizeInvarianceTest : public ::testing::Test {
         ExecutePlan(optimized->plan, optimized->query,
                     ExecContext{}.WithBatchSize(kDefaultBatchSize));
     ASSERT_OK(reference);
-    for (int batch_size : {1, 2, 3, 7, 64, 4096}) {
-      auto rerun = ExecutePlan(optimized->plan, optimized->query,
-                               ExecContext{}.WithBatchSize(batch_size));
-      ASSERT_OK(rerun);
-      EXPECT_EQ(rerun->Fingerprint(), reference->Fingerprint())
-          << "batch_size=" << batch_size << " changed the result of:\n"
-          << sql;
+    for (int threads : {1, 8}) {
+      for (int batch_size : {1, 2, 3, 7, 64, 1024, 4096}) {
+        auto rerun = ExecutePlan(
+            optimized->plan, optimized->query,
+            ExecContext{}.WithThreads(threads).WithBatchSize(batch_size));
+        ASSERT_OK(rerun);
+        EXPECT_EQ(rerun->Fingerprint(), reference->Fingerprint())
+            << "threads=" << threads << " batch_size=" << batch_size
+            << " changed the result of:\n"
+            << sql;
+      }
     }
   }
 
@@ -231,6 +254,84 @@ TEST_F(BatchSizeInvarianceTest, ScalarAggregateOverEmptyInput) {
   // The one synthesized row of a scalar aggregate over zero input must
   // appear exactly once at every batch size.
   CheckInvariant("select count(*), sum(e.sal) from emp e where e.sal < 0");
+}
+
+TEST_F(BatchSizeInvarianceTest, GroupByWithHaving) {
+  // HAVING runs over HashAggregateOp's output row.
+  CheckInvariant(
+      "select e.dno, count(*), avg(e.sal) from emp e "
+      "group by e.dno having count(*) > 2");
+}
+
+TEST_F(BatchSizeInvarianceTest, FilterHeavyConjunction) {
+  CheckInvariant(
+      "select e.eno, e.sal from emp e "
+      "where e.sal > 100 and e.age > 20 and e.age < 60 and e.dno > 0");
+}
+
+/// NULL grouping keys placed so they straddle batch boundaries, plus a
+/// grouping column whose runtime values mix Int and Real: HashAggregateOp's
+/// INT64 lane must group NULLs together and must migrate to the generic
+/// table on the first non-integer key without splitting the 1 == 1.0 group.
+/// The expected groups are literal answers.
+class GroupingEdgeTest : public ::testing::Test {
+ protected:
+  GroupingEdgeTest() {
+    auto tables = CreateEmpDeptSchema(&catalog_);
+    EXPECT_OK(tables);
+    tables_ = *tables;
+
+    auto emp = std::make_shared<Table>(catalog_.table(tables_.emp).schema);
+    for (int i = 0; i < 18; ++i) {
+      // Every third dno NULL; every seventh a Real that equals an Int key.
+      Value dno = (i % 3 == 2) ? Value::Null()
+                 : (i % 7 == 0) ? Value::Real(1.0 + i % 2)
+                                : Value::Int(1 + i % 2);
+      emp->AppendUnchecked({Value::Int(i), std::move(dno),
+                            Value::Real(100.0 * i), Value::Int(25 + i % 10)});
+    }
+    catalog_.mutable_table(tables_.emp).stats = ComputeStats(*emp);
+    catalog_.mutable_table(tables_.emp).data = emp;
+  }
+
+  Catalog catalog_;
+  EmpDeptTables tables_;
+};
+
+TEST_F(GroupingEdgeTest, NullAndMixedTypeKeysFormLiteralGroups) {
+  auto query = ParseAndBind(
+      catalog_, "select e.dno, count(*), sum(e.sal) from emp e "
+                "group by e.dno");
+  ASSERT_OK(query);
+  auto optimized = OptimizeQueryWithAggViews(*query, OptimizerOptions{});
+  ASSERT_OK(optimized);
+
+  // dno 1 (Real(1.0) at i = 0): i = 0, 4, 6, 10, 12, 16; dno 2 (Real(2.0)
+  // at i = 7): i = 1, 3, 7, 9, 13, 15; NULL: i = 2, 5, 8, 11, 14, 17. The
+  // fingerprint renders Int(1) and Real(1.0) alike, so either may key the
+  // group; a split group or a second NULL group changes the string.
+  const std::string want = "\x01NULL|6|5700\n1|6|4800\n2|6|4800\n";
+  for (int threads : {1, 8}) {
+    for (int batch_size : {1, 2, 3, 1024}) {
+      // Two-row morsels let several workers claim a share of the 18 rows,
+      // so partials can end up in different lanes (a worker that met a
+      // Real key migrated, one that did not stayed on the INT64 lane).
+      // Whether they do depends on scheduling;
+      // OperatorsTest.ParallelAggregateMergesPartialsAcrossLanes pins that
+      // merge deterministically.
+      for (int64_t morsel_rows : {kDefaultMorselRows, int64_t{2}}) {
+        auto result = ExecutePlan(optimized->plan, optimized->query,
+                                  ExecContext{}
+                                      .WithThreads(threads)
+                                      .WithBatchSize(batch_size)
+                                      .WithMorselRows(morsel_rows));
+        ASSERT_OK(result);
+        EXPECT_EQ(result->Fingerprint(), want)
+            << "threads=" << threads << " batch_size=" << batch_size
+            << " morsel_rows=" << morsel_rows;
+      }
+    }
+  }
 }
 
 /// NULL join keys placed so they straddle batch boundaries at small batch

@@ -32,7 +32,7 @@ TEST(OpStatsTest, TableScanRecordsCounters) {
 
   IoAccountant io;
   TableScanOp scan(&table, layout, {Cmp(Col(id), CompareOp::kLt, LitInt(4))},
-                   layout, &io, /*charge_io=*/true);
+                   layout, &cat, &io, /*charge_io=*/true);
   OpStats stats;
   scan.set_stats(&stats);
   ASSERT_OK(scan.Open());

@@ -96,11 +96,12 @@ TEST(JsonWriterTest, EmitsWellFormedDocumentForHostileCells) {
   std::string doc = testing::internal::GetCapturedStdout();
 
   // The host stamp: this test binary gets no build definitions, so build
-  // type and compiler fall back to "unknown".
+  // type, compiler and source stamp fall back to "unknown".
   const std::string host =
       "{\"cores\": " +
       std::to_string(std::thread::hardware_concurrency()) +
-      ", \"build_type\": \"unknown\", \"compiler\": \"unknown\"}";
+      ", \"build_type\": \"unknown\", \"compiler\": \"unknown\", "
+      "\"git_sha\": \"unknown\"}";
   EXPECT_EQ(doc,
             "{\"experiment\": \"E\\\"99\\\"\\n\", \"host\": " + host +
             ", \"rows\": [\n"

@@ -32,7 +32,7 @@ class OperatorsTest : public ::testing::Test {
     if (output.empty()) output = {id_, grp_, v_};
     return std::make_unique<TableScanOp>(&table_, table_layout_,
                                          std::move(filter), RowLayout(output),
-                                         &io_, /*charge_io=*/true);
+                                         &cat_, &io_, /*charge_io=*/true);
   }
 
   /// Drains through the batch protocol with a deliberately small odd
@@ -78,15 +78,16 @@ TEST_F(OperatorsTest, ScanProjects) {
 }
 
 TEST_F(OperatorsTest, ScanChargeToggle) {
-  TableScanOp uncharged(&table_, table_layout_, {}, table_layout_, &io_,
-                        /*charge_io=*/false);
+  TableScanOp uncharged(&table_, table_layout_, {}, table_layout_, &cat_,
+                        &io_, /*charge_io=*/false);
   DrainAll(&uncharged);
   EXPECT_EQ(io_.reads(), 0);
 }
 
 TEST_F(OperatorsTest, FilterOp) {
   auto op = std::make_unique<FilterOp>(
-      Scan(), std::vector<Predicate>{Cmp(Col(id_), CompareOp::kLt, LitInt(3))});
+      Scan(), std::vector<Predicate>{Cmp(Col(id_), CompareOp::kLt, LitInt(3))},
+      &cat_);
   EXPECT_EQ(DrainAll(op.get()).size(), 3u);
 }
 
@@ -105,7 +106,7 @@ TEST_F(OperatorsTest, HashJoinMatchesPairs) {
   ColId v2 = cat_.Add("u.v", DataType::kDouble);
   auto right = std::make_unique<TableScanOp>(
       &table_, RowLayout({id2, grp2, v2}), std::vector<Predicate>{},
-      RowLayout({id2, grp2}), &io_, true);
+      RowLayout({id2, grp2}), &cat_, &io_, true);
   auto join = std::make_unique<HashJoinOp>(
       Scan(), std::move(right),
       std::vector<std::pair<ColId, ColId>>{{grp_, grp2}},
@@ -119,7 +120,7 @@ TEST_F(OperatorsTest, HashJoinResidualPredicates) {
   ColId v2 = cat_.Add("u.v", DataType::kDouble);
   auto right = std::make_unique<TableScanOp>(
       &table_, RowLayout({id2, grp2, v2}), std::vector<Predicate>{},
-      RowLayout({id2, grp2}), &io_, true);
+      RowLayout({id2, grp2}), &cat_, &io_, true);
   // grp equal and left id strictly smaller.
   auto join = std::make_unique<HashJoinOp>(
       Scan(), std::move(right),
@@ -136,7 +137,7 @@ TEST_F(OperatorsTest, NestedLoopJoinArbitraryPredicate) {
   ColId v2 = cat_.Add("u.v", DataType::kDouble);
   auto right = std::make_unique<TableScanOp>(
       &table_, RowLayout({id2, grp2, v2}), std::vector<Predicate>{},
-      RowLayout({id2}), &io_, true);
+      RowLayout({id2}), &cat_, &io_, true);
   auto join = std::make_unique<NestedLoopJoinOp>(
       Scan({}, {id_}), std::move(right),
       std::vector<Predicate>{Cmp(Col(id_), CompareOp::kLt, Col(id2))}, &cat_,
@@ -156,7 +157,7 @@ TEST_F(OperatorsTest, NestedLoopIndexFastPathMatchesHashJoin) {
     return std::tuple(std::make_unique<TableScanOp>(
                           &table_, RowLayout({id2, grp2, v2}),
                           std::vector<Predicate>{}, RowLayout({id2, grp2}),
-                          &io_, true),
+                          &cat_, &io_, true),
                       id2, grp2);
   };
   auto [r1, id_a, grp_a] = make_right();
@@ -180,7 +181,8 @@ TEST_F(OperatorsTest, NestedLoopIndexFastPathMatchesHashJoin) {
 TEST_F(OperatorsTest, ScanOverEmptyTable) {
   Table empty(Schema({{"id", DataType::kInt64}}));
   ColId c = cat_.Add("empty.id", DataType::kInt64);
-  TableScanOp scan(&empty, RowLayout({c}), {}, RowLayout({c}), &io_, true);
+  TableScanOp scan(&empty, RowLayout({c}), {}, RowLayout({c}), &cat_, &io_,
+                   true);
   EXPECT_EQ(DrainAll(&scan).size(), 0u);
   EXPECT_EQ(io_.reads(), 0);  // zero pages
 }
@@ -193,7 +195,7 @@ TEST_F(OperatorsTest, JoinWithEmptyBuildSide) {
   ColId v2 = cat_.Add("y.v", DataType::kDouble);
   auto right = std::make_unique<TableScanOp>(
       &empty, RowLayout({id2, grp2, v2}), std::vector<Predicate>{},
-      RowLayout({id2, grp2}), &io_, true);
+      RowLayout({id2, grp2}), &cat_, &io_, true);
   auto join = std::make_unique<HashJoinOp>(
       Scan(), std::move(right),
       std::vector<std::pair<ColId, ColId>>{{grp_, grp2}},
@@ -209,7 +211,7 @@ TEST_F(OperatorsTest, SortMergeJoinEqualsHashJoin) {
     *gid = grp2;
     return std::make_unique<TableScanOp>(
         &table_, RowLayout({id2, grp2, v2}), std::vector<Predicate>{},
-        RowLayout({id2, grp2}), &io_, true);
+        RowLayout({id2, grp2}), &cat_, &io_, true);
   };
   ColId g1;
   auto right = make_right(&g1);
@@ -228,10 +230,10 @@ TEST_F(OperatorsTest, SortMergeJoinDuplicateBlocks) {
   ColId k2 = cat_.Add("b.k", DataType::kInt64);
   auto l = std::make_unique<TableScanOp>(&ones, RowLayout({k1}),
                                          std::vector<Predicate>{},
-                                         RowLayout({k1}), &io_, true);
+                                         RowLayout({k1}), &cat_, &io_, true);
   auto r = std::make_unique<TableScanOp>(&ones, RowLayout({k2}),
                                          std::vector<Predicate>{},
-                                         RowLayout({k2}), &io_, true);
+                                         RowLayout({k2}), &cat_, &io_, true);
   auto smj = std::make_unique<SortMergeJoinOp>(
       std::move(l), std::move(r),
       std::vector<std::pair<ColId, ColId>>{{k1, k2}}, std::vector<Predicate>{},
@@ -414,7 +416,7 @@ class FailingOp final : public Operator {
 
 TEST_F(OperatorsTest, FailurePropagatesThroughFilter) {
   FilterOp op(std::make_unique<FailingOp>(RowLayout({id_}), 2),
-              {Cmp(Col(id_), CompareOp::kGe, LitInt(0))});
+              {Cmp(Col(id_), CompareOp::kGe, LitInt(0))}, &cat_);
   // Degenerate batches, so the two good rows drain before the failure.
   op.set_batch_size(1);
   ASSERT_TRUE(op.Open().ok());

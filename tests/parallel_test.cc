@@ -219,10 +219,9 @@ std::vector<std::string> NodeCounters(const PlanPtr& plan,
   return out;
 }
 
-/// Optimizes `sql` once and executes the plan under both backends at
-/// threads {1, 2, 8} x morsel rows {1000, 16384}, instrumented; asserts every
-/// plan node's counters (and the result and the IO total) match the serial
-/// run of the same backend.
+/// Optimizes `sql` once and executes the plan at threads {1, 2, 8} x morsel
+/// rows {1000, 16384}, instrumented; asserts every plan node's counters (and
+/// the result and the IO total) match the serial run.
 void CheckNodeCountersAcrossThreads(const Catalog& catalog,
                                     const std::string& sql) {
   auto query = ParseAndBind(catalog, sql);
@@ -234,13 +233,11 @@ void CheckNodeCountersAcrossThreads(const Catalog& catalog,
     int64_t io = 0;
     std::vector<std::string> nodes;
   };
-  auto run = [&](ExecBackend backend, int threads, int64_t morsel_rows,
-                 Run* out) {
+  auto run = [&](int threads, int64_t morsel_rows, Run* out) {
     RuntimeStatsCollector stats;
     IoAccountant io;
     auto result = ExecutePlan(optimized->plan, optimized->query,
                               ExecContext{}
-                                  .WithBackend(backend)
                                   .WithThreads(threads)
                                   .WithMorselRows(morsel_rows)
                                   .WithStats(&stats)
@@ -250,22 +247,17 @@ void CheckNodeCountersAcrossThreads(const Catalog& catalog,
     out->io = io.total();
     out->nodes = NodeCounters(optimized->plan, stats);
   };
-  for (ExecBackend backend :
-       {ExecBackend::kInterpret, ExecBackend::kCompiled}) {
-    Run want;
-    run(backend, 1, kDefaultMorselRows, &want);
-    for (int threads : {1, 2, 8}) {
-      for (int64_t morsel_rows : {int64_t{1000}, int64_t{16'384}}) {
-        Run got;
-        run(backend, threads, morsel_rows, &got);
-        const std::string where = std::string(ExecBackendName(backend)) +
-                                  " threads=" + std::to_string(threads) +
-                                  " morsel_rows=" +
-                                  std::to_string(morsel_rows);
-        EXPECT_EQ(got.fingerprint, want.fingerprint) << where;
-        EXPECT_EQ(got.io, want.io) << where;
-        EXPECT_EQ(got.nodes, want.nodes) << where;
-      }
+  Run want;
+  run(1, kDefaultMorselRows, &want);
+  for (int threads : {1, 2, 8}) {
+    for (int64_t morsel_rows : {int64_t{1000}, int64_t{16'384}}) {
+      Run got;
+      run(threads, morsel_rows, &got);
+      const std::string where = "threads=" + std::to_string(threads) +
+                                " morsel_rows=" + std::to_string(morsel_rows);
+      EXPECT_EQ(got.fingerprint, want.fingerprint) << where;
+      EXPECT_EQ(got.io, want.io) << where;
+      EXPECT_EQ(got.nodes, want.nodes) << where;
     }
   }
 }

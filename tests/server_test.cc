@@ -578,6 +578,32 @@ TEST(ServerTest, MovedFromQueryFailsCleanly) {
   EXPECT_NE(q->plan(), nullptr);
 }
 
+TEST(ServerTest, OutOfRangeLiteralFailsThePrepareAndServingContinues) {
+  Server server;
+  PopulateEmpDept(&server);
+  ServerSession conn = server.Connect();
+  auto bad =
+      conn.Sql("select e.dno from emp e where e.sal > 99999999999999999999");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kParseError);
+  EXPECT_NE(bad.status().message().find("99999999999999999999 at offset 38"),
+            std::string::npos)
+      << bad.status().ToString();
+
+  // The same connection keeps serving, including a predicate whose INT64
+  // product overflows (computed in DOUBLE: every eno > 0 passes).
+  auto overflow = conn.Sql(
+      "select count(*) from emp e where e.eno * 9223372036854775807 > 0");
+  ASSERT_OK(overflow.status());
+  auto counted = overflow->Execute();
+  ASSERT_OK(counted);
+  auto positive = conn.Sql("select count(*) from emp e where e.eno > 0");
+  ASSERT_OK(positive.status());
+  auto want = positive->Execute();
+  ASSERT_OK(want);
+  EXPECT_EQ(counted->Fingerprint(), want->Fingerprint());
+}
+
 TEST(ServerTest, SteadyStateServingDoesNotBumpEpoch) {
   Server server;
   PopulateEmpDept(&server);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sql/binder.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
@@ -45,6 +47,27 @@ TEST(LexerTest, NotEqualsAlias) {
 TEST(LexerTest, Errors) {
   EXPECT_FALSE(Tokenize("select 'unterminated").ok());
   EXPECT_FALSE(Tokenize("select @").ok());
+}
+
+TEST(LexerTest, OutOfRangeNumericLiteralIsAParseError) {
+  auto max = Tokenize("select 9223372036854775807");
+  ASSERT_OK(max);
+  EXPECT_EQ((*max)[1].int_value, 9223372036854775807);
+
+  // One past INT64's range, and a real whose value overflows a double: a
+  // ParseError naming the literal and its offset, never an exception.
+  auto big = Tokenize("select 99999999999999999999 from emp e");
+  ASSERT_FALSE(big.ok());
+  EXPECT_EQ(big.status().code(), StatusCode::kParseError);
+  EXPECT_NE(big.status().message().find("99999999999999999999"),
+            std::string::npos)
+      << big.status().ToString();
+  EXPECT_NE(big.status().message().find("offset 7"), std::string::npos)
+      << big.status().ToString();
+
+  auto huge_real = Tokenize("select 1" + std::string(400, '0') + ".5");
+  ASSERT_FALSE(huge_real.ok());
+  EXPECT_EQ(huge_real.status().code(), StatusCode::kParseError);
 }
 
 TEST(ParserTest, SimpleSelect) {
