@@ -25,12 +25,11 @@
 // typed lanes. The filter workload is the one that form targets.
 //
 // Expected shape: the plans are one to three operators deep, so plain_ms
-// barely moves with the batch size (aggregate gains ~1.1x from batch 1 to
-// 1024); the traced columns carry the amortization, ~1.9x on scan and
-// ~2.2x on aggregate. The filter plan is a bare scan that emits ~4% of its
-// rows, so neither column moves for it. On the threads axis every workload
-// speeds up ~2-3x at 4 threads, and 8 threads gain nothing over 4 on a
-// 4-core host.
+// stays within a few percent across batch sizes; the traced columns carry
+// the amortization, ~2x on scan and ~2.2x on aggregate from batch 1 to 1024.
+// The filter plan is a bare scan that emits ~4% of its rows, so neither
+// column moves for it. On the threads axis every workload speeds up ~2-3x
+// at 4 threads, and 8 threads gain nothing over 4 on a 4-core host.
 //
 // Repetitions are interleaved round-robin across the axis values (all
 // values at rep 0, then all at rep 1, ...) so clock-frequency drift during
@@ -194,12 +193,12 @@ void Run(bool json, bool smoke) {
   if (!json) {
     std::printf(
         "\nhost cores: %u (speedup from the threads axis is bounded by this)\n"
-        "\nExpected shape: plain_ms barely moves with the batch size (the\n"
-        "plans are one to three operators deep); the traced columns carry\n"
-        "the amortization, ~1.9x on scan and ~2.2x on aggregate from batch 1\n"
-        "to 1024, while the filter plan, a bare scan emitting ~4%% of its\n"
-        "rows, stays flat. On the threads axis every workload speeds up\n"
-        "~2-3x at 4 threads; more threads than cores gain nothing.\n",
+        "\nExpected shape: plain_ms stays within a few percent across batch\n"
+        "sizes (the plans are one to three operators deep); the traced\n"
+        "columns carry the amortization, ~2x on scan and ~2.2x on aggregate\n"
+        "from batch 1 to 1024, while the filter plan, a bare scan emitting\n"
+        "~4%% of its rows, stays flat. On the threads axis every workload\n"
+        "speeds up ~2-3x at 4 threads; more threads than cores gain nothing.\n",
         std::thread::hardware_concurrency());
   }
 }
