@@ -207,6 +207,102 @@ TEST_F(ScanBatchTest, EmptyInputAnswersFalseOnFirstNext) {
   scan.Close();
 }
 
+/// The scan boundary suite re-run on a scan->filter pipeline: a FilterOp over
+/// the scan compacts each scan batch in place, so the two operators share the
+/// caller's batch. The filter skips batches it empties entirely, so its
+/// protocol edges differ from the bare scan's: a fully-filtered tail batch
+/// must surface as end-of-stream, never as an empty batch.
+class FusedScanBatchTest : public ::testing::Test {
+ protected:
+  FusedScanBatchTest() : table_(Schema({{"id", DataType::kInt64}})) {
+    id_ = cat_.Add("t.id", DataType::kInt64);
+    for (int i = 0; i < 10; ++i) table_.AppendUnchecked({Value::Int(i)});
+  }
+
+  /// A charged scan of table_ evaluating `scan_filter`, under a FilterOp
+  /// evaluating `residual`; `scan_stats` receives the scan's own counters.
+  std::unique_ptr<FilterOp> ScanFilter(std::vector<Predicate> scan_filter,
+                                       std::vector<Predicate> residual,
+                                       OpStats* scan_stats, IoAccountant* io) {
+    RowLayout layout({id_});
+    auto scan = std::make_unique<TableScanOp>(&table_, layout,
+                                              std::move(scan_filter), layout,
+                                              &cat_, io, /*charge_io=*/true);
+    scan->set_stats(scan_stats);
+    return std::make_unique<FilterOp>(std::move(scan), std::move(residual),
+                                      &cat_);
+  }
+
+  ColumnCatalog cat_;
+  Table table_;
+  ColId id_ = -1;
+};
+
+TEST_F(FusedScanBatchTest, ExactMultipleCardinalityHasNoPhantomTailBatch) {
+  // 10 rows through capacity-5 batches; the residual keeps ids 0..4, so the
+  // second scan batch is filtered away whole. The filter emits exactly one
+  // batch and the call that drains the scan returns false, not an empty
+  // batch.
+  IoAccountant io;
+  OpStats scan_stats;
+  auto filter_op = ScanFilter({}, {Cmp(Col(id_), CompareOp::kLt, LitInt(5))},
+                              &scan_stats, &io);
+  FilterOp& filter = *filter_op;
+  OpStats stats;
+  filter.set_stats(&stats);
+  ASSERT_OK(filter.Open());
+
+  RowBatch batch(5);
+  int64_t rows = 0;
+  while (true) {
+    auto more = filter.Next(&batch);
+    ASSERT_OK(more);
+    if (!*more) break;
+    EXPECT_FALSE(batch.empty()) << "mid-stream batches are never empty";
+    rows += batch.size();
+  }
+  EXPECT_EQ(rows, 5);
+  EXPECT_EQ(stats.batches_produced, 1);
+  EXPECT_EQ(stats.next_calls, 2);  // one full batch + end-of-stream
+  EXPECT_EQ(stats.input_rows, 10);
+  EXPECT_EQ(scan_stats.batches_produced, 2);
+  EXPECT_EQ(scan_stats.next_calls, 3);
+
+  // Past end-of-stream the pipeline keeps answering false, safely.
+  for (int i = 0; i < 3; ++i) {
+    auto more = filter.Next(&batch);
+    ASSERT_OK(more);
+    EXPECT_FALSE(*more);
+    EXPECT_TRUE(batch.empty());
+  }
+  filter.Close();
+}
+
+TEST_F(FusedScanBatchTest, EmptyInputAnswersFalseOnFirstNext) {
+  // The scan filter passes ids 5..9 and the residual rejects all of them.
+  IoAccountant io;
+  OpStats scan_stats;
+  auto filter_op = ScanFilter({Cmp(Col(id_), CompareOp::kGe, LitInt(5))},
+                              {Cmp(Col(id_), CompareOp::kLt, LitInt(5))},
+                              &scan_stats, &io);
+  FilterOp& filter = *filter_op;
+  OpStats stats;
+  filter.set_stats(&stats);
+  ASSERT_OK(filter.Open());
+  RowBatch batch(5);
+  auto more = filter.Next(&batch);
+  ASSERT_OK(more);
+  EXPECT_FALSE(*more);
+  EXPECT_TRUE(batch.empty());
+  EXPECT_EQ(stats.batches_produced, 0);
+  EXPECT_EQ(stats.rows_produced, 0);
+  EXPECT_EQ(stats.input_rows, 5);  // every scan survivor reached the filter
+  EXPECT_EQ(scan_stats.input_rows, 10);
+  EXPECT_EQ(scan_stats.rows_produced, 5);
+  EXPECT_EQ(scan_stats.pages_charged, table_.page_count());
+  filter.Close();
+}
+
 /// End-to-end: the same optimized plan executed at many batch sizes, serial
 /// and on 8 workers, must fingerprint identically, including sizes that
 /// divide the cardinalities involved (boundary-aligned) and sizes that do
@@ -267,6 +363,59 @@ TEST_F(BatchSizeInvarianceTest, FilterHeavyConjunction) {
   CheckInvariant(
       "select e.eno, e.sal from emp e "
       "where e.sal > 100 and e.age > 20 and e.age < 60 and e.dno > 0");
+}
+
+/// End-to-end against an independent reference: the aggregate-view plan,
+/// with every predicate evaluated in bound form, at each thread count and
+/// batch size must fingerprint like the traditional optimizer's plan (a
+/// different operator tree over the same data) run serially at the default
+/// batch size.
+class CompiledBackendTest : public ::testing::Test {
+ protected:
+  CompiledBackendTest() : db_(MakeEmpDept()) {}
+
+  void CheckAgainstTraditional(const std::string& sql) {
+    auto query = ParseAndBind(*db_.catalog, sql);
+    ASSERT_OK(query);
+    auto traditional = OptimizeTraditional(*query);
+    ASSERT_OK(traditional);
+    auto optimized = OptimizeQueryWithAggViews(*query, OptimizerOptions{});
+    ASSERT_OK(optimized);
+
+    auto reference = ExecutePlan(traditional->plan, traditional->query,
+                                 ExecContext{});
+    ASSERT_OK(reference);
+    for (int threads : {1, 8}) {
+      for (int batch_size : {1, 2, 3, 1024}) {
+        auto rerun = ExecutePlan(
+            optimized->plan, optimized->query,
+            ExecContext{}.WithThreads(threads).WithBatchSize(batch_size));
+        ASSERT_OK(rerun);
+        EXPECT_EQ(rerun->Fingerprint(), reference->Fingerprint())
+            << "aggregate-view plan at threads=" << threads
+            << " batch_size=" << batch_size
+            << " disagrees with the traditional plan on:\n"
+            << sql;
+      }
+    }
+  }
+
+  EmpDeptFixture db_;
+};
+
+TEST_F(CompiledBackendTest, AggregateViewQuery) {
+  CheckAgainstTraditional(Example1Sql());
+}
+
+TEST_F(CompiledBackendTest, InvariantGroupingQuery) {
+  CheckAgainstTraditional(Example2Sql());
+}
+
+TEST_F(CompiledBackendTest, ScalarAggregateOverEmptyInput) {
+  // The one synthesized row of a scalar aggregate over zero input must
+  // appear exactly once under either optimizer's plan.
+  CheckAgainstTraditional(
+      "select count(*), sum(e.sal) from emp e where e.sal < 0");
 }
 
 /// NULL grouping keys placed so they straddle batch boundaries, plus a
