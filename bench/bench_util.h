@@ -264,6 +264,19 @@ class ResultWriter {
   std::unique_ptr<TablePrinter> table_;
 };
 
+/// The minimum and the median of `samples` (the upper median for an even
+/// count); {0, 0} when empty. Benches report both over their repetitions:
+/// the min is the least-disturbed run, the median the typical one.
+struct MinMedian {
+  double min = 0.0;
+  double median = 0.0;
+};
+inline MinMedian MinAndMedian(std::vector<double> samples) {
+  if (samples.empty()) return {};
+  std::sort(samples.begin(), samples.end());
+  return {samples.front(), samples[samples.size() / 2]};
+}
+
 /// Exits the bench when `status` is an error, printing what was being done
 /// (`action`, on `subject` when given) and the failing Status to stderr — a
 /// bench failure states its cause instead of a bare abort(). Exit code 1;

@@ -108,10 +108,17 @@ Result<OperatorPtr> LowerJoin(const PlanPtr& plan, const LowerCtx& ctx) {
                                                    def.schema.RowWidth()));
         charge_materialize = false;
       }
+      // Hold the side with fewer estimated pages (ties: the outer) and
+      // stream the other (outer mode holds the inner regardless). The choice
+      // reads only the plan, so every thread count makes it alike.
+      bool hold_outer =
+          plan->left->OutputPages() <= plan->right->OutputPages();
       join = std::make_unique<NestedLoopJoinOp>(
           std::move(left), std::move(right), plan->join_preds,
           &ctx.query.columns(), ctx.io, pages_per_pass, charge_materialize,
-          plan->left_outer);
+          plan->left_outer,
+          hold_outer ? NestedLoopJoinOp::Held::kOuter
+                     : NestedLoopJoinOp::Held::kInner);
       op_name = "NestedLoopJoin";
       break;
     }

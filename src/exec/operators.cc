@@ -332,7 +332,7 @@ Result<bool> ProjectOp::NextBatchImpl(RowBatch* out) {
 
 void ProjectOp::CloseImpl() { child_->Close(); }
 
-// ----------------------------------------------------------------- HashJoin
+// ----------------------------------------------------------- BuildProbeJoin
 
 namespace {
 
@@ -369,36 +369,60 @@ bool KeysEqual(const Row& a, const std::vector<int>& ai, const Row& b,
 
 }  // namespace
 
-HashJoinOp::HashJoinOp(OperatorPtr left, OperatorPtr right,
-                       std::vector<std::pair<ColId, ColId>> keys,
-                       std::vector<Predicate> residual,
-                       const ColumnCatalog* columns, IoAccountant* io,
-                       bool left_outer)
+BuildProbeJoinOp::BuildProbeJoinOp(OperatorPtr left, OperatorPtr right,
+                                   std::vector<std::pair<ColId, ColId>> keys,
+                                   std::vector<Predicate> residual,
+                                   const ColumnCatalog* columns,
+                                   IoAccountant* io, bool left_outer,
+                                   bool hold_left, JoinCharge charge)
     : left_(std::move(left)),
       right_(std::move(right)),
-      keys_(std::move(keys)),
-      residual_(std::move(residual)),
+      left_outer_(left_outer),
+      hold_left_(hold_left && !left_outer),
+      charge_(charge),
       columns_(columns),
-      io_(io),
-      left_outer_(left_outer) {
-  layout_ = ConcatLayouts(left_->layout(), right_->layout());
-  for (const auto& [l, r] : keys_) {
-    left_key_idx_.push_back(left_->layout().IndexOf(l));
-    right_key_idx_.push_back(right_->layout().IndexOf(r));
+      io_(io) {
+  const RowLayout& l = left_->layout();
+  const RowLayout& r = right_->layout();
+  layout_ = ConcatLayouts(l, r);
+  left_width_ = l.RowWidth(*columns_);
+  right_width_ = r.RowWidth(*columns_);
+  for (const Predicate& p : residual) {
+    ColId a, b;
+    if (p.AsColumnEquality(&a, &b)) {
+      if (l.Contains(a) && r.Contains(b)) {
+        keys.emplace_back(a, b);
+        continue;
+      }
+      if (l.Contains(b) && r.Contains(a)) {
+        keys.emplace_back(b, a);
+        continue;
+      }
+    }
+    residual_.push_back(p);
+  }
+  for (const auto& [lc, rc] : keys) {
+    left_key_idx_.push_back(l.IndexOf(lc));
+    right_key_idx_.push_back(r.IndexOf(rc));
   }
 }
 
-HashJoinOp::HashJoinOp(const HashJoinOp& primary, OperatorPtr left)
-    : left_(std::move(left)),
-      right_(nullptr),  // the build side was drained once, by the primary
+BuildProbeJoinOp::BuildProbeJoinOp(const BuildProbeJoinOp& primary,
+                                   OperatorPtr streamed)
+    : left_outer_(primary.left_outer_),
+      hold_left_(primary.hold_left_),
+      charge_(primary.charge_),
       residual_(primary.residual_),
       bound_residual_(primary.bound_residual_),
       columns_(primary.columns_),
       io_(primary.io_),
+      left_width_(primary.left_width_),
+      right_width_(primary.right_width_),
       left_key_idx_(primary.left_key_idx_),
       right_key_idx_(primary.right_key_idx_),
-      build_(primary.build_),
-      left_outer_(primary.left_outer_) {
+      build_(primary.build_) {
+  // The held side was drained once, by the primary.
+  (hold_left_ ? right_ : left_) = std::move(streamed);
   InitWorkerClone(primary);
   probe_ = RowBatch(batch_size_);
   // Runs on the driver before the region starts: one more instance must
@@ -406,26 +430,28 @@ HashJoinOp::HashJoinOp(const HashJoinOp& primary, OperatorPtr left)
   ++build_->live_probes;
 }
 
-OperatorPtr HashJoinOp::CloneForWorker() {
-  return OperatorPtr(new HashJoinOp(*this, left_->CloneForWorker()));
+OperatorPtr BuildProbeJoinOp::CloneForWorker() {
+  return OperatorPtr(
+      new BuildProbeJoinOp(*this, streamed()->CloneForWorker()));
 }
 
-Status HashJoinOp::BuildSerial() {
+Status BuildProbeJoinOp::BuildSerial() {
   build_->parts.resize(1);
   std::vector<Row> rows;
-  AGGVIEW_RETURN_NOT_OK(Drain(right_.get(), batch_size_, &rows));
-  right_rows_ = static_cast<int64_t>(rows.size());
+  AGGVIEW_RETURN_NOT_OK(Drain(held(), batch_size_, &rows));
+  build_->drained_rows = static_cast<int64_t>(rows.size());
+  const std::vector<int>& key_idx = held_key_idx();
   for (Row& r : rows) {
-    // A NULL-keyed build row can never be matched; keep it out of the table.
-    if (HasNullKey(r, right_key_idx_)) continue;
-    size_t h = HashKey(r, right_key_idx_);
+    // A NULL-keyed held row can never be matched; keep it out of the table.
+    if (HasNullKey(r, key_idx)) continue;
+    size_t h = HashKey(r, key_idx);
     build_->parts[0].emplace(h, std::move(r));
   }
   return Status::OK();
 }
 
-Status HashJoinOp::BuildParallel(int workers) {
-  // Phase 1: worker pipelines drain the build side morsel-parallel into
+Status BuildProbeJoinOp::BuildParallel(int workers) {
+  // Phase 1: worker pipelines drain the held side morsel-parallel into
   // thread-local (hash, row) spools; NULL-keyed rows are dropped here (they
   // can never match) but still counted toward the drained cardinality.
   struct Spool {
@@ -433,8 +459,9 @@ Status HashJoinOp::BuildParallel(int workers) {
     int64_t drained = 0;
   };
   std::vector<Spool> spools(static_cast<size_t>(workers));
+  const std::vector<int>& key_idx = held_key_idx();
   AGGVIEW_RETURN_NOT_OK(RunMorselParallel(
-      right_.get(), workers, [&](int w, Operator* src) -> Status {
+      held(), workers, [&](int w, Operator* src) -> Status {
         Spool& spool = spools[static_cast<size_t>(w)];
         RowBatch batch(batch_size_);
         while (true) {
@@ -444,14 +471,14 @@ Status HashJoinOp::BuildParallel(int workers) {
           spool.drained += batch.size();
           for (int i = 0; i < batch.size(); ++i) {
             Row& row = batch.row(i);
-            if (HasNullKey(row, right_key_idx_)) continue;
-            size_t h = HashKey(row, right_key_idx_);
+            if (HasNullKey(row, key_idx)) continue;
+            size_t h = HashKey(row, key_idx);
             spool.rows.emplace_back(h, std::move(row));
           }
         }
       }));
-  right_rows_ = 0;
-  for (const Spool& s : spools) right_rows_ += s.drained;
+  build_->drained_rows = 0;
+  for (const Spool& s : spools) build_->drained_rows += s.drained;
 
   // Phase 2: partition by hash modulus, one hash table per worker. Each
   // partition task scans every spool but moves only the rows whose hash
@@ -469,56 +496,68 @@ Status HashJoinOp::BuildParallel(int workers) {
   return Status::OK();
 }
 
-Status HashJoinOp::OpenImpl() {
+Status BuildProbeJoinOp::OpenImpl() {
+  const std::string name =
+      charge_.block_nested_loop ? "nested-loop join" : "hash join";
   for (int idx : left_key_idx_) {
-    if (idx < 0) return Status::Internal("hash join: left key column missing");
+    if (idx < 0) return Status::Internal(name + ": left key column missing");
   }
   for (int idx : right_key_idx_) {
-    if (idx < 0) return Status::Internal("hash join: right key column missing");
+    if (idx < 0) return Status::Internal(name + ": right key column missing");
   }
   AGGVIEW_ASSIGN_OR_RETURN(
       bound_residual_,
-      BoundConjunction::Bind(residual_, layout_, *columns_, "hash join"));
+      BoundConjunction::Bind(residual_, layout_, *columns_, name.c_str()));
   AGGVIEW_RETURN_NOT_OK(left_->Open());
   AGGVIEW_RETURN_NOT_OK(right_->Open());
-  build_ = std::make_shared<BuildTable>();
-  int workers = MorselWorkers(*right_);
+  build_ = std::make_shared<JoinBuildTable>();
+  int workers = MorselWorkers(*held());
   if (workers > 1) {
     AGGVIEW_RETURN_NOT_OK(BuildParallel(workers));
   } else {
     AGGVIEW_RETURN_NOT_OK(BuildSerial());
   }
-  CountInput(right_rows_);
-  build_->build_pages =
-      ActualPages(right_rows_, right_->layout().RowWidth(*columns_));
+  CountInput(build_->drained_rows);
+  build_->pages = ActualPages(build_->drained_rows,
+                              hold_left_ ? left_width_ : right_width_);
   if (stats_ != nullptr) {
     stats_->hash_build_rows = build_->rows();
   }
   probe_ = RowBatch(batch_size_);
   probe_pos_ = 0;
-  current_left_ = nullptr;
-  left_rows_ = 0;
+  current_ = nullptr;
+  streamed_rows_ = 0;
   probe_done_ = false;
   return Status::OK();
 }
 
-void HashJoinOp::FinishProbe() {
+void BuildProbeJoinOp::FinishProbe() {
   if (probe_done_) return;
   probe_done_ = true;
-  build_->probe_rows += left_rows_;
+  build_->probe_rows += streamed_rows_;
   // Every instance adds its rows before it leaves, so the one that takes
   // the live count to zero sees the full total.
   if (--build_->live_probes == 0) ChargeAtProbeEos(build_->probe_rows);
 }
 
-void HashJoinOp::ChargeAtProbeEos(int64_t probe_rows) {
-  // Same formula as the cost model, on actual sizes: one read of each
-  // input, plus Grace partition spills when the smaller input exceeds the
-  // buffer pool. In a parallel probe this runs once, in the last instance
-  // to finish, on every instance's probe rows summed — so the charge is
-  // byte-identical to the serial engine's.
-  double lp = ActualPages(probe_rows, left_->layout().RowWidth(*columns_));
-  double rp = build_->build_pages;
+void BuildProbeJoinOp::ChargeAtProbeEos(int64_t streamed_rows) {
+  // Same formulas as the cost model, on actual sizes. In a parallel probe
+  // this runs once, in the last instance to finish, on every instance's
+  // streamed rows summed — so the charge is byte-identical to the serial
+  // engine's.
+  double streamed_pages =
+      ActualPages(streamed_rows, hold_left_ ? right_width_ : left_width_);
+  double lp = hold_left_ ? build_->pages : streamed_pages;
+  double rp = hold_left_ ? streamed_pages : build_->pages;
+  if (charge_.block_nested_loop) {
+    if (charge_.materialize_inner) ChargeWrite(io_, static_cast<int64_t>(rp));
+    double per_pass = charge_.inner_pages_per_pass > 0.0
+                          ? charge_.inner_pages_per_pass
+                          : rp;
+    ChargeRead(io_,
+               static_cast<int64_t>(CostModel::BnlLocalCost(lp, per_pass)));
+    return;
+  }
   ChargeRead(io_, static_cast<int64_t>(lp + rp));
   double spill = CostModel::HashJoinLocalCost(lp, rp) - (lp + rp);
   ChargeWrite(io_, static_cast<int64_t>(spill / 2.0));
@@ -528,70 +567,84 @@ void HashJoinOp::ChargeAtProbeEos(int64_t probe_rows) {
   }
 }
 
-Result<bool> HashJoinOp::NextBatchImpl(RowBatch* out) {
+Result<bool> BuildProbeJoinOp::NextBatchImpl(RowBatch* out) {
   while (true) {
-    // Emit the pending matches of the current probe row, then its outer
-    // padding if nothing matched. current_left_ points into probe_, which
-    // stays untouched until every pending emission has drained.
-    if (current_left_ != nullptr) {
+    // Emit the pending matches of the current streamed row, then its outer
+    // padding if nothing matched. current_ points into probe_, which stays
+    // untouched until every pending emission has drained.
+    if (current_ != nullptr) {
       while (match_pos_ < matches_.size()) {
         if (out->full()) return true;
         Row& dst = out->AppendRow();
-        ConcatInto(*current_left_, *matches_[match_pos_++], &dst);
+        const Row& held_row = *matches_[match_pos_++];
+        if (hold_left_) {
+          ConcatInto(held_row, *current_, &dst);
+        } else {
+          ConcatInto(*current_, held_row, &dst);
+        }
         if (bound_residual_.Eval(dst)) {
-          emitted_for_left_ = true;
+          emitted_for_current_ = true;
         } else {
           out->PopRow();
         }
       }
-      if (left_outer_ && !emitted_for_left_ && !padded_for_left_) {
+      if (left_outer_ && !emitted_for_current_ && !padded_for_current_) {
         if (out->full()) return true;
-        padded_for_left_ = true;
+        padded_for_current_ = true;
         Row& dst = out->AppendRow();
-        dst = *current_left_;
+        dst = *current_;
         dst.resize(static_cast<size_t>(layout_.size()), Value::Null());
       }
-      current_left_ = nullptr;
+      current_ = nullptr;
     }
-    // Advance to the next probe row, pulling a fresh batch when this one is
-    // spent; one virtual dispatch brings in batch_size_ probe rows.
+    // Advance to the next streamed row, pulling a fresh batch when this one
+    // is spent; one virtual dispatch brings in batch_size_ streamed rows.
     if (probe_pos_ >= probe_.size()) {
-      auto more = left_->Next(&probe_);
+      auto more = streamed()->Next(&probe_);
       if (!more.ok()) return more.status();
       if (!*more) {
         FinishProbe();
         return !out->empty();
       }
-      left_rows_ += probe_.size();
+      streamed_rows_ += probe_.size();
       CountInput(probe_.size());
       probe_pos_ = 0;
     }
-    current_left_ = &probe_.row(probe_pos_++);
-    emitted_for_left_ = false;
-    padded_for_left_ = false;
+    current_ = &probe_.row(probe_pos_++);
+    emitted_for_current_ = false;
+    padded_for_current_ = false;
     matches_.clear();
     match_pos_ = 0;
-    // SQL: a NULL probe key matches nothing (in outer mode the row still
-    // surfaces as a padded row via the emission branch above).
-    if (HasNullKey(*current_left_, left_key_idx_)) continue;
+    // SQL: a NULL key matches nothing (in outer mode the row still surfaces
+    // as a padded row via the emission branch above).
+    const std::vector<int>& key_idx = streamed_key_idx();
+    if (HasNullKey(*current_, key_idx)) continue;
     if (stats_ != nullptr) ++stats_->hash_probes;
-    size_t h = HashKey(*current_left_, left_key_idx_);
+    size_t h = HashKey(*current_, key_idx);
     const auto& part = build_->parts[h % build_->parts.size()];
     auto [begin, end] = part.equal_range(h);
     for (auto it = begin; it != end; ++it) {
-      if (KeysEqual(*current_left_, left_key_idx_, it->second,
-                    right_key_idx_)) {
+      if (KeysEqual(*current_, key_idx, it->second, held_key_idx())) {
         matches_.push_back(&it->second);
       }
     }
   }
 }
 
-void HashJoinOp::CloseImpl() {
-  left_->Close();
+void BuildProbeJoinOp::CloseImpl() {
+  if (left_ != nullptr) left_->Close();
   if (right_ != nullptr) right_->Close();
   build_.reset();
 }
+
+HashJoinOp::HashJoinOp(OperatorPtr left, OperatorPtr right,
+                       std::vector<std::pair<ColId, ColId>> keys,
+                       std::vector<Predicate> residual,
+                       const ColumnCatalog* columns, IoAccountant* io,
+                       bool left_outer)
+    : BuildProbeJoinOp(std::move(left), std::move(right), std::move(keys),
+                       std::move(residual), columns, io, left_outer,
+                       /*hold_left=*/false, JoinCharge{}) {}
 
 // ----------------------------------------------------------- NestedLoopJoin
 
@@ -600,163 +653,13 @@ NestedLoopJoinOp::NestedLoopJoinOp(OperatorPtr left, OperatorPtr right,
                                    const ColumnCatalog* columns,
                                    IoAccountant* io,
                                    double inner_pages_per_pass,
-                                   bool charge_materialize, bool left_outer)
-    : left_(std::move(left)),
-      right_(std::move(right)),
-      preds_(std::move(preds)),
-      columns_(columns),
-      io_(io),
-      inner_pages_per_pass_(inner_pages_per_pass),
-      charge_materialize_(charge_materialize),
-      left_outer_(left_outer) {
-  layout_ = ConcatLayouts(left_->layout(), right_->layout());
-}
-
-Status NestedLoopJoinOp::OpenImpl() {
-  AGGVIEW_ASSIGN_OR_RETURN(
-      bound_preds_,
-      BoundConjunction::Bind(preds_, layout_, *columns_, "nested-loop join"));
-  AGGVIEW_RETURN_NOT_OK(left_->Open());
-  AGGVIEW_RETURN_NOT_OK(right_->Open());
-  AGGVIEW_RETURN_NOT_OK(Drain(right_.get(), batch_size_, &inner_));
-  CountInput(static_cast<int64_t>(inner_.size()));
-  if (charge_materialize_) {
-    double pages = ActualPages(static_cast<int64_t>(inner_.size()),
-                               right_->layout().RowWidth(*columns_));
-    ChargeWrite(io_, static_cast<int64_t>(pages));
-  }
-  // Split out equi-join conjuncts to index the inner (CPU only; the IO
-  // accounting below is unaffected).
-  left_key_idx_.clear();
-  right_key_idx_.clear();
-  std::vector<Predicate> residual;
-  for (const Predicate& p : preds_) {
-    ColId a, b;
-    if (p.AsColumnEquality(&a, &b)) {
-      int la = left_->layout().IndexOf(a), rb = right_->layout().IndexOf(b);
-      if (la >= 0 && rb >= 0) {
-        left_key_idx_.push_back(la);
-        right_key_idx_.push_back(rb);
-        continue;
-      }
-      int lb = left_->layout().IndexOf(b), ra = right_->layout().IndexOf(a);
-      if (lb >= 0 && ra >= 0) {
-        left_key_idx_.push_back(lb);
-        right_key_idx_.push_back(ra);
-        continue;
-      }
-    }
-    residual.push_back(p);
-  }
-  AGGVIEW_ASSIGN_OR_RETURN(
-      bound_residual_,
-      BoundConjunction::Bind(residual, layout_, *columns_, "nested-loop join"));
-  use_index_ = !left_key_idx_.empty();
-  if (use_index_) {
-    index_.clear();
-    for (size_t i = 0; i < inner_.size(); ++i) {
-      // NULL-keyed inner rows can never satisfy the equi-join conjuncts
-      // (predicate eval rejects them on the slow path too); skip them.
-      if (HasNullKey(inner_[i], right_key_idx_)) continue;
-      index_.emplace(HashKey(inner_[i], right_key_idx_), i);
-    }
-    if (stats_ != nullptr) {
-      stats_->hash_build_rows = static_cast<int64_t>(index_.size());
-    }
-  }
-  outer_ = RowBatch(batch_size_);
-  outer_pos_ = 0;
-  current_left_ = nullptr;
-  return Status::OK();
-}
-
-Result<bool> NestedLoopJoinOp::NextBatchImpl(RowBatch* out) {
-  while (true) {
-    if (current_left_ != nullptr) {
-      if (use_index_) {
-        while (probe_pos_ < probe_matches_.size()) {
-          if (out->full()) return true;
-          const Row& inner_row = inner_[probe_matches_[probe_pos_++]];
-          if (!KeysEqual(*current_left_, left_key_idx_, inner_row,
-                         right_key_idx_)) {
-            continue;  // hash collision
-          }
-          Row& dst = out->AppendRow();
-          ConcatInto(*current_left_, inner_row, &dst);
-          if (bound_residual_.Eval(dst)) {
-            emitted_for_left_ = true;
-          } else {
-            out->PopRow();
-          }
-        }
-      } else {
-        while (inner_pos_ < inner_.size()) {
-          if (out->full()) return true;
-          Row& dst = out->AppendRow();
-          ConcatInto(*current_left_, inner_[inner_pos_++], &dst);
-          if (bound_preds_.Eval(dst)) {
-            emitted_for_left_ = true;
-          } else {
-            out->PopRow();
-          }
-        }
-      }
-      if (left_outer_ && !emitted_for_left_ && !padded_for_left_) {
-        if (out->full()) return true;
-        padded_for_left_ = true;
-        Row& dst = out->AppendRow();
-        dst = *current_left_;
-        dst.resize(static_cast<size_t>(layout_.size()), Value::Null());
-      }
-      current_left_ = nullptr;
-    }
-    if (outer_pos_ >= outer_.size()) {
-      auto more = left_->Next(&outer_);
-      if (!more.ok()) return more.status();
-      if (!*more) {
-        if (!charged_) {
-          double inner_pages = inner_pages_per_pass_;
-          if (inner_pages <= 0.0) {
-            inner_pages = ActualPages(static_cast<int64_t>(inner_.size()),
-                                      right_->layout().RowWidth(*columns_));
-          }
-          double outer_pages =
-              ActualPages(left_rows_, left_->layout().RowWidth(*columns_));
-          ChargeRead(io_,
-                     static_cast<int64_t>(
-                         CostModel::BnlLocalCost(outer_pages, inner_pages)));
-          charged_ = true;
-        }
-        return !out->empty();
-      }
-      left_rows_ += outer_.size();
-      CountInput(outer_.size());
-      outer_pos_ = 0;
-    }
-    current_left_ = &outer_.row(outer_pos_++);
-    emitted_for_left_ = false;
-    padded_for_left_ = false;
-    inner_pos_ = 0;
-    if (use_index_) {
-      probe_matches_.clear();
-      probe_pos_ = 0;
-      // A NULL probe key matches nothing (the fallback path agrees: its
-      // predicate eval is never true on NULL).
-      if (HasNullKey(*current_left_, left_key_idx_)) continue;
-      if (stats_ != nullptr) ++stats_->hash_probes;
-      auto [begin, end] =
-          index_.equal_range(HashKey(*current_left_, left_key_idx_));
-      for (auto it = begin; it != end; ++it) {
-        probe_matches_.push_back(it->second);
-      }
-    }
-  }
-}
-
-void NestedLoopJoinOp::CloseImpl() {
-  left_->Close();
-  right_->Close();
-  inner_.clear();
+                                   bool charge_materialize, bool left_outer,
+                                   Held held)
+    : BuildProbeJoinOp(std::move(left), std::move(right), /*keys=*/{},
+                       std::move(preds), columns, io, left_outer,
+                       held == Held::kOuter,
+                       JoinCharge{/*block_nested_loop=*/true,
+                                  inner_pages_per_pass, charge_materialize}) {
 }
 
 // ------------------------------------------------------------ SortMergeJoin

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <string>
 
+#include "cost/cost_model.h"
 #include "exec/operators.h"
 #include "test_util.h"
 
@@ -176,6 +177,96 @@ TEST_F(OperatorsTest, NestedLoopIndexFastPathMatchesHashJoin) {
       &io_);
   EXPECT_EQ(nlj_rows, DrainAll(hash.get()).size());
   EXPECT_EQ(nlj_rows, 12u);
+}
+
+/// The block-nested-loop charge identity: whichever input the join holds
+/// and however many instances stream the other, it charges in reads exactly
+/// CostModel::BnlLocalCost(outer pages, inner pages per pass) on the actual
+/// input sizes, plus the inner's pages in writes when the inner is
+/// materialized. The scans charge nothing here, so the accountant holds the
+/// join's charge alone.
+TEST_F(OperatorsTest, NestedLoopChargeIdentity) {
+  // An outer of more than one block (kBufferPages - 2 pages), so the
+  // formula charges several passes over the inner.
+  Table big(table_.schema());
+  for (int i = 0; i < 40'000; ++i) {
+    big.AppendUnchecked({Value::Int(i), Value::Int(i % 3), Value::Real(i)});
+  }
+  const int64_t width = table_layout_.RowWidth(cat_);
+  const double big_pages = CostModel::Pages(40'000, width);
+  ASSERT_GT(big_pages, static_cast<double>(kBufferPages - 2));
+
+  struct Case {
+    const char* name;
+    const Table* outer;
+    bool bare_inner;  // per-pass pages of the base table, no write
+  };
+  const Case cases[] = {{"bare-scan inner", &table_, true},
+                        {"materialized inner", &table_, false},
+                        {"multi-pass outer", &big, false},
+                        {"multi-pass outer, bare-scan inner", &big, true}};
+  using Held = NestedLoopJoinOp::Held;
+  for (const Case& c : cases) {
+    for (Held held : {Held::kInner, Held::kOuter}) {
+      for (int threads : {1, 4}) {
+        const std::string where = std::string(c.name) + " held=" +
+                                  (held == Held::kOuter ? "outer" : "inner") +
+                                  " threads=" + std::to_string(threads);
+        auto runtime =
+            std::make_shared<ExecRuntime>(threads, /*morsel_rows=*/1000,
+                                          /*external_pool=*/nullptr);
+        ColId id2 = cat_.Add("n.id", DataType::kInt64);
+        ColId grp2 = cat_.Add("n.grp", DataType::kInt64);
+        ColId v2 = cat_.Add("n.v", DataType::kDouble);
+        IoAccountant io;
+        auto outer = std::make_unique<TableScanOp>(
+            c.outer, table_layout_, std::vector<Predicate>{}, table_layout_,
+            &cat_, &io, /*charge_io=*/false);
+        RowLayout inner_layout({id2, grp2, v2});
+        auto inner = std::make_unique<TableScanOp>(
+            &table_, inner_layout, std::vector<Predicate>{}, inner_layout,
+            &cat_, &io, /*charge_io=*/false);
+        outer->set_exec(runtime);
+        inner->set_exec(runtime);
+        const double per_pass =
+            c.bare_inner ? static_cast<double>(table_.page_count()) : 0.0;
+        NestedLoopJoinOp join(std::move(outer), std::move(inner),
+                              {EqCols(id_, id2)}, &cat_, &io, per_pass,
+                              /*charge_materialize=*/!c.bare_inner,
+                              /*left_outer=*/false, held);
+        join.set_exec(runtime);
+        ASSERT_TRUE(join.Open().ok()) << where;
+        std::vector<int64_t> rows(static_cast<size_t>(threads), 0);
+        Status status = RunMorselParallel(
+            &join, threads, [&](int w, Operator* instance) -> Status {
+              RowBatch batch(kDefaultBatchSize);
+              while (true) {
+                auto more = instance->Next(&batch);
+                if (!more.ok()) return more.status();
+                if (!*more) return Status::OK();
+                rows[static_cast<size_t>(w)] += batch.size();
+              }
+            });
+        join.Close();
+        ASSERT_TRUE(status.ok()) << where;
+        int64_t total = 0;
+        for (int64_t n : rows) total += n;
+        EXPECT_EQ(total, 10) << where;  // ids 0..9 match once each
+
+        const double outer_pages =
+            CostModel::Pages(static_cast<double>(c.outer->row_count()), width);
+        const double inner_pages =
+            CostModel::Pages(static_cast<double>(table_.row_count()), width);
+        EXPECT_EQ(io.reads(), static_cast<int64_t>(CostModel::BnlLocalCost(
+                                  outer_pages, c.bare_inner ? per_pass
+                                                            : inner_pages)))
+            << where;
+        EXPECT_EQ(io.writes(),
+                  c.bare_inner ? 0 : static_cast<int64_t>(inner_pages))
+            << where;
+      }
+    }
+  }
 }
 
 TEST_F(OperatorsTest, ScanOverEmptyTable) {

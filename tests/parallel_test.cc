@@ -18,32 +18,37 @@ namespace {
 /// span morsel boundaries, NULL join keys, empty inputs, and a build side
 /// skewed into a single partition.
 
-/// Optimizes `sql` and executes the winning plan under `ctx` (with a fresh
-/// IO accountant installed); returns the result, or asserts.
+/// Executes `plan` under `ctx` (with a fresh IO accountant installed);
+/// stores the charged pages in `io_pages` when given.
+Result<QueryResult> RunPlanUnder(const PlanPtr& plan, const Query& query,
+                                 ExecContext ctx, int64_t* io_pages = nullptr) {
+  IoAccountant io;
+  auto result = ExecutePlan(plan, query, ctx.WithIo(&io));
+  if (result.ok() && io_pages != nullptr) *io_pages = io.total();
+  return result;
+}
+
+/// Optimizes `sql` and executes the winning plan under `ctx`.
 Result<QueryResult> RunUnder(const Catalog& catalog, const std::string& sql,
                              ExecContext ctx, int64_t* io_pages = nullptr) {
   auto query = ParseAndBind(catalog, sql);
   if (!query.ok()) return query.status();
   auto optimized = OptimizeQueryWithAggViews(*query, OptimizerOptions{});
   if (!optimized.ok()) return optimized.status();
-  IoAccountant io;
-  auto result = ExecutePlan(optimized->plan, optimized->query,
-                            ctx.WithIo(&io));
-  if (result.ok() && io_pages != nullptr) *io_pages = io.total();
-  return result;
+  return RunPlanUnder(optimized->plan, optimized->query, ctx, io_pages);
 }
 
-/// Executes `sql` serially as the reference, then re-executes it at every
+/// Executes `plan` serially as the reference, then re-executes it at every
 /// (threads, morsel_rows, batch_size) combination given and asserts the
 /// fingerprint and the charged IO pages never change.
-void CheckDeterministicAcrossThreads(
-    const Catalog& catalog, const std::string& sql,
+void CheckPlanDeterministicAcrossThreads(
+    const PlanPtr& plan, const Query& query,
     const std::vector<int>& thread_counts,
     const std::vector<int64_t>& morsel_sizes,
     const std::vector<int>& batch_sizes) {
   int64_t reference_io = -1;
   auto reference =
-      RunUnder(catalog, sql, ExecContext{}.WithThreads(1), &reference_io);
+      RunPlanUnder(plan, query, ExecContext{}.WithThreads(1), &reference_io);
   ASSERT_OK(reference);
   const std::string want = reference->Fingerprint();
 
@@ -51,12 +56,12 @@ void CheckDeterministicAcrossThreads(
     for (int64_t morsel_rows : morsel_sizes) {
       for (int batch_size : batch_sizes) {
         int64_t io = -1;
-        auto result = RunUnder(catalog, sql,
-                               ExecContext{}
-                                   .WithThreads(threads)
-                                   .WithMorselRows(morsel_rows)
-                                   .WithBatchSize(batch_size),
-                               &io);
+        auto result = RunPlanUnder(plan, query,
+                                   ExecContext{}
+                                       .WithThreads(threads)
+                                       .WithMorselRows(morsel_rows)
+                                       .WithBatchSize(batch_size),
+                                   &io);
         ASSERT_OK(result);
         EXPECT_EQ(result->Fingerprint(), want)
             << "threads=" << threads << " morsel_rows=" << morsel_rows
@@ -67,6 +72,21 @@ void CheckDeterministicAcrossThreads(
       }
     }
   }
+}
+
+/// CheckPlanDeterministicAcrossThreads on the optimizer's plan for `sql`.
+void CheckDeterministicAcrossThreads(
+    const Catalog& catalog, const std::string& sql,
+    const std::vector<int>& thread_counts,
+    const std::vector<int64_t>& morsel_sizes,
+    const std::vector<int>& batch_sizes) {
+  auto query = ParseAndBind(catalog, sql);
+  ASSERT_OK(query);
+  auto optimized = OptimizeQueryWithAggViews(*query, OptimizerOptions{});
+  ASSERT_OK(optimized);
+  CheckPlanDeterministicAcrossThreads(optimized->plan, optimized->query,
+                                      thread_counts, morsel_sizes,
+                                      batch_sizes);
 }
 
 /// Groups that span morsel boundaries: 40'000 employees over 100 departments
@@ -192,25 +212,55 @@ TEST(ParallelDeterminism, SkewedBuildSide) {
 }
 
 /// The counters of every plan node after one instrumented execution, in
-/// plan preorder: output and input rows, hash build rows and probes, spill
-/// pages and charged pages (summed over the node's operators). Everything a
-/// thread count or morsel size must not change; only `workers` and the
-/// clocks may.
+/// plan preorder, one entry per operator lowered from the node (a join and
+/// its projection count separately): output and input rows, build rows and
+/// probes, spill pages and charged pages. Everything a thread count or
+/// morsel size must not change; only `workers` and the clocks may.
 std::vector<std::string> NodeCounters(const PlanPtr& plan,
                                       const RuntimeStatsCollector& stats) {
   std::vector<std::string> out;
   std::function<void(const PlanPtr&)> walk = [&](const PlanPtr& node) {
     if (node == nullptr) return;
-    const OpStats* s = stats.ForNode(node.get());
-    if (s == nullptr) {
-      out.push_back("(not lowered)");
-    } else {
-      out.push_back("rows=" + std::to_string(s->rows_produced) +
-                    " in=" + std::to_string(s->input_rows) +
-                    " build=" + std::to_string(s->hash_build_rows) +
-                    " probes=" + std::to_string(s->hash_probes) +
-                    " spill=" + std::to_string(s->spill_pages) + " pages=" +
-                    std::to_string(stats.PagesForNode(node.get())));
+    std::string ops;
+    for (const RuntimeStatsCollector::Entry& e : stats.entries()) {
+      if (e.node != node.get()) continue;
+      const OpStats& s = *e.stats;
+      ops += s.op_name + "{rows=" + std::to_string(s.rows_produced) +
+             " in=" + std::to_string(s.input_rows) +
+             " build=" + std::to_string(s.hash_build_rows) +
+             " probes=" + std::to_string(s.hash_probes) +
+             " spill=" + std::to_string(s.spill_pages) +
+             " pages=" + std::to_string(s.pages_charged) + "}";
+    }
+    out.push_back(ops.empty() ? "(not lowered)" : ops);
+    walk(node->left);
+    walk(node->right);
+  };
+  walk(plan);
+  return out;
+}
+
+/// The input each block-nested-loop join of `plan` held in the run that
+/// filled `stats`, in plan preorder: "outer" when the join's build rows
+/// equal its left input's rows, "inner" when they equal its right input's.
+/// Meaningful on inputs of different sizes without NULL join keys.
+std::vector<std::string> BnlHeldSides(const PlanPtr& plan,
+                                      const RuntimeStatsCollector& stats) {
+  std::vector<std::string> out;
+  std::function<void(const PlanPtr&)> walk = [&](const PlanPtr& node) {
+    if (node == nullptr) return;
+    for (const RuntimeStatsCollector::Entry& e : stats.entries()) {
+      if (e.node != node.get() || e.stats->op_name != "NestedLoopJoin") {
+        continue;
+      }
+      const int64_t build = e.stats->hash_build_rows;
+      if (build == stats.ForNode(node->left.get())->rows_produced) {
+        out.push_back("outer");
+      } else if (build == stats.ForNode(node->right.get())->rows_produced) {
+        out.push_back("inner");
+      } else {
+        out.push_back("build=" + std::to_string(build));
+      }
     }
     walk(node->left);
     walk(node->right);
@@ -221,9 +271,11 @@ std::vector<std::string> NodeCounters(const PlanPtr& plan,
 
 /// Optimizes `sql` once and executes the plan at threads {1, 2, 8} x morsel
 /// rows {1000, 16384}, instrumented; asserts every plan node's counters (and
-/// the result and the IO total) match the serial run.
+/// the result and the IO total) match the serial run. Stores the serial
+/// run's BnlHeldSides in `held` when given.
 void CheckNodeCountersAcrossThreads(const Catalog& catalog,
-                                    const std::string& sql) {
+                                    const std::string& sql,
+                                    std::vector<std::string>* held = nullptr) {
   auto query = ParseAndBind(catalog, sql);
   ASSERT_OK(query);
   auto optimized = OptimizeQueryWithAggViews(*query, OptimizerOptions{});
@@ -232,6 +284,7 @@ void CheckNodeCountersAcrossThreads(const Catalog& catalog,
     std::string fingerprint;
     int64_t io = 0;
     std::vector<std::string> nodes;
+    std::vector<std::string> held;
   };
   auto run = [&](int threads, int64_t morsel_rows, Run* out) {
     RuntimeStatsCollector stats;
@@ -246,9 +299,11 @@ void CheckNodeCountersAcrossThreads(const Catalog& catalog,
     out->fingerprint = result->Fingerprint();
     out->io = io.total();
     out->nodes = NodeCounters(optimized->plan, stats);
+    out->held = BnlHeldSides(optimized->plan, stats);
   };
   Run want;
   run(1, kDefaultMorselRows, &want);
+  if (held != nullptr) *held = want.held;
   for (int threads : {1, 2, 8}) {
     for (int64_t morsel_rows : {int64_t{1000}, int64_t{16'384}}) {
       Run got;
@@ -305,6 +360,123 @@ TEST(ParallelNodeCounters, TpcdProbeAndAggregate) {
       *f.catalog,
       "select l.l_suppkey, sum(l.l_extendedprice), count(*) "
       "from lineitem l group by l.l_suppkey");
+}
+
+constexpr char kBudgetRollupSql[] =
+    "select d.budget, sum(e.sal), count(*) from emp e, dept d "
+    "where e.dno = d.dno group by d.budget";
+/// A theta join whose filtered emp outer is estimated larger than the bare
+/// dept inner, so the block-nested-loop join holds dept and streams emp.
+constexpr char kThetaJoinSql[] =
+    "select e.eno, d.dno from emp e, dept d "
+    "where e.sal > d.budget and e.age < 40";
+
+/// Block-nested-loop joins hold one input and stream the other
+/// morsel-parallel. Q17 at SF 0.01 holds its small part side and streams
+/// lineitem; the emp x dept rollup holds dept, also with one department
+/// (every emp row probes one key); an outer estimated larger than its inner
+/// streams while the inner is held.
+TEST(ParallelNodeCounters, BlockNestedLoopShapes) {
+  const std::vector<std::string> held_outer = {"outer"};
+  const std::vector<std::string> held_inner = {"inner"};
+  std::vector<std::string> held;
+
+  DbgenOptions options;
+  options.scale_factor = 0.01;
+  TpcdFixture tpcd = MakeTpcd(options);
+  CheckNodeCountersAcrossThreads(
+      *tpcd.catalog, tpcd_queries::SmallQuantityRevenue("Brand#21"), &held);
+  EXPECT_EQ(held, held_outer);
+
+  EmpDeptOptions spanning;
+  spanning.num_employees = 40'000;
+  spanning.num_departments = 100;
+  EmpDeptFixture f = MakeEmpDept(spanning);
+  CheckNodeCountersAcrossThreads(*f.catalog, kBudgetRollupSql, &held);
+  EXPECT_EQ(held, held_outer);
+  CheckNodeCountersAcrossThreads(*f.catalog, kThetaJoinSql, &held);
+  EXPECT_EQ(held, held_inner);
+
+  EmpDeptOptions skewed = spanning;
+  skewed.num_departments = 1;
+  EmpDeptFixture g = MakeEmpDept(skewed);
+  CheckNodeCountersAcrossThreads(*g.catalog, kBudgetRollupSql, &held);
+  EXPECT_EQ(held, held_outer);
+}
+
+/// The optimizer's plan for `sql`, rendered; empty when it fails.
+std::string PlanOf(const Catalog& catalog, const std::string& sql) {
+  auto query = ParseAndBind(catalog, sql);
+  if (!query.ok()) return "";
+  auto optimized = OptimizeQueryWithAggViews(*query, OptimizerOptions{});
+  if (!optimized.ok()) return "";
+  return PlanToString(optimized->plan, optimized->query);
+}
+
+/// Parallel block-nested-loop joins on the shapes where holding one side
+/// and streaming the other could go wrong: NULL join keys on both sides, an
+/// empty held side against a non-empty streamed one, a keyless theta join
+/// (every held row a candidate), and a left outer join, which must hold its
+/// inner and pad the streamed outer rows that match nothing.
+TEST(ParallelDeterminism, BlockNestedLoopJoins) {
+  const std::vector<int> threads = {1, 2, 8};
+  const std::vector<int64_t> morsels = {1, 16'384};
+  const std::vector<int> batches = {1, 1024};
+
+  const std::string bnl = "Join(bnl)";
+  Catalog null_keys;
+  LoadNullKeyEmpDept(&null_keys);
+  for (const char* sql : {kBudgetRollupSql, kThetaJoinSql}) {
+    EXPECT_NE(PlanOf(null_keys, sql).find(bnl), std::string::npos) << sql;
+    CheckDeterministicAcrossThreads(null_keys, sql, threads, morsels,
+                                    batches);
+  }
+
+  EmpDeptOptions data;
+  data.num_employees = 600;
+  data.num_departments = 12;
+  EmpDeptFixture f = MakeEmpDept(data);
+  EXPECT_NE(PlanOf(*f.catalog, kThetaJoinSql).find(bnl), std::string::npos);
+  CheckDeterministicAcrossThreads(*f.catalog, kThetaJoinSql, threads, {7},
+                                  batches);
+
+  // dept emptied: the held side drains nothing, emp still streams.
+  Catalog& catalog = *f.catalog;
+  TableDef& dept = catalog.mutable_table(f.tables.dept);
+  dept.data = std::make_shared<Table>(dept.schema);
+  dept.stats = ComputeStats(*dept.data);
+  EXPECT_NE(PlanOf(catalog, kBudgetRollupSql).find(bnl), std::string::npos);
+  CheckDeterministicAcrossThreads(catalog, kBudgetRollupSql, threads, {7},
+                                  batches);
+  auto empty = RunUnder(catalog, kBudgetRollupSql, ExecContext{}.WithThreads(8));
+  ASSERT_OK(empty);
+  EXPECT_TRUE(empty->rows.empty());
+
+  // Left outer: dept (3 rows, one NULL-keyed) outer, emp inner; dept 1
+  // matches two employees, dept 2 one, the NULL-keyed dept none.
+  auto dept_id = null_keys.FindTable("dept");
+  ASSERT_OK(dept_id);
+  auto emp_id = null_keys.FindTable("emp");
+  ASSERT_OK(emp_id);
+  Query q(&null_keys);
+  int d = q.AddRangeVar(*dept_id, "d");
+  int e = q.AddRangeVar(*emp_id, "e");
+  q.base_rels() = {d, e};
+  ColId d_dno = q.range_var(d).columns[0];
+  ColId e_dno = q.range_var(e).columns[1];
+  ColId eno = q.range_var(e).columns[0];
+  q.select_list() = {d_dno, eno};
+  PlanBuilder b(q);
+  std::set<ColId> needed = {d_dno, e_dno, eno};
+  auto outer = std::make_shared<PlanNode>(
+      *b.Join(JoinAlgo::kBlockNestedLoop, b.Scan(d, {}, needed),
+              b.Scan(e, {}, needed), {EqCols(d_dno, e_dno)}, needed));
+  outer->left_outer = true;
+  PlanPtr plan = b.Project(outer, q.select_list());
+  CheckPlanDeterministicAcrossThreads(plan, q, threads, morsels, batches);
+  auto padded = RunPlanUnder(plan, q, ExecContext{}.WithThreads(8));
+  ASSERT_OK(padded);
+  EXPECT_EQ(padded->rows.size(), 4u);
 }
 
 /// The server front door: Sql() → ServerQuery, identical results and IO
