@@ -141,7 +141,9 @@ inline bool IsJsonNumber(const std::string& cell) {
 /// Renders `cell` as a JSON value: unquoted when it is a valid JSON number
 /// token, an escaped string otherwise.
 inline std::string JsonLiteral(const std::string& cell) {
-  return IsJsonNumber(cell) ? cell : "\"" + JsonEscape(cell) + "\"";
+  if (IsJsonNumber(cell)) return cell;
+  const std::string escaped = JsonEscape(cell);
+  return "\"" + escaped + "\"";
 }
 
 /// Streams experiment rows as a JSON document:

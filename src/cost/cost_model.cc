@@ -13,8 +13,6 @@ const char* JoinAlgoName(JoinAlgo algo) {
       return "bnl";
     case JoinAlgo::kHash:
       return "hash";
-    case JoinAlgo::kSortMerge:
-      return "merge";
   }
   return "?";
 }
@@ -49,10 +47,6 @@ double CostModel::SortCost(double pages) {
   double passes = std::ceil(std::log(runs) / std::log(b - 1.0));
   passes = std::max(passes, 1.0);
   return 2.0 * pages * passes;
-}
-
-double CostModel::SortMergeLocalCost(double left_pages, double right_pages) {
-  return left_pages + right_pages + SortCost(left_pages) + SortCost(right_pages);
 }
 
 double CostModel::HashAggLocalCost(double input_pages) {

@@ -9,7 +9,6 @@ namespace aggview {
 enum class JoinAlgo {
   kBlockNestedLoop,  // any predicate
   kHash,             // equi-join only (Grace hash when out of core)
-  kSortMerge,        // equi-join only
 };
 
 const char* JoinAlgoName(JoinAlgo algo);
@@ -51,9 +50,6 @@ class CostModel {
 
   /// External merge sort: 2 * P per pass; 0 when P fits in memory.
   static double SortCost(double pages);
-
-  /// Local cost of sort-merge join: one read of each input plus the sorts.
-  static double SortMergeLocalCost(double left_pages, double right_pages);
 
   /// Local cost of hash aggregation: free when the input fits in memory
   /// (the aggregate streams from the pipeline below), two extra passes when

@@ -21,28 +21,6 @@ struct LowerCtx {
   std::shared_ptr<ExecRuntime> runtime;
 };
 
-/// Splits join predicates into equi-join key pairs (left col, right col) and
-/// residual conjuncts.
-void SplitJoinPredicates(const std::vector<Predicate>& preds,
-                         const RowLayout& left, const RowLayout& right,
-                         std::vector<std::pair<ColId, ColId>>* keys,
-                         std::vector<Predicate>* residual) {
-  for (const Predicate& p : preds) {
-    ColId a, b;
-    if (p.AsColumnEquality(&a, &b)) {
-      if (left.Contains(a) && right.Contains(b)) {
-        keys->emplace_back(a, b);
-        continue;
-      }
-      if (left.Contains(b) && right.Contains(a)) {
-        keys->emplace_back(b, a);
-        continue;
-      }
-    }
-    residual->push_back(p);
-  }
-}
-
 /// Registers `op` as (part of) the lowering of `plan`, installs its stats
 /// block, and configures its batch size. Operators are tagged bottom-up, so
 /// the last tag for a plan node is its topmost operator (whose output is the
@@ -88,65 +66,30 @@ Result<OperatorPtr> LowerJoin(const PlanPtr& plan, const LowerCtx& ctx) {
       OperatorPtr right,
       Lower(plan->right, ctx, /*charge_scan=*/!inner_is_bare_scan));
 
-  OperatorPtr join;
-  const char* op_name = nullptr;
-  JoinAlgo algo = plan->algo;
-  if (plan->left_outer && algo == JoinAlgo::kSortMerge) {
-    algo = JoinAlgo::kHash;  // merge join has no outer mode; hash does
-  }
-  switch (algo) {
-    case JoinAlgo::kBlockNestedLoop: {
-      double pages_per_pass = 0.0;
-      bool charge_materialize = true;
-      if (inner_is_bare_scan) {
-        const RangeVar& rv = ctx.query.range_var(plan->right->rel_id);
-        const TableDef& def = ctx.query.catalog().table(rv.table);
-        pages_per_pass =
-            def.data != nullptr
-                ? static_cast<double>(def.data->page_count())
-                : static_cast<double>(PagesForRows(def.stats.row_count,
-                                                   def.schema.RowWidth()));
-        charge_materialize = false;
-      }
-      // Hold the side with fewer estimated pages (ties: the outer) and
-      // stream the other (outer mode holds the inner regardless). The choice
-      // reads only the plan, so every thread count makes it alike.
-      bool hold_outer =
-          plan->left->OutputPages() <= plan->right->OutputPages();
-      join = std::make_unique<NestedLoopJoinOp>(
-          std::move(left), std::move(right), plan->join_preds,
-          &ctx.query.columns(), ctx.io, pages_per_pass, charge_materialize,
-          plan->left_outer,
-          hold_outer ? NestedLoopJoinOp::Held::kOuter
-                     : NestedLoopJoinOp::Held::kInner);
-      op_name = "NestedLoopJoin";
-      break;
+  JoinOp::JoinCharge charge;
+  bool hold_left = false;
+  if (plan->algo == JoinAlgo::kBlockNestedLoop) {
+    charge.block_nested_loop = true;
+    charge.materialize_inner = !inner_is_bare_scan;
+    if (inner_is_bare_scan) {
+      const RangeVar& rv = ctx.query.range_var(plan->right->rel_id);
+      const TableDef& def = ctx.query.catalog().table(rv.table);
+      charge.inner_pages_per_pass =
+          def.data != nullptr
+              ? static_cast<double>(def.data->page_count())
+              : static_cast<double>(PagesForRows(def.stats.row_count,
+                                                 def.schema.RowWidth()));
     }
-    case JoinAlgo::kHash:
-    case JoinAlgo::kSortMerge: {
-      std::vector<std::pair<ColId, ColId>> keys;
-      std::vector<Predicate> residual;
-      SplitJoinPredicates(plan->join_preds, plan->left->output,
-                          plan->right->output, &keys, &residual);
-      if (keys.empty()) {
-        return Status::Internal("hash/merge join lowered without equi-join keys");
-      }
-      if (algo == JoinAlgo::kHash) {
-        join = std::make_unique<HashJoinOp>(
-            std::move(left), std::move(right), std::move(keys),
-            std::move(residual), &ctx.query.columns(), ctx.io,
-            plan->left_outer);
-        op_name = "HashJoin";
-      } else {
-        join = std::make_unique<SortMergeJoinOp>(
-            std::move(left), std::move(right), std::move(keys),
-            std::move(residual), &ctx.query.columns(), ctx.io);
-        op_name = "SortMergeJoin";
-      }
-      break;
-    }
+    // Hold the side with fewer estimated pages (ties: the outer) and stream
+    // the other (outer mode holds the inner regardless). The choice reads
+    // only the plan, so every thread count makes it alike.
+    hold_left = plan->left->OutputPages() <= plan->right->OutputPages();
   }
-  join = Tag(std::move(join), plan, op_name, ctx);
+  OperatorPtr join = std::make_unique<JoinOp>(
+      std::move(left), std::move(right), plan->join_preds,
+      &ctx.query.columns(), ctx.io, charge, plan->left_outer, hold_left);
+  join = Tag(std::move(join), plan,
+             charge.block_nested_loop ? "NestedLoopJoin" : "HashJoin", ctx);
   // Project the concatenated row down to the plan's output layout.
   if (join->layout().columns() != plan->output.columns()) {
     join = Tag(std::make_unique<ProjectOp>(std::move(join), plan->output),

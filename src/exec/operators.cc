@@ -332,7 +332,7 @@ Result<bool> ProjectOp::NextBatchImpl(RowBatch* out) {
 
 void ProjectOp::CloseImpl() { child_->Close(); }
 
-// ----------------------------------------------------------- BuildProbeJoin
+// --------------------------------------------------------------------- Join
 
 namespace {
 
@@ -369,12 +369,10 @@ bool KeysEqual(const Row& a, const std::vector<int>& ai, const Row& b,
 
 }  // namespace
 
-BuildProbeJoinOp::BuildProbeJoinOp(OperatorPtr left, OperatorPtr right,
-                                   std::vector<std::pair<ColId, ColId>> keys,
-                                   std::vector<Predicate> residual,
-                                   const ColumnCatalog* columns,
-                                   IoAccountant* io, bool left_outer,
-                                   bool hold_left, JoinCharge charge)
+JoinOp::JoinOp(OperatorPtr left, OperatorPtr right,
+               std::vector<Predicate> preds, const ColumnCatalog* columns,
+               IoAccountant* io, JoinCharge charge, bool left_outer,
+               bool hold_left)
     : left_(std::move(left)),
       right_(std::move(right)),
       left_outer_(left_outer),
@@ -387,28 +385,15 @@ BuildProbeJoinOp::BuildProbeJoinOp(OperatorPtr left, OperatorPtr right,
   layout_ = ConcatLayouts(l, r);
   left_width_ = l.RowWidth(*columns_);
   right_width_ = r.RowWidth(*columns_);
-  for (const Predicate& p : residual) {
-    ColId a, b;
-    if (p.AsColumnEquality(&a, &b)) {
-      if (l.Contains(a) && r.Contains(b)) {
-        keys.emplace_back(a, b);
-        continue;
-      }
-      if (l.Contains(b) && r.Contains(a)) {
-        keys.emplace_back(b, a);
-        continue;
-      }
-    }
-    residual_.push_back(p);
-  }
-  for (const auto& [lc, rc] : keys) {
+  JoinPredicates split = SplitJoinPredicates(preds, l, r);
+  residual_ = std::move(split.residual);
+  for (const auto& [lc, rc] : split.keys) {
     left_key_idx_.push_back(l.IndexOf(lc));
     right_key_idx_.push_back(r.IndexOf(rc));
   }
 }
 
-BuildProbeJoinOp::BuildProbeJoinOp(const BuildProbeJoinOp& primary,
-                                   OperatorPtr streamed)
+JoinOp::JoinOp(const JoinOp& primary, OperatorPtr streamed)
     : left_outer_(primary.left_outer_),
       hold_left_(primary.hold_left_),
       charge_(primary.charge_),
@@ -430,12 +415,11 @@ BuildProbeJoinOp::BuildProbeJoinOp(const BuildProbeJoinOp& primary,
   ++build_->live_probes;
 }
 
-OperatorPtr BuildProbeJoinOp::CloneForWorker() {
-  return OperatorPtr(
-      new BuildProbeJoinOp(*this, streamed()->CloneForWorker()));
+OperatorPtr JoinOp::CloneForWorker() {
+  return OperatorPtr(new JoinOp(*this, streamed()->CloneForWorker()));
 }
 
-Status BuildProbeJoinOp::BuildSerial() {
+Status JoinOp::BuildSerial() {
   build_->parts.resize(1);
   std::vector<Row> rows;
   AGGVIEW_RETURN_NOT_OK(Drain(held(), batch_size_, &rows));
@@ -450,7 +434,7 @@ Status BuildProbeJoinOp::BuildSerial() {
   return Status::OK();
 }
 
-Status BuildProbeJoinOp::BuildParallel(int workers) {
+Status JoinOp::BuildParallel(int workers) {
   // Phase 1: worker pipelines drain the held side morsel-parallel into
   // thread-local (hash, row) spools; NULL-keyed rows are dropped here (they
   // can never match) but still counted toward the drained cardinality.
@@ -496,14 +480,14 @@ Status BuildProbeJoinOp::BuildParallel(int workers) {
   return Status::OK();
 }
 
-Status BuildProbeJoinOp::OpenImpl() {
+Status JoinOp::OpenImpl() {
   const std::string name =
       charge_.block_nested_loop ? "nested-loop join" : "hash join";
-  for (int idx : left_key_idx_) {
-    if (idx < 0) return Status::Internal(name + ": left key column missing");
-  }
-  for (int idx : right_key_idx_) {
-    if (idx < 0) return Status::Internal(name + ": right key column missing");
+  // SplitJoinPredicates keys only columns both layouts contain, so every
+  // key index is valid; a hash join needs at least one.
+  if (!charge_.block_nested_loop && left_key_idx_.empty()) {
+    return Status::Internal(name +
+                            ": no equi-join conjunct between its inputs");
   }
   AGGVIEW_ASSIGN_OR_RETURN(
       bound_residual_,
@@ -531,7 +515,7 @@ Status BuildProbeJoinOp::OpenImpl() {
   return Status::OK();
 }
 
-void BuildProbeJoinOp::FinishProbe() {
+void JoinOp::FinishProbe() {
   if (probe_done_) return;
   probe_done_ = true;
   build_->probe_rows += streamed_rows_;
@@ -540,7 +524,7 @@ void BuildProbeJoinOp::FinishProbe() {
   if (--build_->live_probes == 0) ChargeAtProbeEos(build_->probe_rows);
 }
 
-void BuildProbeJoinOp::ChargeAtProbeEos(int64_t streamed_rows) {
+void JoinOp::ChargeAtProbeEos(int64_t streamed_rows) {
   // Same formulas as the cost model, on actual sizes. In a parallel probe
   // this runs once, in the last instance to finish, on every instance's
   // streamed rows summed — so the charge is byte-identical to the serial
@@ -567,7 +551,7 @@ void BuildProbeJoinOp::ChargeAtProbeEos(int64_t streamed_rows) {
   }
 }
 
-Result<bool> BuildProbeJoinOp::NextBatchImpl(RowBatch* out) {
+Result<bool> JoinOp::NextBatchImpl(RowBatch* out) {
   while (true) {
     // Emit the pending matches of the current streamed row, then its outer
     // padding if nothing matched. current_ points into probe_, which stays
@@ -631,181 +615,10 @@ Result<bool> BuildProbeJoinOp::NextBatchImpl(RowBatch* out) {
   }
 }
 
-void BuildProbeJoinOp::CloseImpl() {
+void JoinOp::CloseImpl() {
   if (left_ != nullptr) left_->Close();
   if (right_ != nullptr) right_->Close();
   build_.reset();
-}
-
-HashJoinOp::HashJoinOp(OperatorPtr left, OperatorPtr right,
-                       std::vector<std::pair<ColId, ColId>> keys,
-                       std::vector<Predicate> residual,
-                       const ColumnCatalog* columns, IoAccountant* io,
-                       bool left_outer)
-    : BuildProbeJoinOp(std::move(left), std::move(right), std::move(keys),
-                       std::move(residual), columns, io, left_outer,
-                       /*hold_left=*/false, JoinCharge{}) {}
-
-// ----------------------------------------------------------- NestedLoopJoin
-
-NestedLoopJoinOp::NestedLoopJoinOp(OperatorPtr left, OperatorPtr right,
-                                   std::vector<Predicate> preds,
-                                   const ColumnCatalog* columns,
-                                   IoAccountant* io,
-                                   double inner_pages_per_pass,
-                                   bool charge_materialize, bool left_outer,
-                                   Held held)
-    : BuildProbeJoinOp(std::move(left), std::move(right), /*keys=*/{},
-                       std::move(preds), columns, io, left_outer,
-                       held == Held::kOuter,
-                       JoinCharge{/*block_nested_loop=*/true,
-                                  inner_pages_per_pass, charge_materialize}) {
-}
-
-// ------------------------------------------------------------ SortMergeJoin
-
-SortMergeJoinOp::SortMergeJoinOp(OperatorPtr left, OperatorPtr right,
-                                 std::vector<std::pair<ColId, ColId>> keys,
-                                 std::vector<Predicate> residual,
-                                 const ColumnCatalog* columns,
-                                 IoAccountant* io)
-    : left_(std::move(left)),
-      right_(std::move(right)),
-      keys_(std::move(keys)),
-      residual_(std::move(residual)),
-      columns_(columns),
-      io_(io) {
-  layout_ = ConcatLayouts(left_->layout(), right_->layout());
-  for (const auto& [l, r] : keys_) {
-    left_key_idx_.push_back(left_->layout().IndexOf(l));
-    right_key_idx_.push_back(right_->layout().IndexOf(r));
-  }
-}
-
-namespace {
-
-int CompareKeys(const Row& a, const std::vector<int>& ai, const Row& b,
-                const std::vector<int>& bi) {
-  for (size_t k = 0; k < ai.size(); ++k) {
-    int c = a[static_cast<size_t>(ai[k])].Compare(b[static_cast<size_t>(bi[k])]);
-    if (c != 0) return c;
-  }
-  return 0;
-}
-
-}  // namespace
-
-Status SortMergeJoinOp::OpenImpl() {
-  for (int idx : left_key_idx_) {
-    if (idx < 0) return Status::Internal("merge join: left key column missing");
-  }
-  for (int idx : right_key_idx_) {
-    if (idx < 0) return Status::Internal("merge join: right key column missing");
-  }
-  AGGVIEW_ASSIGN_OR_RETURN(
-      bound_residual_,
-      BoundConjunction::Bind(residual_, layout_, *columns_, "merge join"));
-  AGGVIEW_RETURN_NOT_OK(left_->Open());
-  AGGVIEW_RETURN_NOT_OK(right_->Open());
-  AGGVIEW_RETURN_NOT_OK(Drain(left_.get(), batch_size_, &lrows_));
-  AGGVIEW_RETURN_NOT_OK(Drain(right_.get(), batch_size_, &rrows_));
-  CountInput(static_cast<int64_t>(lrows_.size() + rrows_.size()));
-
-  auto cmp = [](const std::vector<int>& idx) {
-    return [&idx](const Row& a, const Row& b) {
-      for (int i : idx) {
-        int c = a[static_cast<size_t>(i)].Compare(b[static_cast<size_t>(i)]);
-        if (c != 0) return c < 0;
-      }
-      return false;
-    };
-  };
-  std::sort(lrows_.begin(), lrows_.end(), cmp(left_key_idx_));
-  std::sort(rrows_.begin(), rrows_.end(), cmp(right_key_idx_));
-
-  double lp = ActualPages(static_cast<int64_t>(lrows_.size()),
-                          left_->layout().RowWidth(*columns_));
-  double rp = ActualPages(static_cast<int64_t>(rrows_.size()),
-                          right_->layout().RowWidth(*columns_));
-  ChargeRead(io_, static_cast<int64_t>(lp + rp));
-  double sort_io = CostModel::SortMergeLocalCost(lp, rp) - (lp + rp);
-  ChargeWrite(io_, static_cast<int64_t>(sort_io / 2.0));
-  ChargeRead(io_, static_cast<int64_t>(sort_io / 2.0));
-  if (stats_ != nullptr) {
-    stats_->spill_pages += static_cast<int64_t>(sort_io / 2.0) * 2;
-  }
-  li_ = ri_ = 0;
-  in_block_ = false;
-  return Status::OK();
-}
-
-Result<bool> SortMergeJoinOp::NextBatchImpl(RowBatch* out) {
-  while (true) {
-    if (in_block_) {
-      if (block_r_ < block_r_end_) {
-        if (out->full()) return true;
-        Row& dst = out->AppendRow();
-        ConcatInto(lrows_[block_l_], rrows_[block_r_++], &dst);
-        if (!bound_residual_.Eval(dst)) out->PopRow();
-        continue;
-      }
-      // Advance within the key-equal block.
-      ++block_l_;
-      if (block_l_ < block_l_end_) {
-        block_r_ = block_r_begin_;
-        continue;
-      }
-      in_block_ = false;
-      li_ = block_l_end_;
-      ri_ = block_r_end_;
-    }
-    // Find the next key-equal block. NULL keys sort first (the grouping
-    // convention of Value::Compare) but never satisfy SQL equality, so
-    // NULL-keyed rows on either side are skipped, not matched.
-    while (li_ < lrows_.size() && ri_ < rrows_.size()) {
-      if (HasNullKey(lrows_[li_], left_key_idx_)) {
-        ++li_;
-        continue;
-      }
-      if (HasNullKey(rrows_[ri_], right_key_idx_)) {
-        ++ri_;
-        continue;
-      }
-      int c = CompareKeys(lrows_[li_], left_key_idx_, rrows_[ri_],
-                          right_key_idx_);
-      if (c < 0) {
-        ++li_;
-      } else if (c > 0) {
-        ++ri_;
-      } else {
-        break;
-      }
-    }
-    if (li_ >= lrows_.size() || ri_ >= rrows_.size()) return !out->empty();
-    block_l_ = li_;
-    block_l_end_ = li_ + 1;
-    while (block_l_end_ < lrows_.size() &&
-           CompareKeys(lrows_[block_l_end_], left_key_idx_, rrows_[ri_],
-                       right_key_idx_) == 0) {
-      ++block_l_end_;
-    }
-    block_r_begin_ = ri_;
-    block_r_end_ = ri_ + 1;
-    while (block_r_end_ < rrows_.size() &&
-           CompareKeys(lrows_[li_], left_key_idx_, rrows_[block_r_end_],
-                       right_key_idx_) == 0) {
-      ++block_r_end_;
-    }
-    block_r_ = block_r_begin_;
-    in_block_ = true;
-  }
-}
-
-void SortMergeJoinOp::CloseImpl() {
-  left_->Close();
-  right_->Close();
-  lrows_.clear();
-  rrows_.clear();
 }
 
 // --------------------------------------------------------------------- Sort

@@ -102,9 +102,9 @@ class Operator {
   /// True when this operator and its whole input pipeline can be cloned into
   /// extra worker instances whose outputs partition the row multiset. Scans
   /// qualify (workers claim disjoint morsels); filters, projections and the
-  /// hash and block-nested-loop joins delegate to their streamed input;
-  /// pipeline breakers (sort, aggregate, merge join) do not — they stay
-  /// serial and parallelize *internally* where profitable.
+  /// join delegate to their streamed input; pipeline breakers (sort,
+  /// aggregate) do not — they stay serial and parallelize *internally*
+  /// where profitable.
   virtual bool CanRunMorselParallel() const { return false; }
 
   /// Clones this pipeline for one extra worker. Only valid after Open, on
@@ -305,15 +305,18 @@ struct JoinBuildTable {
   }
 };
 
-/// The build/probe engine of both in-memory joins. One input is *held*:
-/// drained once at Open into a JoinBuildTable keyed on the equi-join
-/// conjuncts. The other is *streamed*: each streamed row looks up the held
-/// rows with its key, and each candidate is kept when the keys are equal and
-/// the residual holds on the concatenated left ++ right row, so the output
+/// The join operator: one build/probe engine runs both of the optimizer's
+/// join algorithms, which differ only in the IO formula charged
+/// (JoinCharge). One input is *held*: drained once at Open into a
+/// JoinBuildTable keyed on the equi-join conjuncts (SplitJoinPredicates).
+/// The other is *streamed*: each streamed row looks up the held rows with
+/// its key, and each candidate is kept when the keys are equal and the
+/// residual holds on the concatenated left ++ right row, so the output
 /// layout does not depend on which side is held. With no equi-join conjunct
-/// every held row is a candidate. Rows with a NULL in any join key never
-/// match (SQL equality semantics); in outer mode a NULL-keyed streamed row
-/// still survives as a padded row. Outer mode always streams the left input.
+/// every held row is a candidate; a hash-charged join without one fails at
+/// Open. Rows with a NULL in any join key never match (SQL equality
+/// semantics); in outer mode a NULL-keyed streamed row still survives as a
+/// padded row. Outer mode always streams the left input.
 ///
 /// Parallel build: when the runtime grants threads and the held side is
 /// morsel-parallel, Open drains it with worker pipelines into thread-local
@@ -331,44 +334,43 @@ struct JoinBuildTable {
 /// EXPLAIN ANALYZE: `build=` counts the held rows the table keeps and
 /// `probes=` the streamed rows that looked it up (a NULL-keyed row does
 /// not); `rows_in` counts every row drained from either input.
-class BuildProbeJoinOp : public Operator {
+class JoinOp final : public Operator {
  public:
-  bool CanRunMorselParallel() const override {
-    return streamed()->CanRunMorselParallel();
-  }
-  OperatorPtr CloneForWorker() override;
-
- protected:
   /// The IO formula charged at end of stream, on actual sizes.
   struct JoinCharge {
     /// False: the hash join's (one read of each input, plus Grace
     /// partition spills when the smaller input exceeds the buffer pool).
     /// True: the block-nested-loop join's (outer pages plus one inner pass
-    /// per block of outer pages).
+    /// per block of outer pages), whichever input is held.
     bool block_nested_loop = false;
-    /// BNL: the inner pages charged per pass; 0 derives them from the
+    /// BNL: the inner pages charged per pass (the base table's full page
+    /// count when the inner is a bare table scan); 0 derives them from the
     /// inner's rows.
     double inner_pages_per_pass = 0.0;
     /// BNL: adds the one-time write of the materialized inner.
     bool materialize_inner = false;
   };
 
-  /// `keys` pairs (left column, right column); every conjunct of `residual`
-  /// that equates a left column with a right column joins them as a key.
+  /// `preds` is the join's whole conjunction. `left_outer` preserves
+  /// unmatched left rows, padding the right input's columns with NULLs.
   /// `hold_left` holds the left input and streams the right; it is ignored
   /// in outer mode.
-  BuildProbeJoinOp(OperatorPtr left, OperatorPtr right,
-                   std::vector<std::pair<ColId, ColId>> keys,
-                   std::vector<Predicate> residual,
-                   const ColumnCatalog* columns, IoAccountant* io,
-                   bool left_outer, bool hold_left, JoinCharge charge);
+  JoinOp(OperatorPtr left, OperatorPtr right, std::vector<Predicate> preds,
+         const ColumnCatalog* columns, IoAccountant* io, JoinCharge charge,
+         bool left_outer = false, bool hold_left = false);
 
+  bool CanRunMorselParallel() const override {
+    return streamed()->CanRunMorselParallel();
+  }
+  OperatorPtr CloneForWorker() override;
+
+ protected:
   Status OpenImpl() override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
   void CloseImpl() override;
 
  private:
-  BuildProbeJoinOp(const BuildProbeJoinOp& primary, OperatorPtr streamed);
+  JoinOp(const JoinOp& primary, OperatorPtr streamed);
   Operator* held() const { return hold_left_ ? left_.get() : right_.get(); }
   Operator* streamed() const {
     return hold_left_ ? right_.get() : left_.get();
@@ -414,79 +416,6 @@ class BuildProbeJoinOp : public Operator {
   bool probe_done_ = false;  // this instance reached end of stream
   bool emitted_for_current_ = false;
   bool padded_for_current_ = false;
-};
-
-/// In-memory hash join (Grace accounting when either side spills): holds the
-/// right input and streams the left (BuildProbeJoinOp), charging one read of
-/// each input plus the Grace spill passes.
-class HashJoinOp final : public BuildProbeJoinOp {
- public:
-  /// `left_outer` preserves unmatched probe rows, padding the build side's
-  /// columns with NULLs.
-  HashJoinOp(OperatorPtr left, OperatorPtr right,
-             std::vector<std::pair<ColId, ColId>> keys,
-             std::vector<Predicate> residual, const ColumnCatalog* columns,
-             IoAccountant* io, bool left_outer = false);
-};
-
-/// Block-nested-loop join: holds one input and streams the other
-/// (BuildProbeJoinOp), indexing the held rows on the equi-join conjuncts of
-/// `preds`; the other conjuncts are the residual. Which input is held is a
-/// CPU matter only: the charge is the block-nested-loop formula on actual
-/// sizes either way — outer pages plus one pass over the inner per block of
-/// outer pages. `inner_pages_per_pass` overrides the pages charged per pass
-/// (the base table's full page count when the inner is a bare table scan);
-/// pass 0 to derive them from the inner's rows. `charge_materialize` adds
-/// the one-time write of the materialized inner. Outer mode always holds the
-/// inner.
-class NestedLoopJoinOp final : public BuildProbeJoinOp {
- public:
-  enum class Held { kInner, kOuter };
-
-  NestedLoopJoinOp(OperatorPtr left, OperatorPtr right,
-                   std::vector<Predicate> preds, const ColumnCatalog* columns,
-                   IoAccountant* io, double inner_pages_per_pass,
-                   bool charge_materialize, bool left_outer = false,
-                   Held held = Held::kInner);
-};
-
-/// Sort-merge join over equi-join keys (plus residual predicates).
-/// Materializes and sorts both inputs at Open, charging external-sort IO on
-/// actual sizes; Next emits one batch of the merge output per call. NULL
-/// join keys sort first and are skipped by the merge, so they never match
-/// (SQL equality semantics). A pipeline breaker on both sides; runs serial
-/// so sort tie-breaking (and hence emission order) matches the serial
-/// engine exactly.
-class SortMergeJoinOp final : public Operator {
- public:
-  SortMergeJoinOp(OperatorPtr left, OperatorPtr right,
-                  std::vector<std::pair<ColId, ColId>> keys,
-                  std::vector<Predicate> residual,
-                  const ColumnCatalog* columns, IoAccountant* io);
-
- protected:
-  Status OpenImpl() override;
-  Result<bool> NextBatchImpl(RowBatch* out) override;
-  void CloseImpl() override;
-
- private:
-  OperatorPtr left_;
-  OperatorPtr right_;
-  std::vector<std::pair<ColId, ColId>> keys_;
-  std::vector<Predicate> residual_;
-  BoundConjunction bound_residual_;
-  const ColumnCatalog* columns_;
-  IoAccountant* io_;
-
-  std::vector<int> left_key_idx_;
-  std::vector<int> right_key_idx_;
-  std::vector<Row> lrows_;
-  std::vector<Row> rrows_;
-  size_t li_ = 0, ri_ = 0;
-  // Current key-equal block being emitted.
-  size_t block_l_ = 0, block_l_end_ = 0, block_r_begin_ = 0, block_r_end_ = 0;
-  size_t block_r_ = 0;
-  bool in_block_ = false;
 };
 
 /// Final ORDER BY: materializes its input at Open, sorts by the keys, and

@@ -1,5 +1,7 @@
 #include "expr/predicate.h"
 
+#include <algorithm>
+
 namespace aggview {
 
 const char* CompareOpSymbol(CompareOp op) {
@@ -75,6 +77,27 @@ bool Predicate::AsColumnEquality(ColId* a, ColId* b) const {
   *a = l;
   *b = r;
   return true;
+}
+
+JoinPredicates SplitJoinPredicates(const std::vector<Predicate>& preds,
+                                   const RowLayout& left,
+                                   const RowLayout& right) {
+  JoinPredicates out;
+  for (const Predicate& p : preds) {
+    ColId a, b;
+    bool is_key = p.AsColumnEquality(&a, &b);
+    if (is_key && !(left.Contains(a) && right.Contains(b))) {
+      std::swap(a, b);
+      is_key = left.Contains(a) && right.Contains(b);
+    }
+    if (!is_key) {
+      out.residual.push_back(p);
+    } else if (std::find(out.keys.begin(), out.keys.end(), std::pair(a, b)) ==
+               out.keys.end()) {
+      out.keys.emplace_back(a, b);
+    }
+  }
+  return out;
 }
 
 bool Predicate::AsColumnVsLiteral(ColId* col, CompareOp* effective_op,

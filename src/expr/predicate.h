@@ -3,6 +3,7 @@
 
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "expr/scalar_expr.h"
@@ -78,6 +79,24 @@ struct Predicate {
 
 /// Union of column sets over a conjunction.
 std::set<ColId> ConjunctionColumns(const std::vector<Predicate>& preds);
+
+/// A join's conjunction split against its two input layouts.
+struct JoinPredicates {
+  /// (left column, right column), once per distinct pair, for every
+  /// conjunct `l = r` or `r = l` (AsColumnEquality) equating a column of
+  /// the left input with one of the right; a repeat of a pair is implied by
+  /// its first occurrence and dropped.
+  std::vector<std::pair<ColId, ColId>> keys;
+  /// Every other conjunct, in input order.
+  std::vector<Predicate> residual;
+};
+
+/// The one place that decides which join conjuncts are equi-join keys: the
+/// optimizer (which algorithms apply), the plan validator, and the join
+/// operator (what it indexes the held input on) all call it.
+JoinPredicates SplitJoinPredicates(const std::vector<Predicate>& preds,
+                                   const RowLayout& left,
+                                   const RowLayout& right);
 
 /// Convenience constructors.
 Predicate Cmp(ExprPtr lhs, CompareOp op, ExprPtr rhs);

@@ -93,7 +93,8 @@ std::string ArithExpr::ToString(const ColumnCatalog& cat) const {
       op = "/";
       break;
   }
-  return "(" + lhs_->ToString(cat) + " " + op + " " + rhs_->ToString(cat) + ")";
+  const std::string lhs = lhs_->ToString(cat);
+  return "(" + lhs + " " + op + " " + rhs_->ToString(cat) + ")";
 }
 
 ExprPtr ArithExpr::RemapColumns(

@@ -21,7 +21,7 @@ struct PlanNode;
 /// operator's Next time contains the Next time of its children, the EXPLAIN
 /// ANALYZE convention.
 struct OpStats {
-  /// Operator class name ("TableScan", "HashJoin", ...).
+  /// Operator name lowering tags it with ("TableScan", "HashJoin", ...).
   std::string op_name;
 
   /// Rows returned from Next (the operator's actual output cardinality).
@@ -50,7 +50,7 @@ struct OpStats {
   int64_t hash_build_rows = 0;
   int64_t hash_probes = 0;
 
-  /// Sort / sort-merge / hash-aggregate: pages of simulated spill IO
+  /// Sort / hash join / hash-aggregate: pages of simulated spill IO
   /// (the out-of-core passes beyond the first read of the input).
   int64_t spill_pages = 0;
 

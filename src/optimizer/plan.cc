@@ -21,19 +21,6 @@ std::vector<ColId> ProjectColumns(const std::vector<ColId>& available,
   return out;
 }
 
-bool HasEquiJoinConjunct(const std::vector<Predicate>& preds,
-                         const RowLayout& left, const RowLayout& right) {
-  for (const Predicate& p : preds) {
-    ColId a, b;
-    if (!p.AsColumnEquality(&a, &b)) continue;
-    if ((left.Contains(a) && right.Contains(b)) ||
-        (left.Contains(b) && right.Contains(a))) {
-      return true;
-    }
-  }
-  return false;
-}
-
 /// Clamps `node`'s estimate into its facts: rows into [lo, hi], each
 /// column's distinct count into its distinct bound.
 void ClampEstimateToFacts(const ColumnCatalog& cat, PlanNode* node) {
@@ -76,9 +63,6 @@ double JoinCost(const Query& query, const PlanNode& node) {
     }
     case JoinAlgo::kHash:
       local = CostModel::HashJoinLocalCost(lp, rp);
-      break;
-    case JoinAlgo::kSortMerge:
-      local = CostModel::SortMergeLocalCost(lp, rp);
       break;
   }
   return children + local;
@@ -176,7 +160,8 @@ PlanPtr PlanBuilder::Join(JoinAlgo algo, PlanPtr left, PlanPtr right,
 PlanPtr PlanBuilder::LeftOuterJoin(PlanPtr left, PlanPtr right,
                                    std::vector<Predicate> preds,
                                    const std::set<ColId>& needed) const {
-  bool equi = HasEquiJoinConjunct(preds, left->output, right->output);
+  bool equi =
+      !SplitJoinPredicates(preds, left->output, right->output).keys.empty();
   return Join(equi ? JoinAlgo::kHash : JoinAlgo::kBlockNestedLoop,
               std::move(left), std::move(right), std::move(preds), needed,
               /*left_outer=*/true);
@@ -185,20 +170,17 @@ PlanPtr PlanBuilder::LeftOuterJoin(PlanPtr left, PlanPtr right,
 PlanPtr PlanBuilder::BestJoin(PlanPtr left, PlanPtr right,
                               std::vector<Predicate> preds,
                               const std::set<ColId>& needed) const {
-  bool equi = HasEquiJoinConjunct(preds, left->output, right->output);
+  bool equi =
+      !SplitJoinPredicates(preds, left->output, right->output).keys.empty();
   PlanPtr bnl = Join(JoinAlgo::kBlockNestedLoop, std::move(left),
                      std::move(right), std::move(preds), needed);
-  PlanPtr best = bnl;
-  if (equi) {
-    // The algorithms differ only in cost: share facts, estimate and layout.
-    for (JoinAlgo algo : {JoinAlgo::kHash, JoinAlgo::kSortMerge}) {
-      auto alt = std::make_shared<PlanNode>(*bnl);
-      alt->algo = algo;
-      alt->cost = JoinCost(*query_, *alt);
-      if (alt->cost < best->cost) best = std::move(alt);
-    }
-  }
-  return best;
+  if (!equi) return bnl;
+  // The algorithms differ only in cost: share facts, estimate and layout.
+  // Ties go to the block-nested-loop join.
+  auto hash = std::make_shared<PlanNode>(*bnl);
+  hash->algo = JoinAlgo::kHash;
+  hash->cost = JoinCost(*query_, *hash);
+  return hash->cost < bnl->cost ? hash : bnl;
 }
 
 PlanPtr PlanBuilder::GroupBy(PlanPtr input, GroupBySpec spec,

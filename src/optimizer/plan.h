@@ -89,14 +89,15 @@ class PlanBuilder {
                bool left_outer = false) const;
 
   /// Left outer join: every left row survives; unmatched ones are padded
-  /// with NULLs on the right. Lowered to the hash or nested-loop operator
-  /// in outer mode.
+  /// with NULLs on the right. A hash join when the predicates give an
+  /// equi-join key, else a block-nested-loop join, both in outer mode.
   PlanPtr LeftOuterJoin(PlanPtr left, PlanPtr right,
                         std::vector<Predicate> preds,
                         const std::set<ColId>& needed) const;
 
-  /// Tries every admissible join algorithm (hash/merge need at least one
-  /// equi-join conjunct) and returns the cheapest.
+  /// The cheaper of the block-nested-loop join and, when the predicates
+  /// give an equi-join key, the hash join; ties go to the block-nested-loop
+  /// join.
   PlanPtr BestJoin(PlanPtr left, PlanPtr right, std::vector<Predicate> preds,
                    const std::set<ColId>& needed) const;
 

@@ -81,24 +81,11 @@ Status Validate(const PlanPtr& plan, const Query& query) {
           "join predicate"));
       AGGVIEW_RETURN_NOT_OK(
           CheckColumns(plan, query, outputs, in, "join output"));
-      if (plan->algo != JoinAlgo::kBlockNestedLoop) {
-        bool has_equi = false;
-        for (const Predicate& p : plan->join_preds) {
-          ColId a, b;
-          if (!p.AsColumnEquality(&a, &b)) continue;
-          bool left_a = plan->left->output.Contains(a);
-          bool right_b = plan->right->output.Contains(b);
-          bool left_b = plan->left->output.Contains(b);
-          bool right_a = plan->right->output.Contains(a);
-          if ((left_a && right_b) || (left_b && right_a)) {
-            has_equi = true;
-            break;
-          }
-        }
-        if (!has_equi) {
-          return NodeError(plan, query,
-                           "hash/merge join without equi-join conjunct");
-        }
+      if (plan->algo == JoinAlgo::kHash &&
+          SplitJoinPredicates(plan->join_preds, plan->left->output,
+                              plan->right->output)
+              .keys.empty()) {
+        return NodeError(plan, query, "hash join without equi-join conjunct");
       }
       if (plan->cost + 1e-9 < std::max(plan->left->cost, plan->right->cost)) {
         return NodeError(plan, query, "cost decreased at join");

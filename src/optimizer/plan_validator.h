@@ -14,7 +14,7 @@ namespace aggview {
 ///  - every output column is actually produced by the node (scan outputs
 ///    come from the table, join outputs from the children, group-by outputs
 ///    from grouping + aggregates);
-///  - hash/merge joins have at least one equi-join conjunct;
+///  - hash joins have at least one equi-join conjunct;
 ///  - estimates are sane (non-negative rows, costs monotone along children).
 ///
 /// Used by the test suite after every optimizer invocation; ExecutePlan

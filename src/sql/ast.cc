@@ -55,7 +55,8 @@ std::string AstExpr::ToString() const {
           op = "/";
           break;
       }
-      return "(" + lhs->ToString() + " " + op + " " + rhs->ToString() + ")";
+      const std::string left = lhs->ToString();
+      return "(" + left + " " + op + " " + rhs->ToString() + ")";
     }
     case Kind::kAggregate: {
       if (agg_kind == AggKind::kCountStar) return "count(*)";

@@ -15,7 +15,7 @@ Value TypedLabel(DataType type, int64_t i) {
     case DataType::kDouble:
       return Value::Real(static_cast<double>(i));
     case DataType::kString:
-      return Value::Str("k" + std::to_string(i));
+      return Value::Str(std::string("k").append(std::to_string(i)));
   }
   return Value::Int(i);
 }

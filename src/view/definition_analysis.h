@@ -2,6 +2,7 @@
 #define AGGVIEW_VIEW_DEFINITION_ANALYSIS_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algebra/query.h"
@@ -17,6 +18,8 @@ namespace aggview {
 /// query), and by the certificate verifier (to re-derive the rewriter's
 /// claims independently).
 struct DefAnalysis {
+  explicit DefAnalysis(Query q) : query(std::move(q)) {}
+
   /// The definition bound as a top-level aggregate query against the base
   /// tables, then mutated into *partial* form: top_group_by's aggregates are
   /// the deduplicated partial calls and select_list is `content_cols`. The

@@ -66,7 +66,6 @@ struct Match {
 /// coverage. Returns the completed match or nullopt.
 std::optional<Match> CheckMapping(const Query& q, const ViewDefinition& view,
                                   const DefAnalysis& def,
-                                  const std::vector<int>& rels,
                                   const std::vector<Predicate>& predicates,
                                   const GroupBySpec& group_by,
                                   std::vector<int> mapping) {
@@ -162,7 +161,7 @@ std::optional<Match> TryMatch(const Query& q, const ViewDefinition& view,
   std::function<void(size_t)> assign = [&](size_t p) {
     if (found.has_value()) return;
     if (p == mapping.size()) {
-      found = CheckMapping(q, view, def, rels, predicates, group_by, mapping);
+      found = CheckMapping(q, view, def, predicates, group_by, mapping);
       return;
     }
     for (size_t i = 0; i < rels.size(); ++i) {

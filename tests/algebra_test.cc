@@ -144,7 +144,9 @@ TEST(RowLayoutTest, Basics) {
   EXPECT_TRUE(layout.Contains(2));
   ColumnCatalog cat;
   // allocate ids 0..5 with widths 8 each
-  for (int i = 0; i < 10; ++i) cat.Add("c" + std::to_string(i), DataType::kInt64);
+  for (int i = 0; i < 10; ++i) {
+    cat.Add(std::string("c").append(std::to_string(i)), DataType::kInt64);
+  }
   EXPECT_EQ(layout.RowWidth(cat), 24);
 }
 

@@ -51,12 +51,6 @@ TEST(CostModelTest, SortChargesPasses) {
   EXPECT_GE(CostModel::SortCost(big), 2.0 * big);  // at least one pass
 }
 
-TEST(CostModelTest, SortMergeReadsInputsPlusSorts) {
-  double l = kBufferPages * 2, r = kBufferPages * 3;
-  EXPECT_DOUBLE_EQ(CostModel::SortMergeLocalCost(l, r),
-                   l + r + CostModel::SortCost(l) + CostModel::SortCost(r));
-}
-
 TEST(CostModelTest, HashAggFreeInMemoryElseTwoPasses) {
   EXPECT_DOUBLE_EQ(CostModel::HashAggLocalCost(kBufferPages), 0.0);
   EXPECT_DOUBLE_EQ(CostModel::HashAggLocalCost(kBufferPages * 2),
@@ -66,7 +60,6 @@ TEST(CostModelTest, HashAggFreeInMemoryElseTwoPasses) {
 TEST(CostModelTest, JoinAlgoNames) {
   EXPECT_STREQ(JoinAlgoName(JoinAlgo::kBlockNestedLoop), "bnl");
   EXPECT_STREQ(JoinAlgoName(JoinAlgo::kHash), "hash");
-  EXPECT_STREQ(JoinAlgoName(JoinAlgo::kSortMerge), "merge");
 }
 
 TEST(CostModelTest, Monotonicity) {

@@ -448,7 +448,8 @@ TEST_F(EnumeratorTest, CompositeLeafGetsLocalFilter) {
 TEST_F(EnumeratorTest, OversizedBlockRejected) {
   BlockSpec block;
   for (int i = 0; i < 21; ++i) {
-    int rel = q_.AddRangeVar(fixture_.tables.dept, "d" + std::to_string(i));
+    int rel = q_.AddRangeVar(fixture_.tables.dept,
+                             std::string("d").append(std::to_string(i)));
     block.rels.push_back(ScanRel(rel));
   }
   EXPECT_FALSE(

@@ -66,7 +66,7 @@ TEST_F(ExecutorTest, JoinAlgorithmsAgree) {
 
   std::string fp;
   for (JoinAlgo algo :
-       {JoinAlgo::kBlockNestedLoop, JoinAlgo::kHash, JoinAlgo::kSortMerge}) {
+       {JoinAlgo::kBlockNestedLoop, JoinAlgo::kHash}) {
     PlanPtr plan = b.Join(algo, emp, dept, join, needed);
     auto result = ExecutePlan(plan, q_);
     ASSERT_OK(result);
@@ -77,6 +77,23 @@ TEST_F(ExecutorTest, JoinAlgorithmsAgree) {
       EXPECT_EQ(result->Fingerprint(), fp) << JoinAlgoName(algo);
     }
   }
+}
+
+TEST_F(ExecutorTest, HashJoinWithoutEquiJoinKeyFailsNamingTheJoin) {
+  // A hand-built hash join whose conjuncts give no key: the equality's
+  // columns are both on the left, the comparison across inputs is a range.
+  PlanBuilder b(q_);
+  std::set<ColId> needed = {eno_, e_dno_, d_dno_};
+  PlanPtr plan = b.Join(JoinAlgo::kHash, b.Scan(e_, {}, needed),
+                        b.Scan(d_, {}, needed),
+                        {EqCols(eno_, e_dno_),
+                         Cmp(Col(e_dno_), CompareOp::kLt, Col(d_dno_))},
+                        needed);
+  auto result = ExecutePlan(plan, q_);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+  EXPECT_NE(result.status().message().find("hash join"), std::string::npos)
+      << result.status().ToString();
 }
 
 TEST_F(ExecutorTest, GroupByPlanComputesAverages) {

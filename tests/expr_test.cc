@@ -132,6 +132,63 @@ TEST_F(ExprTest, PredicateAnalysis) {
   EXPECT_EQ(op, CompareOp::kLt);
 }
 
+/// Two join inputs over fresh columns: left {l.a, l.b}, right {r.a, r.b}.
+class SplitJoinPredicatesTest : public ExprTest {
+ protected:
+  SplitJoinPredicatesTest() {
+    la_ = cat_.Add("l.a", DataType::kInt64);
+    lb_ = cat_.Add("l.b", DataType::kInt64);
+    ra_ = cat_.Add("r.a", DataType::kInt64);
+    rb_ = cat_.Add("r.b", DataType::kInt64);
+    left_ = RowLayout({la_, lb_});
+    right_ = RowLayout({ra_, rb_});
+  }
+
+  using Keys = std::vector<std::pair<ColId, ColId>>;
+
+  JoinPredicates Split(std::vector<Predicate> preds) const {
+    return SplitJoinPredicates(preds, left_, right_);
+  }
+
+  ColId la_, lb_, ra_, rb_;
+  RowLayout left_, right_;
+};
+
+TEST_F(SplitJoinPredicatesTest, EitherOrientationGivesTheSameKeyPair) {
+  JoinPredicates forward = Split({EqCols(la_, rb_)});
+  JoinPredicates backward = Split({EqCols(rb_, la_)});
+  EXPECT_EQ(forward.keys, (Keys{{la_, rb_}}));
+  EXPECT_EQ(backward.keys, (Keys{{la_, rb_}}));
+  EXPECT_TRUE(forward.residual.empty());
+  EXPECT_TRUE(backward.residual.empty());
+}
+
+TEST_F(SplitJoinPredicatesTest, EqualityWithinOneInputStaysResidual) {
+  JoinPredicates split = Split({EqCols(la_, lb_), EqCols(rb_, ra_)});
+  EXPECT_TRUE(split.keys.empty());
+  ASSERT_EQ(split.residual.size(), 2u);
+  EXPECT_EQ(split.residual[0].ToString(cat_), "l.a = l.b");
+  EXPECT_EQ(split.residual[1].ToString(cat_), "r.b = r.a");
+}
+
+TEST_F(SplitJoinPredicatesTest, ColumnAgainstLiteralStaysResidual) {
+  JoinPredicates split = Split({Cmp(Col(la_), CompareOp::kEq, LitInt(3)),
+                                Cmp(Col(la_), CompareOp::kLt, Col(rb_)),
+                                EqCols(lb_, ra_)});
+  EXPECT_EQ(split.keys, (Keys{{lb_, ra_}}));
+  ASSERT_EQ(split.residual.size(), 2u);
+  EXPECT_EQ(split.residual[0].ToString(cat_), "l.a = 3");
+  EXPECT_EQ(split.residual[1].ToString(cat_), "l.a < r.b");
+}
+
+TEST_F(SplitJoinPredicatesTest, RepeatedKeyIsKeptOnce) {
+  JoinPredicates split =
+      Split({EqCols(la_, rb_), EqCols(lb_, ra_), EqCols(rb_, la_),
+             EqCols(la_, rb_)});
+  EXPECT_EQ(split.keys, (Keys{{la_, rb_}, {lb_, ra_}}));
+  EXPECT_TRUE(split.residual.empty());
+}
+
 TEST_F(ExprTest, PredicateBoundByAndReferences) {
   Predicate p = Cmp(Col(a_), CompareOp::kGt, Col(b_));
   EXPECT_TRUE(p.BoundBy({a_, b_}));

@@ -289,7 +289,7 @@ std::pair<int, int> ExpectClampIsNoOp(const FuzzOptions& options) {
         if (ExecuteMatViewStatement(&catalog,
                                     "create materialized view m" + rest)
                 .ok()) {
-          created.push_back("m" + rest.substr(0, rest.find(' ')));
+          created.push_back(std::string("m").append(rest, 0, rest.find(' ')));
         }
       }
     }

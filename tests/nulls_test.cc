@@ -64,7 +64,7 @@ TEST_F(NullKeysTest, AllJoinAlgorithmsSkipNullKeysIdentically) {
 
   std::string reference;
   for (JoinAlgo algo :
-       {JoinAlgo::kHash, JoinAlgo::kSortMerge, JoinAlgo::kBlockNestedLoop}) {
+       {JoinAlgo::kHash, JoinAlgo::kBlockNestedLoop}) {
     PlanPtr join = b.Join(algo, b.Scan(d, {}, needed), b.Scan(e, {}, needed),
                           {EqCols(d_dno, e_dno)}, needed);
     auto result = ExecutePlan(b.Project(join, q.select_list()), q);

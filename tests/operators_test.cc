@@ -11,6 +11,13 @@
 namespace aggview {
 namespace {
 
+/// The hash join's charge, and the block-nested-loop join's over a
+/// materialized inner.
+const JoinOp::JoinCharge kHashCharge{};
+const JoinOp::JoinCharge kBnlCharge{/*block_nested_loop=*/true,
+                                    /*inner_pages_per_pass=*/0.0,
+                                    /*materialize_inner=*/true};
+
 /// Minimal harness: a scratch table, a column catalog, and layouts.
 class OperatorsTest : public ::testing::Test {
  protected:
@@ -108,10 +115,9 @@ TEST_F(OperatorsTest, HashJoinMatchesPairs) {
   auto right = std::make_unique<TableScanOp>(
       &table_, RowLayout({id2, grp2, v2}), std::vector<Predicate>{},
       RowLayout({id2, grp2}), &cat_, &io_, true);
-  auto join = std::make_unique<HashJoinOp>(
-      Scan(), std::move(right),
-      std::vector<std::pair<ColId, ColId>>{{grp_, grp2}},
-      std::vector<Predicate>{}, &cat_, &io_);
+  auto join = std::make_unique<JoinOp>(
+      Scan(), std::move(right), std::vector<Predicate>{EqCols(grp_, grp2)},
+      &cat_, &io_, kHashCharge);
   EXPECT_EQ(DrainAll(join.get()).size(), 34u);
 }
 
@@ -123,11 +129,11 @@ TEST_F(OperatorsTest, HashJoinResidualPredicates) {
       &table_, RowLayout({id2, grp2, v2}), std::vector<Predicate>{},
       RowLayout({id2, grp2}), &cat_, &io_, true);
   // grp equal and left id strictly smaller.
-  auto join = std::make_unique<HashJoinOp>(
+  auto join = std::make_unique<JoinOp>(
       Scan(), std::move(right),
-      std::vector<std::pair<ColId, ColId>>{{grp_, grp2}},
-      std::vector<Predicate>{Cmp(Col(id_), CompareOp::kLt, Col(id2))}, &cat_,
-      &io_);
+      std::vector<Predicate>{EqCols(grp_, grp2),
+                             Cmp(Col(id_), CompareOp::kLt, Col(id2))},
+      &cat_, &io_, kHashCharge);
   // Pairs (a<b) within groups: C(4,2)+C(3,2)+C(3,2) = 6+3+3 = 12.
   EXPECT_EQ(DrainAll(join.get()).size(), 12u);
 }
@@ -139,10 +145,10 @@ TEST_F(OperatorsTest, NestedLoopJoinArbitraryPredicate) {
   auto right = std::make_unique<TableScanOp>(
       &table_, RowLayout({id2, grp2, v2}), std::vector<Predicate>{},
       RowLayout({id2}), &cat_, &io_, true);
-  auto join = std::make_unique<NestedLoopJoinOp>(
+  auto join = std::make_unique<JoinOp>(
       Scan({}, {id_}), std::move(right),
       std::vector<Predicate>{Cmp(Col(id_), CompareOp::kLt, Col(id2))}, &cat_,
-      &io_, /*inner_pages_per_pass=*/0.0, /*charge_materialize=*/true);
+      &io_, kBnlCharge);
   // #pairs with a<b among 10x10 = 45.
   EXPECT_EQ(DrainAll(join.get()).size(), 45u);
 }
@@ -162,19 +168,19 @@ TEST_F(OperatorsTest, NestedLoopIndexFastPathMatchesHashJoin) {
                       id2, grp2);
   };
   auto [r1, id_a, grp_a] = make_right();
-  auto nlj = std::make_unique<NestedLoopJoinOp>(
+  auto nlj = std::make_unique<JoinOp>(
       Scan(), std::move(r1),
       std::vector<Predicate>{EqCols(grp_, grp_a),
                              Cmp(Col(id_), CompareOp::kLt, Col(id_a))},
-      &cat_, &io_, 0.0, true);
+      &cat_, &io_, kBnlCharge);
   size_t nlj_rows = DrainAll(nlj.get()).size();
 
   auto [r2, id_b, grp_b] = make_right();
-  auto hash = std::make_unique<HashJoinOp>(
+  auto hash = std::make_unique<JoinOp>(
       Scan(), std::move(r2),
-      std::vector<std::pair<ColId, ColId>>{{grp_, grp_b}},
-      std::vector<Predicate>{Cmp(Col(id_), CompareOp::kLt, Col(id_b))}, &cat_,
-      &io_);
+      std::vector<Predicate>{EqCols(grp_, grp_b),
+                             Cmp(Col(id_), CompareOp::kLt, Col(id_b))},
+      &cat_, &io_, kHashCharge);
   EXPECT_EQ(nlj_rows, DrainAll(hash.get()).size());
   EXPECT_EQ(nlj_rows, 12u);
 }
@@ -205,12 +211,11 @@ TEST_F(OperatorsTest, NestedLoopChargeIdentity) {
                         {"materialized inner", &table_, false},
                         {"multi-pass outer", &big, false},
                         {"multi-pass outer, bare-scan inner", &big, true}};
-  using Held = NestedLoopJoinOp::Held;
   for (const Case& c : cases) {
-    for (Held held : {Held::kInner, Held::kOuter}) {
+    for (bool hold_outer : {false, true}) {
       for (int threads : {1, 4}) {
         const std::string where = std::string(c.name) + " held=" +
-                                  (held == Held::kOuter ? "outer" : "inner") +
+                                  (hold_outer ? "outer" : "inner") +
                                   " threads=" + std::to_string(threads);
         auto runtime =
             std::make_shared<ExecRuntime>(threads, /*morsel_rows=*/1000,
@@ -230,10 +235,11 @@ TEST_F(OperatorsTest, NestedLoopChargeIdentity) {
         inner->set_exec(runtime);
         const double per_pass =
             c.bare_inner ? static_cast<double>(table_.page_count()) : 0.0;
-        NestedLoopJoinOp join(std::move(outer), std::move(inner),
-                              {EqCols(id_, id2)}, &cat_, &io, per_pass,
-                              /*charge_materialize=*/!c.bare_inner,
-                              /*left_outer=*/false, held);
+        JoinOp join(std::move(outer), std::move(inner), {EqCols(id_, id2)},
+                    &cat_, &io,
+                    JoinOp::JoinCharge{/*block_nested_loop=*/true, per_pass,
+                                       /*materialize_inner=*/!c.bare_inner},
+                    /*left_outer=*/false, hold_outer);
         join.set_exec(runtime);
         ASSERT_TRUE(join.Open().ok()) << where;
         std::vector<int64_t> rows(static_cast<size_t>(threads), 0);
@@ -287,49 +293,38 @@ TEST_F(OperatorsTest, JoinWithEmptyBuildSide) {
   auto right = std::make_unique<TableScanOp>(
       &empty, RowLayout({id2, grp2, v2}), std::vector<Predicate>{},
       RowLayout({id2, grp2}), &cat_, &io_, true);
-  auto join = std::make_unique<HashJoinOp>(
-      Scan(), std::move(right),
-      std::vector<std::pair<ColId, ColId>>{{grp_, grp2}},
-      std::vector<Predicate>{}, &cat_, &io_);
+  auto join = std::make_unique<JoinOp>(
+      Scan(), std::move(right), std::vector<Predicate>{EqCols(grp_, grp2)},
+      &cat_, &io_, kHashCharge);
   EXPECT_EQ(DrainAll(join.get()).size(), 0u);
 }
 
-TEST_F(OperatorsTest, SortMergeJoinEqualsHashJoin) {
-  auto make_right = [&](ColId* gid) {
-    ColId id2 = cat_.Add("w.id", DataType::kInt64);
-    ColId grp2 = cat_.Add("w.grp", DataType::kInt64);
-    ColId v2 = cat_.Add("w.v", DataType::kDouble);
-    *gid = grp2;
-    return std::make_unique<TableScanOp>(
-        &table_, RowLayout({id2, grp2, v2}), std::vector<Predicate>{},
-        RowLayout({id2, grp2}), &cat_, &io_, true);
-  };
-  ColId g1;
-  auto right = make_right(&g1);
-  auto smj = std::make_unique<SortMergeJoinOp>(
-      Scan(), std::move(right),
-      std::vector<std::pair<ColId, ColId>>{{grp_, g1}},
-      std::vector<Predicate>{}, &cat_, &io_);
-  EXPECT_EQ(DrainAll(smj.get()).size(), 34u);
-}
-
-TEST_F(OperatorsTest, SortMergeJoinDuplicateBlocks) {
-  // All rows share one key: full cross product must be emitted.
+TEST_F(OperatorsTest, DuplicateKeyBlockJoinsEveryPair) {
+  // All 4 x 4 rows share one key: every join emits the full cross product,
+  // whichever input it holds.
   Table ones(Schema({{"k", DataType::kInt64}}));
   for (int i = 0; i < 4; ++i) ones.AppendUnchecked({Value::Int(1)});
-  ColId k1 = cat_.Add("a.k", DataType::kInt64);
-  ColId k2 = cat_.Add("b.k", DataType::kInt64);
-  auto l = std::make_unique<TableScanOp>(&ones, RowLayout({k1}),
-                                         std::vector<Predicate>{},
-                                         RowLayout({k1}), &cat_, &io_, true);
-  auto r = std::make_unique<TableScanOp>(&ones, RowLayout({k2}),
-                                         std::vector<Predicate>{},
-                                         RowLayout({k2}), &cat_, &io_, true);
-  auto smj = std::make_unique<SortMergeJoinOp>(
-      std::move(l), std::move(r),
-      std::vector<std::pair<ColId, ColId>>{{k1, k2}}, std::vector<Predicate>{},
-      &cat_, &io_);
-  EXPECT_EQ(DrainAll(smj.get()).size(), 16u);
+  struct Case {
+    const char* name;
+    JoinOp::JoinCharge charge;
+    bool hold_left;
+  };
+  const Case cases[] = {{"hash", kHashCharge, false},
+                        {"bnl holding the outer", kBnlCharge, true},
+                        {"bnl holding the inner", kBnlCharge, false}};
+  for (const Case& c : cases) {
+    ColId k1 = cat_.Add("a.k", DataType::kInt64);
+    ColId k2 = cat_.Add("b.k", DataType::kInt64);
+    auto l = std::make_unique<TableScanOp>(&ones, RowLayout({k1}),
+                                           std::vector<Predicate>{},
+                                           RowLayout({k1}), &cat_, &io_, true);
+    auto r = std::make_unique<TableScanOp>(&ones, RowLayout({k2}),
+                                           std::vector<Predicate>{},
+                                           RowLayout({k2}), &cat_, &io_, true);
+    JoinOp join(std::move(l), std::move(r), {EqCols(k1, k2)}, &cat_, &io_,
+                c.charge, /*left_outer=*/false, c.hold_left);
+    EXPECT_EQ(DrainAll(&join).size(), 16u) << c.name;
+  }
 }
 
 TEST_F(OperatorsTest, HashAggregateComputesGroups) {
@@ -521,15 +516,15 @@ TEST_F(OperatorsTest, FailurePropagatesThroughFilter) {
 
 TEST_F(OperatorsTest, FailureInBuildSideSurfacesAtOpen) {
   ColId k = cat_.Add("fail.k", DataType::kInt64);
-  HashJoinOp join(Scan(), std::make_unique<FailingOp>(RowLayout({k}), 1),
-                  {{grp_, k}}, {}, &cat_, &io_);
+  JoinOp join(Scan(), std::make_unique<FailingOp>(RowLayout({k}), 1),
+              {EqCols(grp_, k)}, &cat_, &io_, kHashCharge);
   EXPECT_EQ(join.Open().code(), StatusCode::kExecutionError);
 }
 
 TEST_F(OperatorsTest, FailureInProbeSideSurfacesAtNext) {
   ColId k = cat_.Add("fail2.k", DataType::kInt64);
-  HashJoinOp join(std::make_unique<FailingOp>(RowLayout({k}), 1), Scan(),
-                  {{k, grp_}}, {}, &cat_, &io_);
+  JoinOp join(std::make_unique<FailingOp>(RowLayout({k}), 1), Scan(),
+              {EqCols(k, grp_)}, &cat_, &io_, kHashCharge);
   ASSERT_TRUE(join.Open().ok());
   RowBatch batch(4);
   while (true) {
@@ -549,13 +544,6 @@ TEST_F(OperatorsTest, FailurePropagatesThroughAggregate) {
   HashAggregateOp agg(std::make_unique<FailingOp>(RowLayout({id_}), 3), spec,
                       &cat_, &io_);
   EXPECT_EQ(agg.Open().code(), StatusCode::kExecutionError);
-}
-
-TEST_F(OperatorsTest, FailurePropagatesThroughSortMerge) {
-  ColId k = cat_.Add("fail3.k", DataType::kInt64);
-  SortMergeJoinOp join(std::make_unique<FailingOp>(RowLayout({k}), 2), Scan(),
-                       {{k, grp_}}, {}, &cat_, &io_);
-  EXPECT_EQ(join.Open().code(), StatusCode::kExecutionError);
 }
 
 }  // namespace

@@ -153,27 +153,6 @@ TEST_F(OuterJoinTest, NestedLoopOuterMatchesHashOuter) {
   EXPECT_EQ(r1->Fingerprint(), r2->Fingerprint());
 }
 
-TEST_F(OuterJoinTest, SortMergeOuterIsDemotedToHash) {
-  // A plan that asks for a sort-merge outer join must still execute
-  // correctly (lowering demotes it to the hash operator's outer mode).
-  Query q(&catalog_);
-  int d = q.AddRangeVar(tables_.dept, "d");
-  int e = q.AddRangeVar(tables_.emp, "e");
-  q.base_rels() = {d, e};
-  ColId d_dno = q.range_var(d).columns[0];
-  ColId e_dno = q.range_var(e).columns[1];
-  q.select_list() = {d_dno};
-  PlanBuilder b(q);
-  std::set<ColId> needed = {d_dno, e_dno};
-  PlanPtr smj = b.Join(JoinAlgo::kSortMerge, b.Scan(d, {}, needed),
-                       b.Scan(e, {}, needed), {EqCols(d_dno, e_dno)}, needed);
-  auto outer = std::make_shared<PlanNode>(*smj);
-  outer->left_outer = true;
-  auto result = ExecutePlan(b.Project(outer, q.select_list()), q);
-  ASSERT_OK(result);
-  EXPECT_EQ(result->rows.size(), 4u);  // 3 matches + 1 padded dept
-}
-
 TEST_F(OuterJoinTest, CountBugFlattening) {
   // Correlated query: departments with fewer than 2 employees —
   //   SELECT d.dno FROM dept d

@@ -154,7 +154,7 @@ TEST_F(PlanValidatorTest, HashJoinWithoutEquiConjunctNamesJoinNode) {
   broken->output = RowLayout({eno_});
   Status st = ValidatePlan(broken, q_);
   ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("hash/merge join without equi-join conjunct"),
+  EXPECT_NE(st.message().find("hash join without equi-join conjunct"),
             std::string::npos)
       << st.message();
   EXPECT_NE(st.message().find("Join(hash)"), std::string::npos)
