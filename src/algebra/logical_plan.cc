@@ -1,11 +1,13 @@
 #include "algebra/logical_plan.h"
 
-#include <algorithm>
-#include <functional>
+#include <unordered_map>
 
 namespace aggview {
 
-std::unordered_map<ColId, int> ColumnOwners(const Query& query) {
+std::vector<std::pair<ColId, ColId>> EquiJoinPairs(
+    const Query& query, const std::vector<Predicate>& preds,
+    const std::set<int>& left_rels, int right_rel) {
+  // Owning range variable of every column; aggregate outputs have none.
   std::unordered_map<ColId, int> owners;
   for (int i = 0; i < query.num_range_vars(); ++i) {
     for (ColId c : query.range_var(i).columns) owners[c] = i;
@@ -13,51 +15,6 @@ std::unordered_map<ColId, int> ColumnOwners(const Query& query) {
       owners[query.range_var(i).rowid] = i;
     }
   }
-  return owners;
-}
-
-std::set<int> PredicateRels(const Query& query, const Predicate& pred,
-                            const std::set<int>& scope) {
-  std::set<int> out;
-  std::unordered_map<ColId, int> owners = ColumnOwners(query);
-  for (ColId c : pred.Columns()) {
-    auto it = owners.find(c);
-    if (it == owners.end()) continue;
-    if (scope.count(it->second) > 0) out.insert(it->second);
-  }
-  return out;
-}
-
-bool RelsConnected(const Query& query, const std::vector<Predicate>& preds,
-                   const std::set<int>& rels) {
-  if (rels.size() <= 1) return true;
-  // Union-find over the relation ids.
-  std::unordered_map<int, int> parent;
-  for (int r : rels) parent[r] = r;
-  std::function<int(int)> find = [&](int x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  for (const Predicate& p : preds) {
-    std::set<int> touched = PredicateRels(query, p, rels);
-    if (touched.size() < 2) continue;
-    int first = *touched.begin();
-    for (int r : touched) {
-      parent[find(r)] = find(first);
-    }
-  }
-  int root = find(*rels.begin());
-  return std::all_of(rels.begin(), rels.end(),
-                     [&](int r) { return find(r) == root; });
-}
-
-std::vector<std::pair<ColId, ColId>> EquiJoinPairs(
-    const Query& query, const std::vector<Predicate>& preds,
-    const std::set<int>& left_rels, int right_rel) {
-  std::unordered_map<ColId, int> owners = ColumnOwners(query);
   std::vector<std::pair<ColId, ColId>> pairs;
   for (const Predicate& p : preds) {
     ColId a, b;
@@ -74,23 +31,6 @@ std::vector<std::pair<ColId, ColId>> EquiJoinPairs(
     }
   }
   return pairs;
-}
-
-bool EquiJoinCoversKey(const Query& query, int right_rel,
-                       const std::vector<std::pair<ColId, ColId>>& pairs) {
-  const RangeVar& rv = query.range_var(right_rel);
-  const TableDef& def = query.catalog().table(rv.table);
-  std::vector<int> local;
-  for (const auto& [left_col, right_col] : pairs) {
-    (void)left_col;
-    for (size_t i = 0; i < rv.columns.size(); ++i) {
-      if (rv.columns[i] == right_col) {
-        local.push_back(static_cast<int>(i));
-        break;
-      }
-    }
-  }
-  return def.CoversKey(local);
 }
 
 }  // namespace aggview

@@ -2,28 +2,12 @@
 #define AGGVIEW_ALGEBRA_LOGICAL_PLAN_H_
 
 #include <set>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "algebra/query.h"
 
 namespace aggview {
-
-/// Maps every query-global column id to the range variable that owns it.
-/// Aggregate outputs have no owner and are absent from the map.
-std::unordered_map<ColId, int> ColumnOwners(const Query& query);
-
-/// The set of range-variable ids (restricted to `scope`) whose columns appear
-/// in `pred`. Columns owned by relations outside the scope, and aggregate
-/// outputs, are ignored.
-std::set<int> PredicateRels(const Query& query, const Predicate& pred,
-                            const std::set<int>& scope);
-
-/// True when the relation set `rels` forms a connected join graph under the
-/// conjunction `preds` (predicates touching two or more rels are edges).
-/// Singleton and empty sets are connected.
-bool RelsConnected(const Query& query, const std::vector<Predicate>& preds,
-                   const std::set<int>& rels);
 
 /// Equi-join column pairs between `left_rels`-owned columns and columns of
 /// relation `right_rel`, extracted from `preds`. Returns pairs
@@ -31,13 +15,6 @@ bool RelsConnected(const Query& query, const std::vector<Predicate>& preds,
 std::vector<std::pair<ColId, ColId>> EquiJoinPairs(
     const Query& query, const std::vector<Predicate>& preds,
     const std::set<int>& left_rels, int right_rel);
-
-/// True when the equi-join columns of `right_rel` (right side of `pairs`),
-/// translated to table-local indices, cover a primary or unique key of the
-/// underlying table. This is the "at most one matching tuple per group" test
-/// used by both push-down applicability and pull-up key elision.
-bool EquiJoinCoversKey(const Query& query, int right_rel,
-                       const std::vector<std::pair<ColId, ColId>>& pairs);
 
 }  // namespace aggview
 

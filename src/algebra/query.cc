@@ -1,7 +1,5 @@
 #include "algebra/query.h"
 
-#include <algorithm>
-
 #include "common/string_util.h"
 
 namespace aggview {
@@ -47,10 +45,6 @@ std::string GroupBySpec::ToString(const ColumnCatalog& cat) const {
     out += "]";
   }
   return out;
-}
-
-bool SpjBlock::ContainsRel(int rel_id) const {
-  return std::find(rels.begin(), rels.end(), rel_id) != rels.end();
 }
 
 int Query::AddRangeVar(TableId table, const std::string& alias) {

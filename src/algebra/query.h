@@ -71,8 +71,6 @@ struct GroupBySpec {
 struct SpjBlock {
   std::vector<int> rels;
   std::vector<Predicate> predicates;
-
-  bool ContainsRel(int rel_id) const;
 };
 
 /// An aggregate view Qi = Gi(Vi): a single-block SPJ query with a group-by

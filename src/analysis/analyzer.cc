@@ -572,24 +572,24 @@ Status VerifyViewRewriteCertificate(const Query& query,
   if (brv.table != view->backing_table) {
     return fail("backing scan is not the view's backing table");
   }
-  // The backing key must be exactly the grouping prefix — the property that
-  // makes a residual roll-up aggregate whole view groups.
-  const TableDef& backing = catalog.table(view->backing_table);
-  if (static_cast<int>(backing.primary_key.size()) != view->num_grouping) {
-    return fail("backing key is not the grouping prefix");
-  }
-  for (int k = 0; k < view->num_grouping; ++k) {
-    if (backing.primary_key[static_cast<size_t>(k)] != k) {
-      return fail("backing key is not the grouping prefix");
-    }
-  }
-
-  // Re-derive the definition from its stored SQL, independent of whatever
-  // the rewriter matched against.
+  // Re-derive the definition from its stored SQL, independent of the
+  // analysis the rewriter matched against.
   AGGVIEW_ASSIGN_OR_RETURN(
       DefAnalysis def,
       AnalyzeViewDefinition(catalog, view->name, view->definition_sql,
                             view->column_names));
+
+  // The backing key must be exactly the grouping prefix — the property that
+  // makes a residual roll-up aggregate whole view groups.
+  const TableDef& backing = catalog.table(view->backing_table);
+  if (static_cast<int>(backing.primary_key.size()) != def.num_grouping) {
+    return fail("backing key is not the grouping prefix");
+  }
+  for (int k = 0; k < def.num_grouping; ++k) {
+    if (backing.primary_key[static_cast<size_t>(k)] != k) {
+      return fail("backing key is not the grouping prefix");
+    }
+  }
 
   // The replaced relations must biject onto the definition FROM list,
   // preserving catalog tables (positional: cert.replaced_rels is in
@@ -640,9 +640,9 @@ Status VerifyViewRewriteCertificate(const Query& query,
   // that key's position.
   for (ColId g : cert.grouping) {
     int key = -1;
-    for (int k = 0; k < view->num_grouping; ++k) {
-      int p = view->grouping_rel[static_cast<size_t>(k)];
-      int c = view->grouping_col[static_cast<size_t>(k)];
+    for (int k = 0; k < def.num_grouping; ++k) {
+      int p = def.grouping_rel[static_cast<size_t>(k)];
+      int c = def.grouping_col[static_cast<size_t>(k)];
       const RangeVar& iv =
           query.range_var(cert.replaced_rels[static_cast<size_t>(p)]);
       if (iv.columns[static_cast<size_t>(c)] == g) {
@@ -675,7 +675,7 @@ Status VerifyViewRewriteCertificate(const Query& query,
     }
     std::vector<int> storage;
     if (orig.kind == AggKind::kCountStar) {
-      storage = {view->rows_col};
+      storage = {def.rows_col};
     } else {
       if (orig.args.size() != 1) return fail("original aggregate arity");
       // Locate the argument among the replaced relations.
@@ -695,7 +695,7 @@ Status VerifyViewRewriteCertificate(const Query& query,
         return fail("aggregate argument is not a replaced base column");
       }
       const ViewAggSlot* slot = nullptr;
-      for (const ViewAggSlot& s : view->slots) {
+      for (const ViewAggSlot& s : def.slots) {
         if (s.kind == orig.kind && s.arg_rel == rel_pos && s.arg_col == col) {
           slot = &s;
           break;

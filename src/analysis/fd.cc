@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "algebra/logical_plan.h"
-
 namespace aggview {
 
 void FdSet::AddFd(std::set<ColId> lhs, std::set<ColId> rhs) {

@@ -133,6 +133,17 @@ bool Catalog::IsViewFresh(const ViewDefinition& view) const {
   return !view.synced_base_epochs.empty() || view.base_tables.empty();
 }
 
+void Catalog::MarkViewSynced(ViewDefinition* view) {
+  view->epoch.fetch_add(1, std::memory_order_acq_rel);
+  view->synced_base_epochs.clear();
+  std::set<TableId> seen;
+  for (TableId t : view->base_tables) {
+    if (seen.insert(t).second) {
+      view->synced_base_epochs.emplace_back(t, table_epoch(t));
+    }
+  }
+}
+
 bool Catalog::IsForeignKeyJoin(TableId referencing,
                                const std::vector<int>& referencing_cols,
                                TableId referenced,

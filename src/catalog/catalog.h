@@ -12,7 +12,6 @@
 #include "catalog/statistics.h"
 #include "common/result.h"
 #include "common/status.h"
-#include "expr/aggregate.h"
 #include "types/schema.h"
 
 namespace aggview {
@@ -55,80 +54,32 @@ struct TableDef {
   bool CoversKey(const std::vector<int>& columns) const;
 };
 
-/// One aggregate slot of a materialized view: how the definition aggregate
-/// is stored as partials in the backing table and recombined at query time.
-/// The split/merge rules come from transform/decompose.h — the same table
-/// coalescing uses — so maintenance and roll-up provably agree with the
-/// optimizer's algebra.
-struct ViewAggSlot {
-  /// The definition's aggregate (a user kind: SUM/COUNT/COUNT(*)/MIN/MAX/AVG;
-  /// MEDIAN is rejected at CREATE).
-  AggKind kind = AggKind::kCountStar;
-  /// Compensating combine applied when answering a query from the view
-  /// (DecomposeAggregate(kind).combine).
-  AggKind combine = AggKind::kCountSum;
-  /// Definition-block relation the argument comes from (position in the
-  /// definition's FROM list) and the argument's table-local column index;
-  /// both -1 for COUNT(*).
-  int arg_rel = -1;
-  int arg_col = -1;
-  /// Backing-table columns feeding the combine, in argument order (one for
-  /// SUM/COUNT/MIN/MAX, [psum, pcount] for AVG).
-  std::vector<int> storage;
-  /// Backing-table column holding the count of non-NULL argument values of
-  /// the group — the retraction witness delta maintenance needs to restore
-  /// SUM/AVG to NULL when the last non-NULL argument leaves a group. -1 for
-  /// MIN/MAX (delete falls back to group recompute).
-  int nn_count = -1;
-  /// Definition-space rendering ("avg(e.sal)") for diagnostics.
-  std::string display;
-};
+struct DefAnalysis;  // view/definition_analysis.h
 
-/// A materialized aggregate view: its definition (kept as SQL and re-bound on
-/// demand, so the catalog does not depend on the parser), the backing table
-/// holding one row per group (grouping keys first, then partial-aggregate
-/// slots, then a hidden row count), and the freshness bookkeeping the plan
+/// A materialized aggregate view: its definition (the SQL text, and the
+/// bound and analyzed form CREATE derived from it), the backing table holding
+/// one row per group (grouping keys first, then partial-aggregate columns,
+/// including a hidden row count), and the freshness bookkeeping the plan
 /// cache and the rewriter key on.
 struct ViewDefinition {
   std::string name;
   /// The definition SELECT text (everything after AS).
   std::string definition_sql;
-  /// User-visible output column names, positional with the SELECT items.
+  /// The definition as analyzed once at CREATE: grouping keys, aggregate
+  /// slots, partial columns and the partial-form query. Maintenance, REFRESH
+  /// and the rewriter read it; the catalog itself never does, so it does not
+  /// depend on the parser.
+  std::shared_ptr<const DefAnalysis> def;
+  /// User-visible output column names, positional with the SELECT items
+  /// (the binder inlines FROM-referenced views from these).
   std::vector<std::string> column_names;
   /// Backing table registered in the catalog ("__mv_<name>__<n>"); its
   /// primary key is exactly the grouping prefix.
   TableId backing_table = -1;
   /// Catalog table of each definition FROM entry, in FROM order.
-  std::vector<TableId> base_tables;
-  /// Backing columns [0, num_grouping) are the grouping keys, in definition
-  /// GROUP BY order; per key the definition relation and table-local column.
-  int num_grouping = 0;
-  std::vector<int> grouping_rel;
-  std::vector<int> grouping_col;
-  /// One slot per definition aggregate, in definition order.
-  std::vector<ViewAggSlot> slots;
-  /// Backing partial columns [num_grouping, ...), positionally: the
-  /// partial-aggregate kind and argument stored there (definition FROM
-  /// position + table-local column; both -1 for the COUNT(*) partial).
-  /// Slots reference these by backing column index; shared partials (AVG
-  /// and SUM over the same argument) appear once. Delta maintenance merges
-  /// and retracts at this level.
-  struct Partial {
-    AggKind kind = AggKind::kCountStar;
-    int arg_rel = -1;
-    int arg_col = -1;
-  };
-  std::vector<Partial> partials;
-  /// Backing column of the hidden COUNT(*) ("__rows"): detects a delta
-  /// emptying a group. Always present, shared with a COUNT(*) slot if any.
-  int rows_col = -1;
-  /// Whether the view is scalar (no GROUP BY): the backing table then always
-  /// holds exactly one row, kept (with empty-aggregate values) even when the
-  /// base goes empty — the PR 1 scalar-aggregate semantics.
-  bool scalar = false;
   /// Single-relation views are delta-maintainable; multi-relation views go
   /// stale on base change and need REFRESH.
-  bool incremental = false;
+  std::vector<TableId> base_tables;
   /// Bumped on every content change (materialize, refresh, delta apply);
   /// view-backed cached plans stamp it.
   std::atomic<int64_t> epoch{0};
@@ -232,6 +183,10 @@ class Catalog {
   /// True when every base table's current epoch matches the view's synced
   /// snapshot — i.e. the backing content reflects the current base data.
   bool IsViewFresh(const ViewDefinition& view) const;
+
+  /// Records that the view's content now reflects the current base data:
+  /// bumps its content epoch and re-stamps its synced base epochs.
+  void MarkViewSynced(ViewDefinition* view);
 
   const std::vector<ForeignKey>& foreign_keys() const { return foreign_keys_; }
 

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
+#include <utility>
+#include <vector>
 
 #include "analysis/dataflow.h"
 #include "obs/runtime_stats.h"
@@ -78,45 +81,33 @@ Result<QueryResult> ExecutePlan(const PlanPtr& plan, const Query& query,
   AGGVIEW_RETURN_NOT_OK(op->Open());
   QueryResult result;
   result.layout = op->layout();
+  // Every pipeline instance collects its share of the output into a private
+  // buffer; the buffers concatenate in worker order. With one worker this
+  // is the serial drain. A parallel result is the same multiset (the
+  // fingerprint convention sorts rows, so even the order difference is
+  // invisible to equivalence checks).
   int workers = MorselWorkers(*op);
-  if (workers > 1) {
-    // Parallel root drain: every pipeline instance collects its share of
-    // the output into a private buffer; the buffers concatenate in worker
-    // order. The result is the same multiset as a serial drain (the
-    // fingerprint convention sorts rows, so even the order difference is
-    // invisible to equivalence checks).
-    std::vector<std::vector<Row>> chunks(static_cast<size_t>(workers));
-    AGGVIEW_RETURN_NOT_OK(RunMorselParallel(
-        op.get(), workers, [&](int w, Operator* instance) -> Status {
-          std::vector<Row>& rows = chunks[static_cast<size_t>(w)];
-          RowBatch batch(ctx.batch_size);
-          while (true) {
-            auto more = instance->Next(&batch);
-            if (!more.ok()) return more.status();
-            if (!*more) return Status::OK();
-            for (int i = 0; i < batch.size(); ++i) {
-              rows.push_back(batch.row(i));
-            }
+  std::vector<std::vector<Row>> chunks(static_cast<size_t>(workers));
+  AGGVIEW_RETURN_NOT_OK(RunMorselParallel(
+      op.get(), workers, [&](int w, Operator* instance) -> Status {
+        std::vector<Row>& rows = chunks[static_cast<size_t>(w)];
+        RowBatch batch(ctx.batch_size);
+        while (true) {
+          auto more = instance->Next(&batch);
+          if (!more.ok()) return more.status();
+          if (!*more) return Status::OK();
+          for (int i = 0; i < batch.size(); ++i) {
+            // Copy, not move: the batch slots keep their heap buffers, so
+            // the operator refills them without a per-row allocation.
+            rows.push_back(batch.row(i));
           }
-        }));
-    size_t total = 0;
-    for (const auto& chunk : chunks) total += chunk.size();
-    result.rows.reserve(total);
-    for (auto& chunk : chunks) {
-      for (Row& row : chunk) result.rows.push_back(std::move(row));
-    }
-  } else {
-    RowBatch batch(ctx.batch_size);
-    while (true) {
-      auto more = op->Next(&batch);
-      if (!more.ok()) return more.status();
-      if (!*more) break;
-      for (int i = 0; i < batch.size(); ++i) {
-        // Copy, not move: the batch slots keep their heap buffers, so the
-        // root operator refills them without a per-row allocation.
-        result.rows.push_back(batch.row(i));
-      }
-    }
+        }
+      }));
+  result.rows = std::move(chunks[0]);
+  for (size_t w = 1; w < chunks.size(); ++w) {
+    result.rows.insert(result.rows.end(),
+                       std::make_move_iterator(chunks[w].begin()),
+                       std::make_move_iterator(chunks[w].end()));
   }
   op->Close();
   if (ctx.verify != nullptr && effective.stats != nullptr) {

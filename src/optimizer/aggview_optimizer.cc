@@ -14,6 +14,9 @@ namespace aggview {
 
 namespace {
 
+/// Safety cap on the number of W assignments evaluated.
+constexpr int kMaxAssignments = 512;
+
 /// Columns referenced by the top block: its predicates, G0 (grouping,
 /// aggregate arguments, HAVING) and the select list.
 std::set<ColId> TopReferences(const Query& query) {
@@ -195,7 +198,7 @@ Result<OptimizedQuery> OptimizeQueryWithAggViews(const Query& query,
   std::vector<std::vector<std::set<int>>> assignments;
   std::vector<std::set<int>> current(per_view_sets.size());
   std::function<void(size_t)> expand = [&](size_t view) {
-    if (static_cast<int>(assignments.size()) >= options.max_assignments) return;
+    if (static_cast<int>(assignments.size()) >= kMaxAssignments) return;
     if (view == per_view_sets.size()) {
       assignments.push_back(current);
       return;

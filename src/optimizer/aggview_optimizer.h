@@ -29,8 +29,6 @@ struct OptimizerOptions {
   /// Move each view's removable relations (V - V') into the top block before
   /// enumerating (Section 5.3's B' = B ∪ (V - V')).
   bool shrink_views = true;
-  /// Safety cap on the number of W assignments evaluated.
-  int max_assignments = 512;
   /// Also run the traditional two-phase optimizer and return its plan when
   /// (contrary to the paper's argument) it beats every enumerated
   /// alternative. Keeping it on makes the no-worse guarantee unconditional.

@@ -43,13 +43,13 @@ std::string ConfigFingerprint(const ServerOptions& options,
                               bool use_traditional) {
   const OptimizerOptions& opt = options.optimizer;
   return StrFormat(
-      "trad=%d;mv=%d;prop=%d;pull=%d;shared=%d;shrink=%d;maxw=%d;inctrad=%d;"
+      "trad=%d;mv=%d;prop=%d;pull=%d;shared=%d;shrink=%d;inctrad=%d;"
       "greedy=%d;inv=%d;coal=%d",
       use_traditional ? 1 : 0,
       options.use_materialized_views ? 1 : 0,
       opt.propagate_predicates ? 1 : 0,
       opt.max_pullup, opt.require_shared_predicate ? 1 : 0,
-      opt.shrink_views ? 1 : 0, opt.max_assignments,
+      opt.shrink_views ? 1 : 0,
       opt.include_traditional_alternative ? 1 : 0,
       opt.enumerator.greedy_aggregation ? 1 : 0,
       opt.enumerator.enable_invariant ? 1 : 0,

@@ -46,10 +46,6 @@ class Table {
   const Row& row(int64_t i) const { return rows_[static_cast<size_t>(i)]; }
   const std::vector<Row>& rows() const { return rows_; }
 
-  /// In-place update of one row (materialized-view maintenance applies
-  /// per-group deltas this way). The caller keeps the schema invariant.
-  void SetRow(int64_t i, Row row) { rows_[static_cast<size_t>(i)] = std::move(row); }
-
   /// Removes the rows at `indices` (any order, duplicates ignored). Fails on
   /// an out-of-range index before touching anything.
   Status DeleteRows(const std::vector<int64_t>& indices);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "algebra/logical_plan.h"
 #include "transform/unsound.h"
 
 namespace aggview {

@@ -119,7 +119,7 @@ Result<DefAnalysis> AnalyzeViewDefinition(
     auto key = std::make_pair(kind, arg);
     auto it = partial_index.find(key);
     if (it != partial_index.end()) return it->second;
-    ViewDefinition::Partial p;
+    ViewPartial p;
     p.kind = kind;
     if (arg != kInvalidColId) {
       AGGVIEW_ASSIGN_OR_RETURN(auto loc, LocateColumn(q, arg));
@@ -131,6 +131,12 @@ Result<DefAnalysis> AnalyzeViewDefinition(
     partial_index.emplace(key, idx);
     return idx;
   };
+  auto ensure_sum = [&](ColId arg) -> Result<int> {
+    AGGVIEW_ASSIGN_OR_RETURN(int psum, ensure_partial(AggKind::kSum, arg));
+    AGGVIEW_ASSIGN_OR_RETURN(int nn, ensure_partial(AggKind::kCount, arg));
+    a.partials[static_cast<size_t>(psum - a.num_grouping)].witness = nn;
+    return psum;
+  };
 
   a.def_aggregates = g0.aggregates;
   for (const AggregateCall& call : g0.aggregates) {
@@ -141,7 +147,6 @@ Result<DefAnalysis> AnalyzeViewDefinition(
     ViewAggSlot slot;
     slot.kind = call.kind;
     slot.combine = d.combine;
-    slot.display = call.ToString(q.columns());
     ColId arg = kInvalidColId;
     if (call.kind != AggKind::kCountStar) {
       arg = call.args[0];
@@ -151,10 +156,8 @@ Result<DefAnalysis> AnalyzeViewDefinition(
     }
     switch (call.kind) {
       case AggKind::kSum: {
-        AGGVIEW_ASSIGN_OR_RETURN(int psum, ensure_partial(AggKind::kSum, arg));
-        AGGVIEW_ASSIGN_OR_RETURN(int nn, ensure_partial(AggKind::kCount, arg));
+        AGGVIEW_ASSIGN_OR_RETURN(int psum, ensure_sum(arg));
         slot.storage = {psum};
-        slot.nn_count = nn;
         break;
       }
       case AggKind::kCount: {
@@ -175,10 +178,9 @@ Result<DefAnalysis> AnalyzeViewDefinition(
         break;
       }
       case AggKind::kAvg: {
-        AGGVIEW_ASSIGN_OR_RETURN(int psum, ensure_partial(AggKind::kSum, arg));
+        AGGVIEW_ASSIGN_OR_RETURN(int psum, ensure_sum(arg));
         AGGVIEW_ASSIGN_OR_RETURN(int pc, ensure_partial(AggKind::kCount, arg));
         slot.storage = {psum, pc};
-        slot.nn_count = pc;
         break;
       }
       default:
@@ -195,7 +197,7 @@ Result<DefAnalysis> AnalyzeViewDefinition(
   std::vector<AggregateCall> partial_calls;
   std::vector<ColId> partial_outputs;
   for (size_t i = 0; i < a.partials.size(); ++i) {
-    const ViewDefinition::Partial& p = a.partials[i];
+    const ViewPartial& p = a.partials[i];
     AggregateCall call;
     call.kind = p.kind;
     if (p.kind != AggKind::kCountStar) {

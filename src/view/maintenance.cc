@@ -1,6 +1,6 @@
 #include "view/maintenance.h"
 
-#include <set>
+#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -24,51 +24,47 @@ Value NumAdd(const Value& a, const Value& b, int sign) {
   return Value::Real(a.AsNumeric() + sign * b.AsNumeric());
 }
 
-/// The partial value a single base row contributes to a fresh group.
-Value InitPartial(const ViewDefinition::Partial& p, const Row& base_row) {
-  switch (p.kind) {
-    case AggKind::kCountStar:
-      return Value::Int(1);
-    case AggKind::kCount:
-      return Value::Int(
-          base_row[static_cast<size_t>(p.arg_col)].is_null() ? 0 : 1);
-    default:  // kSum / kMin / kMax: the argument itself (NULL stays NULL)
-      return base_row[static_cast<size_t>(p.arg_col)];
-  }
+/// A partial column over no rows: 0 for counts, NULL otherwise. New groups
+/// start from it, and a scalar view's emptied row returns to it.
+Value EmptyPartial(const ViewPartial& p) {
+  return p.kind == AggKind::kCount || p.kind == AggKind::kCountStar
+             ? Value::Int(0)
+             : Value::Null();
 }
 
-/// Merges one inserted base row into a group's partial column.
-void MergePartial(const ViewDefinition::Partial& p, const Row& base_row,
-                  Value* slot) {
+/// Adds (sign +1) or retracts (sign -1) one base row's contribution to a
+/// group's partial column. Returns false when the retraction cannot be done
+/// arithmetically — a non-NULL MIN/MAX argument leaving the group — so the
+/// group's extrema must be re-derived from the base.
+bool ApplyRow(const ViewPartial& p, const Row& base_row, int sign,
+              Value* slot) {
+  if (p.kind == AggKind::kCountStar) {
+    *slot = Value::Int(slot->AsInt() + sign);
+    return true;
+  }
+  const Value& arg = base_row[static_cast<size_t>(p.arg_col)];
+  if (arg.is_null()) return true;
   switch (p.kind) {
-    case AggKind::kCountStar:
-      *slot = Value::Int(slot->AsInt() + 1);
-      return;
     case AggKind::kCount:
-      if (!base_row[static_cast<size_t>(p.arg_col)].is_null()) {
-        *slot = Value::Int(slot->AsInt() + 1);
-      }
-      return;
-    case AggKind::kSum: {
-      const Value& arg = base_row[static_cast<size_t>(p.arg_col)];
-      if (arg.is_null()) return;
-      *slot = slot->is_null() ? arg : NumAdd(*slot, arg, +1);
-      return;
-    }
-    case AggKind::kMin:
-    case AggKind::kMax: {
-      const Value& arg = base_row[static_cast<size_t>(p.arg_col)];
-      if (arg.is_null()) return;
+      *slot = Value::Int(slot->AsInt() + sign);
+      return true;
+    case AggKind::kSum:
+      // A NULL sum holds no non-NULL argument, so only an insert meets one.
+      *slot = slot->is_null() ? arg : NumAdd(*slot, arg, sign);
+      return true;
+    default:  // kMin / kMax
+      if (sign < 0) return false;
       if (slot->is_null() ||
           (p.kind == AggKind::kMin ? arg.Compare(*slot) < 0
                                    : arg.Compare(*slot) > 0)) {
         *slot = arg;
       }
-      return;
-    }
-    default:
-      return;
+      return true;
   }
+}
+
+bool IsExtremum(const ViewPartial& p) {
+  return p.kind == AggKind::kMin || p.kind == AggKind::kMax;
 }
 
 /// Maintains one fresh single-relation view in place. The base table has
@@ -77,23 +73,15 @@ Status MaintainView(Catalog* catalog, ViewDefinition* view,
                     const std::vector<Row>& inserted,
                     const std::vector<Row>& deleted,
                     MaintenanceReport* report) {
-  AGGVIEW_ASSIGN_OR_RETURN(
-      DefAnalysis a,
-      AnalyzeViewDefinition(*catalog, view->name, view->definition_sql,
-                            view->column_names));
-  if (a.partials.size() != view->partials.size() ||
-      static_cast<int>(a.grouping_col.size()) != view->num_grouping) {
-    return Status::Internal("materialized view '" + view->name +
-                            "' definition drifted from its stored layout");
-  }
-  const int rel = a.query.base_rels()[0];
-  const RangeVar& rv = a.query.range_var(rel);
+  const DefAnalysis& a = *view->def;
+  const RangeVar& rv = a.query.range_var(a.query.base_rels()[0]);
   AGGVIEW_ASSIGN_OR_RETURN(
       BoundConjunction where,
       BoundConjunction::Bind(a.query.predicates(), RowLayout(rv.columns),
                              a.query.columns(), "view maintenance"));
-  const size_t ng = static_cast<size_t>(view->num_grouping);
-  const size_t np = view->partials.size();
+  const size_t ng = static_cast<size_t>(a.num_grouping);
+  const size_t np = a.partials.size();
+  const size_t rows_col = static_cast<size_t>(a.rows_col);
 
   // mutable_table bumps the backing epoch: cached plans over the old content
   // invalidate whether we edit in place or swap.
@@ -109,19 +97,14 @@ Status MaintainView(Catalog* catalog, ViewDefinition* view,
     Row key;
     key.reserve(ng);
     for (size_t k = 0; k < ng; ++k) {
-      key.push_back(
-          base_row[static_cast<size_t>(view->grouping_col[k])]);
+      key.push_back(base_row[static_cast<size_t>(a.grouping_col[k])]);
     }
     return key;
   };
 
   std::unordered_set<size_t> touched;
-  std::unordered_set<size_t> recompute;  // groups needing a MIN/MAX rescan
-  bool has_minmax = false;
-  for (const ViewDefinition::Partial& p : view->partials) {
-    if (p.kind == AggKind::kMin || p.kind == AggKind::kMax) has_minmax = true;
-  }
-
+  // Groups whose MIN/MAX partials need a base rescan.
+  std::vector<bool> rescan(rows.size(), false);
   for (const Row& r : deleted) {
     if (!where.Eval(r)) continue;
     auto it = index.find(group_key(r));
@@ -129,33 +112,11 @@ Status MaintainView(Catalog* catalog, ViewDefinition* view,
       return Status::Internal("materialized view '" + view->name +
                               "' is out of sync: deleted row's group missing");
     }
-    Row& g = rows[it->second];
     touched.insert(it->second);
+    Row& g = rows[it->second];
     for (size_t k = 0; k < np; ++k) {
-      const ViewDefinition::Partial& p = view->partials[k];
-      Value& slot = g[ng + k];
-      switch (p.kind) {
-        case AggKind::kCountStar:
-          slot = Value::Int(slot.AsInt() - 1);
-          break;
-        case AggKind::kCount:
-          if (!r[static_cast<size_t>(p.arg_col)].is_null()) {
-            slot = Value::Int(slot.AsInt() - 1);
-          }
-          break;
-        case AggKind::kSum:
-          if (!r[static_cast<size_t>(p.arg_col)].is_null()) {
-            slot = NumAdd(slot, r[static_cast<size_t>(p.arg_col)], -1);
-          }
-          break;
-        case AggKind::kMin:
-        case AggKind::kMax:
-          if (!r[static_cast<size_t>(p.arg_col)].is_null()) {
-            recompute.insert(it->second);
-          }
-          break;
-        default:
-          break;
+      if (!ApplyRow(a.partials[k], r, -1, &g[ng + k])) {
+        rescan[it->second] = true;
       }
     }
   }
@@ -166,117 +127,79 @@ Status MaintainView(Catalog* catalog, ViewDefinition* view,
     auto it = index.find(key);
     if (it == index.end()) {
       Row g = key;
-      g.reserve(ng + np);
-      for (const ViewDefinition::Partial& p : view->partials) {
-        g.push_back(InitPartial(p, r));
-      }
-      size_t idx = rows.size();
+      for (const ViewPartial& p : a.partials) g.push_back(EmptyPartial(p));
+      it = index.emplace(std::move(key), rows.size()).first;
       rows.push_back(std::move(g));
-      index.emplace(std::move(key), idx);
-      touched.insert(idx);
       if (report != nullptr) report->groups_added++;
-    } else {
-      Row& g = rows[it->second];
-      touched.insert(it->second);
-      for (size_t k = 0; k < np; ++k) {
-        MergePartial(view->partials[k], r, &g[ng + k]);
-      }
     }
+    touched.insert(it->second);
+    Row& g = rows[it->second];
+    for (size_t k = 0; k < np; ++k) ApplyRow(a.partials[k], r, +1, &g[ng + k]);
   }
 
-  // Restore SUM partials to NULL when their COUNT witness (same argument)
-  // dropped to zero: the group no longer holds any non-NULL argument value.
+  // Restore SUM partials to NULL when their COUNT witness dropped to zero:
+  // the group no longer holds any non-NULL argument value.
   for (size_t i : touched) {
     Row& g = rows[i];
     for (size_t k = 0; k < np; ++k) {
-      const ViewDefinition::Partial& p = view->partials[k];
-      if (p.kind != AggKind::kSum) continue;
-      for (size_t w = 0; w < np; ++w) {
-        const ViewDefinition::Partial& c = view->partials[w];
-        if (c.kind == AggKind::kCount && c.arg_rel == p.arg_rel &&
-            c.arg_col == p.arg_col) {
-          if (g[ng + w].AsInt() == 0) g[ng + k] = Value::Null();
-          break;
-        }
+      const int w = a.partials[k].witness;
+      if (w >= 0 && g[static_cast<size_t>(w)].AsInt() == 0) {
+        g[ng + k] = Value::Null();
       }
     }
   }
 
-  // Groups emptied by the delta disappear — except in a scalar view, whose
-  // single row stays with empty-aggregate values (0 counts, NULL extremes).
-  const size_t rows_idx =
-      static_cast<size_t>(view->rows_col);  // backing column of __rows
-  std::vector<Row> final_rows;
-  final_rows.reserve(rows.size());
-  std::unordered_set<size_t> removed;
+  // Re-derive the MIN/MAX partials of every hit group that stays from the
+  // post-delta base rows in one pass. An emptied group of a grouped view is
+  // dropped below and needs none.
+  auto emptied = [&](const Row& g) { return g[rows_col].AsInt() == 0; };
+  rescan.resize(rows.size(), false);  // groups the inserts added
+  bool any_rescan = false;
   for (size_t i = 0; i < rows.size(); ++i) {
-    if (rows[i][rows_idx].AsInt() == 0) {
-      if (view->scalar) {
-        for (size_t k = 0; k < np; ++k) {
-          const ViewDefinition::Partial& p = view->partials[k];
-          rows[i][ng + k] = (p.kind == AggKind::kCount ||
-                             p.kind == AggKind::kCountStar)
-                                ? Value::Int(0)
-                                : Value::Null();
-        }
-      } else {
-        removed.insert(i);
-        if (report != nullptr) report->groups_removed++;
-        continue;
-      }
+    rescan[i] = rescan[i] && (a.scalar || !emptied(rows[i]));
+    if (!rescan[i]) continue;
+    any_rescan = true;
+    for (size_t k = 0; k < np; ++k) {
+      if (IsExtremum(a.partials[k])) rows[i][ng + k] = Value::Null();
     }
-    final_rows.push_back(std::move(rows[i]));
+    if (report != nullptr) report->groups_recomputed++;
   }
-
-  if (has_minmax && !recompute.empty()) {
-    // Batch rescan: re-derive the MIN/MAX partials of every surviving hit
-    // group from the post-delta base rows in one pass.
-    std::unordered_map<Row, size_t, RowHash, RowEq> rescan;
-    for (size_t i = 0; i < final_rows.size(); ++i) {
-      // Indices shifted by removals; match by key instead.
-      Row key(final_rows[i].begin(), final_rows[i].begin() + ng);
-      auto it = index.find(key);
-      if (it != index.end() && recompute.count(it->second) > 0 &&
-          removed.count(it->second) == 0) {
-        for (size_t k = 0; k < np; ++k) {
-          const ViewDefinition::Partial& p = view->partials[k];
-          if (p.kind == AggKind::kMin || p.kind == AggKind::kMax) {
-            final_rows[i][ng + k] = Value::Null();
-          }
-        }
-        rescan.emplace(std::move(key), i);
-        if (report != nullptr) report->groups_recomputed++;
-      }
-    }
+  if (any_rescan) {
     const Table& base = *catalog->table(view->base_tables[0]).data;
     for (const Row& r : base.rows()) {
       if (!where.Eval(r)) continue;
-      auto it = rescan.find(group_key(r));
-      if (it == rescan.end()) continue;
-      Row& g = final_rows[it->second];
+      auto it = index.find(group_key(r));
+      if (it == index.end() || !rescan[it->second]) continue;
+      Row& g = rows[it->second];
       for (size_t k = 0; k < np; ++k) {
-        const ViewDefinition::Partial& p = view->partials[k];
-        if (p.kind == AggKind::kMin || p.kind == AggKind::kMax) {
-          MergePartial(p, r, &g[ng + k]);
+        if (IsExtremum(a.partials[k])) {
+          ApplyRow(a.partials[k], r, +1, &g[ng + k]);
         }
       }
     }
+  }
+
+  // Groups emptied by the delta disappear — except a scalar view's single
+  // row, which returns to the empty-aggregate values (0 counts, NULL
+  // extremes).
+  if (a.scalar) {
+    for (Row& g : rows) {
+      if (!emptied(g)) continue;
+      for (size_t k = 0; k < np; ++k) g[ng + k] = EmptyPartial(a.partials[k]);
+    }
+  } else {
+    auto kept_end = std::remove_if(rows.begin(), rows.end(), emptied);
+    if (report != nullptr) report->groups_removed += rows.end() - kept_end;
+    rows.erase(kept_end, rows.end());
   }
 
   if (report != nullptr) {
     report->groups_touched += static_cast<int64_t>(touched.size());
     report->views_maintained++;
   }
-  backing.data->ReplaceRows(std::move(final_rows));
+  backing.data->ReplaceRows(std::move(rows));
   backing.stats = ComputeStats(*backing.data);
-  view->epoch.fetch_add(1, std::memory_order_acq_rel);
-  view->synced_base_epochs.clear();
-  std::set<TableId> seen;
-  for (TableId t : view->base_tables) {
-    if (seen.insert(t).second) {
-      view->synced_base_epochs.emplace_back(t, catalog->table_epoch(t));
-    }
-  }
+  catalog->MarkViewSynced(view);
   return Status::OK();
 }
 
@@ -326,14 +249,19 @@ Status ApplyTableDelta(Catalog* catalog, const TableDelta& delta,
   deleted.reserve(delta.deletes.size());
   {
     TableDef& def = catalog->mutable_table(delta.table);
-    for (int64_t i : delta.deletes) deleted.push_back(def.data->row(i));
+    // DeleteRows ignores duplicate indices, so each distinct index is
+    // snapshotted (and later retracted) once.
+    std::unordered_set<int64_t> seen;
+    for (int64_t i : delta.deletes) {
+      if (seen.insert(i).second) deleted.push_back(def.data->row(i));
+    }
     AGGVIEW_RETURN_NOT_OK(def.data->DeleteRows(delta.deletes));
     for (const Row& r : delta.inserts) def.data->AppendUnchecked(r);
     def.stats = ComputeStats(*def.data);
   }
 
   for (auto& [view, was_fresh] : affected) {
-    if (!view->incremental || !was_fresh) {
+    if (view->base_tables.size() != 1 || !was_fresh) {
       if (report != nullptr) report->views_marked_stale++;
       // The backing content is untouched but the view stopped being a valid
       // answer source; bump the epoch so plans stamped "v:<name>" invalidate

@@ -11,8 +11,8 @@
 namespace aggview {
 
 /// A batch mutation of one base table: rows to delete (indices into the
-/// table's current row store) and rows to append (positionally aligned with
-/// the schema; NULLs allowed).
+/// table's current row store; a repeated index deletes its row once) and
+/// rows to append (positionally aligned with the schema; NULLs allowed).
 struct TableDelta {
   TableId table = -1;
   std::vector<Row> inserts;

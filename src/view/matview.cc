@@ -1,8 +1,6 @@
 #include "view/matview.h"
 
-#include <map>
 #include <memory>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -10,10 +8,8 @@
 #include "common/string_util.h"
 #include "exec/executor.h"
 #include "optimizer/traditional.h"
-#include "sql/binder.h"
 #include "sql/parser.h"
 #include "storage/table.h"
-#include "transform/decompose.h"
 #include "view/definition_analysis.h"
 
 namespace aggview {
@@ -46,16 +42,6 @@ Result<std::vector<Row>> ComputeContent(const DefAnalysis& a,
     rows.push_back(std::move(out));
   }
   return rows;
-}
-
-void StampSyncedEpochs(const Catalog& catalog, ViewDefinition* view) {
-  view->synced_base_epochs.clear();
-  std::set<TableId> seen;
-  for (TableId t : view->base_tables) {
-    if (seen.insert(t).second) {
-      view->synced_base_epochs.emplace_back(t, catalog.table_epoch(t));
-    }
-  }
 }
 
 }  // namespace
@@ -103,16 +89,8 @@ Result<const ViewDefinition*> CreateMaterializedView(Catalog* catalog,
   view->column_names = a.out_names;
   view->backing_table = backing;
   view->base_tables = a.base_tables;
-  view->num_grouping = a.num_grouping;
-  view->grouping_rel = a.grouping_rel;
-  view->grouping_col = a.grouping_col;
-  view->slots = a.slots;
-  view->partials = a.partials;
-  view->rows_col = a.rows_col;
-  view->scalar = a.scalar;
-  view->incremental = a.base_tables.size() == 1;
-  view->epoch.store(1, std::memory_order_release);
-  StampSyncedEpochs(*catalog, view.get());
+  view->def = std::make_shared<const DefAnalysis>(std::move(a));
+  catalog->MarkViewSynced(view.get());
 
   const ViewDefinition* out = view.get();
   AGGVIEW_RETURN_NOT_OK(catalog->AddView(std::move(view)));
@@ -125,23 +103,14 @@ Status RefreshMaterializedView(Catalog* catalog, const std::string& name,
   if (view == nullptr) {
     return Status::InvalidArgument("no materialized view named '" + name + "'");
   }
-  AGGVIEW_ASSIGN_OR_RETURN(
-      DefAnalysis a,
-      AnalyzeViewDefinition(*catalog, name, view->definition_sql,
-                            view->column_names));
-  AGGVIEW_ASSIGN_OR_RETURN(std::vector<Row> rows, ComputeContent(a, ctx));
+  AGGVIEW_ASSIGN_OR_RETURN(std::vector<Row> rows,
+                           ComputeContent(*view->def, ctx));
   // mutable_table bumps the backing table's epoch, which is exactly the
   // invalidation cached view-backed plans key on.
   TableDef& backing = catalog->mutable_table(view->backing_table);
-  if (a.backing_schema.num_columns() != backing.schema.num_columns()) {
-    return Status::Internal(
-        "materialized view '" + name +
-        "' definition no longer matches its backing schema");
-  }
   backing.data->ReplaceRows(std::move(rows));
   backing.stats = ComputeStats(*backing.data);
-  view->epoch.fetch_add(1, std::memory_order_acq_rel);
-  StampSyncedEpochs(*catalog, view);
+  catalog->MarkViewSynced(view);
   return Status::OK();
 }
 

@@ -64,8 +64,7 @@ struct Match {
 
 /// Checks one rel mapping in full: predicates, grouping containment, slot
 /// coverage. Returns the completed match or nullopt.
-std::optional<Match> CheckMapping(const Query& q, const ViewDefinition& view,
-                                  const DefAnalysis& def,
+std::optional<Match> CheckMapping(const Query& q, const DefAnalysis& def,
                                   const std::vector<Predicate>& predicates,
                                   const GroupBySpec& group_by,
                                   std::vector<int> mapping) {
@@ -104,9 +103,9 @@ std::optional<Match> CheckMapping(const Query& q, const ViewDefinition& view,
       return std::nullopt;
     }
     int key = -1;
-    for (int k = 0; k < view.num_grouping; ++k) {
-      if (view.grouping_rel[static_cast<size_t>(k)] == rel_pos &&
-          view.grouping_col[static_cast<size_t>(k)] == col) {
+    for (int k = 0; k < def.num_grouping; ++k) {
+      if (def.grouping_rel[static_cast<size_t>(k)] == rel_pos &&
+          def.grouping_col[static_cast<size_t>(k)] == col) {
         key = k;
         break;
       }
@@ -120,7 +119,7 @@ std::optional<Match> CheckMapping(const Query& q, const ViewDefinition& view,
   for (const AggregateCall& call : group_by.aggregates) {
     if (call.kind == AggKind::kCountStar) {
       m.combine_kinds.push_back(AggKind::kCountSum);
-      m.combine_storage.push_back({view.rows_col});
+      m.combine_storage.push_back({def.rows_col});
       continue;
     }
     if (call.kind != AggKind::kSum && call.kind != AggKind::kCount &&
@@ -134,7 +133,7 @@ std::optional<Match> CheckMapping(const Query& q, const ViewDefinition& view,
       return std::nullopt;
     }
     const ViewAggSlot* slot = nullptr;
-    for (const ViewAggSlot& s : view.slots) {
+    for (const ViewAggSlot& s : def.slots) {
       if (s.kind == call.kind && s.arg_rel == rel_pos && s.arg_col == col) {
         slot = &s;
         break;
@@ -149,8 +148,7 @@ std::optional<Match> CheckMapping(const Query& q, const ViewDefinition& view,
 
 /// Tries every table-preserving bijection between the definition's FROM list
 /// and the block's relations.
-std::optional<Match> TryMatch(const Query& q, const ViewDefinition& view,
-                              const DefAnalysis& def,
+std::optional<Match> TryMatch(const Query& q, const DefAnalysis& def,
                               const std::vector<int>& rels,
                               const std::vector<Predicate>& predicates,
                               const GroupBySpec& group_by) {
@@ -161,7 +159,7 @@ std::optional<Match> TryMatch(const Query& q, const ViewDefinition& view,
   std::function<void(size_t)> assign = [&](size_t p) {
     if (found.has_value()) return;
     if (p == mapping.size()) {
-      found = CheckMapping(q, view, def, predicates, group_by, mapping);
+      found = CheckMapping(q, def, predicates, group_by, mapping);
       return;
     }
     for (size_t i = 0; i < rels.size(); ++i) {
@@ -224,17 +222,9 @@ ViewRewriteCertificate ApplyMatch(Query* query, const ViewDefinition& view,
 Result<int> RewriteWithMaterializedViews(
     const Catalog& catalog, Query* query,
     std::vector<ViewRewriteCertificate>* certs) {
-  if (catalog.num_views() == 0) return 0;
-
-  // Analyze every fresh view's definition once.
-  std::vector<std::pair<const ViewDefinition*, DefAnalysis>> fresh;
+  std::vector<const ViewDefinition*> fresh;
   for (const auto& view : catalog.views()) {
-    if (!catalog.IsViewFresh(*view)) continue;
-    AGGVIEW_ASSIGN_OR_RETURN(
-        DefAnalysis a,
-        AnalyzeViewDefinition(catalog, view->name, view->definition_sql,
-                              view->column_names));
-    fresh.emplace_back(view.get(), std::move(a));
+    if (catalog.IsViewFresh(*view)) fresh.push_back(view.get());
   }
   if (fresh.empty()) return 0;
 
@@ -242,9 +232,9 @@ Result<int> RewriteWithMaterializedViews(
   auto try_site = [&](std::vector<int>* rels,
                       std::vector<Predicate>* predicates,
                       GroupBySpec* group_by) -> Status {
-    for (auto& [view, def] : fresh) {
+    for (const ViewDefinition* view : fresh) {
       std::optional<Match> m =
-          TryMatch(*query, *view, def, *rels, *predicates, *group_by);
+          TryMatch(*query, *view->def, *rels, *predicates, *group_by);
       if (!m.has_value()) continue;
       ViewRewriteCertificate cert =
           ApplyMatch(query, *view, *m, rels, predicates, group_by);

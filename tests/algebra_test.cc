@@ -86,35 +86,6 @@ TEST_F(AlgebraTest, ToStringMentionsStructure) {
   EXPECT_NE(s.find("emp e1"), std::string::npos);
 }
 
-TEST_F(AlgebraTest, ColumnOwners) {
-  auto q = ParseAndBind(*fixture_.catalog, Example1Sql());
-  ASSERT_OK(q);
-  auto owners = ColumnOwners(*q);
-  for (int i = 0; i < q->num_range_vars(); ++i) {
-    for (ColId c : q->range_var(i).columns) {
-      EXPECT_EQ(owners.at(c), i);
-    }
-  }
-  // Aggregate outputs have no owner.
-  ColId asal = q->views()[0].group_by.aggregates[0].output;
-  EXPECT_EQ(owners.count(asal), 0u);
-}
-
-TEST_F(AlgebraTest, PredicateRelsAndConnectivity) {
-  Query q(fixture_.catalog.get());
-  int e = q.AddRangeVar(fixture_.tables.emp, "e");
-  int d = q.AddRangeVar(fixture_.tables.dept, "d");
-  ColId e_dno = q.range_var(e).columns[1];
-  ColId d_dno = q.range_var(d).columns[0];
-  std::vector<Predicate> join = {EqCols(e_dno, d_dno)};
-
-  EXPECT_EQ(PredicateRels(q, join[0], {e, d}), (std::set<int>{e, d}));
-  EXPECT_EQ(PredicateRels(q, join[0], {e}), (std::set<int>{e}));
-  EXPECT_TRUE(RelsConnected(q, join, {e, d}));
-  EXPECT_FALSE(RelsConnected(q, {}, {e, d}));
-  EXPECT_TRUE(RelsConnected(q, {}, {e}));
-}
-
 TEST_F(AlgebraTest, EquiJoinPairsAndKeyCoverage) {
   Query q(fixture_.catalog.get());
   int e = q.AddRangeVar(fixture_.tables.emp, "e");
@@ -127,13 +98,15 @@ TEST_F(AlgebraTest, EquiJoinPairsAndKeyCoverage) {
   ASSERT_EQ(pairs.size(), 1u);
   EXPECT_EQ(pairs[0].first, e_dno);
   EXPECT_EQ(pairs[0].second, d_dno);
-  // dept.dno is dept's primary key -> covered.
-  EXPECT_TRUE(EquiJoinCoversKey(q, d, pairs));
+  // dept.dno (local column 0) is dept's primary key -> covered.
+  EXPECT_TRUE(fixture_.catalog->table(fixture_.tables.dept).CoversKey({0}));
 
-  // The reverse direction: e.dno is not a key of emp.
+  // The reverse direction: e.dno (local column 1) is not a key of emp.
   auto rev = EquiJoinPairs(q, preds, {d}, e);
   ASSERT_EQ(rev.size(), 1u);
-  EXPECT_FALSE(EquiJoinCoversKey(q, e, rev));
+  EXPECT_EQ(rev[0].first, d_dno);
+  EXPECT_EQ(rev[0].second, e_dno);
+  EXPECT_FALSE(fixture_.catalog->table(fixture_.tables.emp).CoversKey({1}));
 }
 
 TEST(RowLayoutTest, Basics) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -83,12 +85,42 @@ TEST(Maintenance, DeleteRetractsCountsAndSums) {
   TableDelta delta;
   delta.table = m.emp;
   delta.deletes = {0, 5, 17, 44};
+  // Any deleted non-NULL salary (not only an extremum) forces a
+  // re-derivation of its group's MIN/MAX partials from the base, unless the
+  // delta empties the group.
+  const Table& emp = (*m.f.catalog->table(m.emp).data);
+  std::map<int64_t, int64_t> rows_left;
+  for (int64_t i = 0; i < emp.row_count(); ++i) {
+    rows_left[emp.row(i)[1].AsInt()]++;
+  }
+  std::set<int64_t> hit;
+  for (int64_t i : delta.deletes) {
+    rows_left[emp.row(i)[1].AsInt()]--;
+    if (!emp.row(i)[2].is_null()) hit.insert(emp.row(i)[1].AsInt());
+  }
+  int64_t want_recomputed = 0;
+  for (int64_t dno : hit) want_recomputed += rows_left[dno] > 0 ? 1 : 0;
+  ASSERT_GT(want_recomputed, 0);
+
   MaintenanceReport report;
   ASSERT_OK(ApplyTableDelta(m.f.catalog.get(), delta, &report));
   EXPECT_EQ(report.views_maintained, 1);
-  // Deleting a row that held a group's extremum forces a re-derivation of
-  // that group's MIN/MAX partials from the base.
-  EXPECT_GE(report.groups_recomputed, 0);
+  EXPECT_EQ(report.groups_recomputed, want_recomputed);
+  m.ExpectMaintained();
+}
+
+TEST(Maintenance, DuplicateDeleteIndexRetractsOnce) {
+  // DeleteRows ignores a repeated index, so the view must retract the row
+  // once too.
+  MaintenanceFixture m = MaintenanceFixture::Make();
+  const int64_t before = (*m.f.catalog->table(m.emp).data).row_count();
+  TableDelta delta;
+  delta.table = m.emp;
+  delta.deletes = {5, 5, 17};
+  MaintenanceReport report;
+  ASSERT_OK(ApplyTableDelta(m.f.catalog.get(), delta, &report));
+  EXPECT_EQ((*m.f.catalog->table(m.emp).data).row_count(), before - 2);
+  EXPECT_EQ(report.groups_removed, 0);
   m.ExpectMaintained();
 }
 
@@ -110,6 +142,8 @@ TEST(Maintenance, DeleteEmptyingGroupRemovesBackingRow) {
   MaintenanceReport report;
   ASSERT_OK(ApplyTableDelta(m.f.catalog.get(), shrink, &report));
   EXPECT_EQ(report.groups_removed, 1);
+  // The emptied group is dropped, not re-derived.
+  EXPECT_EQ(report.groups_recomputed, 0);
   const ViewDefinition* view = m.f.catalog->FindView("per_dept");
   const Table& backing = (*m.f.catalog->table(view->backing_table).data);
   for (int64_t i = 0; i < backing.row_count(); ++i) {
@@ -140,11 +174,13 @@ TEST(Maintenance, ScalarViewKeepsEmptyAggregateRow) {
   ASSERT_OK(ApplyTableDelta(f.catalog.get(), delta, &report));
   EXPECT_EQ(report.views_maintained, 1);
   EXPECT_EQ(report.groups_removed, 0);
+  // The scalar row stays, so its MIN is re-derived (over no rows).
+  EXPECT_EQ(report.groups_recomputed, 1);
 
   const ViewDefinition* view = f.catalog->FindView("totals");
   const Table& backing = (*f.catalog->table(view->backing_table).data);
   ASSERT_EQ(backing.row_count(), 1);
-  EXPECT_EQ(backing.row(0)[view->rows_col].AsInt(), 0);
+  EXPECT_EQ(backing.row(0)[view->def->rows_col].AsInt(), 0);
   EXPECT_EQ(CheckViewAnswersAgree(
                 *f.catalog,
                 "select count(*), count(e.sal), sum(e.sal), min(e.sal), "

@@ -52,9 +52,10 @@ TEST(MatViewCreate, RegistersViewAndBackingTable) {
   ASSERT_OK(view);
   const ViewDefinition* def = f.catalog->FindView("dsal");
   ASSERT_NE(def, nullptr);
-  EXPECT_EQ(def->num_grouping, 1);
-  EXPECT_FALSE(def->scalar);
-  EXPECT_TRUE(def->incremental);
+  ASSERT_NE(def->def, nullptr);
+  EXPECT_EQ(def->def->num_grouping, 1);
+  EXPECT_FALSE(def->def->scalar);
+  EXPECT_EQ(def->base_tables.size(), 1u);
   EXPECT_TRUE(f.catalog->IsViewFresh(*def));
 
   // One backing row per department present in emp.
@@ -190,7 +191,7 @@ TEST(MatViewRewrite, AnswersScalarView) {
       "select count(*), sum(e.sal), min(e.age), avg(e.sal) from emp e"));
   const ViewDefinition* def = f.catalog->FindView("totals");
   ASSERT_NE(def, nullptr);
-  EXPECT_TRUE(def->scalar);
+  EXPECT_TRUE(def->def->scalar);
   EXPECT_EQ((*f.catalog->table(def->backing_table).data).row_count(), 1);
   EXPECT_EQ(CheckViewAnswersAgree(
                 *f.catalog,
