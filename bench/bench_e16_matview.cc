@@ -18,6 +18,11 @@
 // pool across repetitions for the p50 columns; the fingerprints of every
 // pair of results must match or the run aborts.
 //
+// Axis 1b (stats rows): at each emp scale, the exact statistics recompute
+// (ComputeStats over emp) that every delta and every load pays, timed on its
+// own: stats_ms is the min and stats_median_ms the median over the
+// repetitions.
+//
 // Axis 2 (maintain rows): on the largest scale, deltas of growing size
 // (half inserts, half deletes) are applied through both refresh strategies,
 // on two catalogs carrying identical data and the same view. incr_ms is the
@@ -31,7 +36,9 @@
 // per-group merging vs full re-aggregation — and understates it, since the
 // shared base cost is included in both numerators. After the timed
 // repetitions each delta size re-checks that the view-rewritten plan and
-// the base plan still agree byte for byte on both catalogs.
+// the base plan still agree byte for byte on both catalogs. incr_ms and
+// full_ms are the min over the repetitions, the *_median_ms columns the
+// median.
 //
 // Axis 3 (mix rows): the serving mix on bench_e14's harness shape —
 // concurrent reader sessions stream the aggregation through one shared
@@ -137,10 +144,14 @@ void Run(bool json, bool smoke) {
             : std::vector<int64_t>{16, 256, 4'096};
   const int serve_reps = smoke ? 10 : 30;
   const int maintain_reps = smoke ? 3 : 5;
+  const int stats_reps = smoke ? 3 : 9;
 
   ResultWriter table(json, "E16",
-                     {"row", "n_emp", "delta_rows", "incr_ms", "full_ms",
-                      "view_ms", "base_ms", "speedup"});
+                     {"row", "n_emp", "delta_rows", "stats_ms",
+                      "stats_median_ms", "incr_ms", "incr_median_ms",
+                      "full_ms", "full_median_ms", "view_ms", "base_ms",
+                      "speedup"},
+                     /*width=*/16);
 
   // ---- Axis 1: view-answered vs base-plan serving latency ----
   for (int64_t n_emp : emp_scales) {
@@ -151,7 +162,8 @@ void Run(bool json, bool smoke) {
     ServerOptions base_options;
     base_options.use_materialized_views = false;
     Server base_server(base_options);
-    PopulateEmpDept(&base_server.catalog(), Scale(n_emp));
+    const EmpDeptTables base_tables =
+        PopulateEmpDept(&base_server.catalog(), Scale(n_emp));
 
     ServerSession view_conn = view_server.Connect();
     ServerSession base_conn = base_server.Connect();
@@ -185,8 +197,24 @@ void Run(bool json, bool smoke) {
     std::sort(base_lat.begin(), base_lat.end());
     const double view_p50 = Percentile(view_lat, 0.50);
     const double base_p50 = Percentile(base_lat, 0.50);
-    table.Row({"serve", Fmt(n_emp), "-", "-", "-", Ms(view_p50),
-               Ms(base_p50), F2(view_p50 > 0 ? base_p50 / view_p50 : 0.0)});
+    table.Row({"serve", Fmt(n_emp), "-", "-", "-", "-", "-", "-", "-",
+               Ms(view_p50), Ms(base_p50),
+               F2(view_p50 > 0 ? base_p50 / view_p50 : 0.0)});
+
+    const Table& emp = *base_server.catalog().table(base_tables.emp).data;
+    std::vector<double> stats_lat;
+    for (int rep = 0; rep < stats_reps; ++rep) {
+      const double start = Now();
+      const TableStats stats = ComputeStats(emp);
+      stats_lat.push_back(Now() - start);
+      if (stats.row_count != n_emp) {
+        CheckOk(Status::Internal("statistics miscounted the rows"),
+                "running the stats axis");
+      }
+    }
+    const MinMedian stats_ms = MinAndMedian(stats_lat);
+    table.Row({"stats", Fmt(n_emp), "-", Ms(stats_ms.min),
+               Ms(stats_ms.median), "-", "-", "-", "-", "-", "-", "-"});
   }
 
   // ---- Axis 2: incremental maintenance vs full re-materialization ----
@@ -203,8 +231,8 @@ void Run(bool json, bool smoke) {
   int64_t next_eno = 10'000'000;
   for (size_t a = 0; a < delta_sizes.size(); ++a) {
     const int64_t delta_rows = delta_sizes[a];
-    double best_incr = 1e300;
-    double best_full = 1e300;
+    std::vector<double> incr_lat;
+    std::vector<double> full_lat;
     for (int rep = 0; rep < maintain_reps; ++rep) {
       TableDelta delta;
       delta.table = tables.emp;
@@ -245,8 +273,8 @@ void Run(bool json, bool smoke) {
       st = RefreshMaterializedView(&full_catalog, "mv_dsal");
       const double full = Now() - start;
       CheckOk(st, "refreshing the view");
-      best_incr = std::min(best_incr, incr);
-      best_full = std::min(best_full, full);
+      incr_lat.push_back(incr);
+      full_lat.push_back(full);
     }
     for (const Catalog* c : {&incr_catalog, &full_catalog}) {
       if (FingerprintOf(*c, /*use_views=*/true) !=
@@ -255,9 +283,12 @@ void Run(bool json, bool smoke) {
                 "running the maintain axis");
       }
     }
-    table.Row({"maintain", Fmt(n_emp), Fmt(delta_rows), Ms(best_incr, 4),
-               Ms(best_full, 4), "-", "-",
-               F2(best_incr > 0 ? best_full / best_incr : 0.0)});
+    const MinMedian incr = MinAndMedian(incr_lat);
+    const MinMedian full = MinAndMedian(full_lat);
+    table.Row({"maintain", Fmt(n_emp), Fmt(delta_rows), "-", "-",
+               Ms(incr.min, 4), Ms(incr.median, 4), Ms(full.min, 4),
+               Ms(full.median, 4), "-", "-",
+               F2(incr.min > 0 ? full.min / incr.min : 0.0)});
   }
 
   // ---- Axis 3: refresh + read serving mix ----
@@ -329,18 +360,21 @@ void Run(bool json, bool smoke) {
     CheckOk(Status::Internal("final states diverged"),
             "running the mix axis");
   }
-  table.Row({"mix", Fmt(n_emp), Fmt(mix_delta_rows), "-", "-", Ms(view_wall),
-             Ms(base_wall), F2(view_wall > 0 ? base_wall / view_wall : 0.0)});
+  table.Row({"mix", Fmt(n_emp), Fmt(mix_delta_rows), "-", "-", "-", "-", "-",
+             "-", Ms(view_wall), Ms(base_wall),
+             F2(view_wall > 0 ? base_wall / view_wall : 0.0)});
 
   if (!json) {
     std::printf(
         "\nExpected shape: serve speedup > 1 and growing with n_emp — the\n"
         "view-backed plan scans |groups| pre-aggregated rows while the base\n"
-        "plan folds the whole table. maintain speedup > 1 at every delta\n"
-        "size: the per-group merge touches only the groups the delta hits,\n"
-        "while the full path re-aggregates all of emp on every REFRESH; the\n"
-        "shared base-mutation cost inside both numbers makes the column a\n"
-        "lower bound on the maintenance-path speedup. mix speedup > 1: the\n"
+        "plan folds the whole table. stats_ms grows with n_emp: it is the\n"
+        "exact statistics recompute inside every maintain row's incr_ms and\n"
+        "full_ms. maintain speedup > 1 at every delta size: the per-group\n"
+        "merge touches only the groups the delta hits, while the full path\n"
+        "re-aggregates all of emp on every REFRESH; the shared\n"
+        "base-mutation cost inside both numbers makes the column a lower\n"
+        "bound on the maintenance-path speedup. mix speedup > 1: the\n"
         "readers' wall clock shrinks when the concurrent refresh+read\n"
         "workload answers from the view. Every axis byte-compares\n"
         "view-answered results against base plans (checked).\n");

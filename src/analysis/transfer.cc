@@ -285,7 +285,12 @@ ColumnFacts AggFacts(const AggregateCall& a, const NodeFacts& in, bool scalar,
 
 double DistinctBound(const ColumnFacts& cf, DataType type) {
   double d = cf.max_distinct;
-  if (cf.has_range && type == DataType::kInt64) {
+  // The range ends are doubles, exact for integers only inside (-2^53, 2^53):
+  // beyond, an end may be rounded (2^53 + 1 reads as 2^53) and the width
+  // would undercount the integers the column holds.
+  constexpr double kExactInt = 0x1p53;
+  if (cf.has_range && type == DataType::kInt64 && cf.min > -kExactInt &&
+      cf.max < kExactInt) {
     double width = std::floor(cf.max) - std::ceil(cf.min) + 1.0;
     d = std::min(d, std::max(width, 0.0));
   }

@@ -68,7 +68,8 @@ struct NodeFacts {
 };
 
 /// Sound upper bound on a column's distinct non-NULL values: max_distinct,
-/// capped by the value interval's width when `type` is INT64.
+/// capped by the value interval's width when `type` is INT64 and the
+/// interval lies inside (-2^53, 2^53), where doubles hold integers exactly.
 double DistinctBound(const ColumnFacts& cf, DataType type);
 
 /// Scan of range variable `rel_id` (unknown ids get [0, inf), no columns).
