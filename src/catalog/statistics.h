@@ -26,7 +26,10 @@ struct Histogram {
 
 /// Per-column statistics used by the cardinality estimator.
 struct ColumnStats {
-  /// Number of distinct values in the column.
+  /// Number of distinct values in the column, NULL counting as one (at
+  /// least 1). Counts values, not hashes: numbers are one value only when
+  /// they are the same number (INT64 2^53 and 2^53 + 1 are two), and a
+  /// string never equals a number.
   int64_t distinct = 1;
   /// Numeric min/max (meaningful for INT64/DOUBLE columns; ignored for
   /// strings, whose range predicates get the default selectivity).
@@ -60,7 +63,9 @@ inline constexpr int kHistogramBuckets = 32;
 
 /// Scans `table` and computes exact statistics (the paper assumes the
 /// optimizer has statistics; we make them exact so that estimation error is a
-/// controlled, explainable quantity in the experiments).
+/// controlled, explainable quantity in the experiments). One pass per column
+/// gathers sort keys, which are sorted once; columns holding values of other
+/// types than they declare are handled the same way.
 TableStats ComputeStats(const Table& table);
 
 }  // namespace aggview
