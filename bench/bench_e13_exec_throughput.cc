@@ -3,9 +3,11 @@
 //
 // The batch-at-a-time refactor claims that per-row interpretation overhead
 // (virtual dispatch, stats clock reads, counter updates) amortizes over the
-// batch. This experiment measures it: three TPC-D workloads — a scan-heavy
+// batch. This experiment measures it: four TPC-D workloads — a scan-heavy
 // projection over lineitem, an aggregate-heavy group-by over the same rows
-// and a filter-heavy wide conjunction — run at batch sizes 1 (the old
+// into few groups (l_suppkey) and into many (l_partkey, the group-by the
+// paper's transformations move onto lineitem in Q17 and coalesce), and a
+// filter-heavy wide conjunction — run at batch sizes 1 (the old
 // Volcano row-at-a-time behaviour), 64, 256, 1024 (default), and 4096. Both
 // execution modes are timed: uninstrumented (plain_ms) and with the EXPLAIN
 // ANALYZE stats collector installed (traced_ms), where the interpreter pays
@@ -14,7 +16,8 @@
 //
 // A second sweep holds the batch size at the default (1024) and varies the
 // morsel-driven worker count through 1, 2, 4 and 8: parallel scan morsels,
-// partitioned hash-join build and thread-local partial aggregation. The
+// partitioned hash-join build and thread-local partial aggregation into
+// radix partitions that merge in parallel. The
 // speedup column is relative to the 1-thread run of the same workload; it
 // can only approach the thread count when the host actually has that many
 // cores (the closing line and the JSON host object record them), and the
@@ -80,6 +83,11 @@ constexpr Workload kWorkloads[] = {
     {"aggregate",
      "select l.l_suppkey, sum(l.l_extendedprice), count(*) "
      "from lineitem l group by l.l_suppkey"},
+    // The same fold into many more groups (one per part), where the group
+    // tables, not the input, bound the cost and the partial merge is large.
+    {"aggregate_wide",
+     "select l.l_partkey, sum(l.l_quantity), count(*) "
+     "from lineitem l group by l.l_partkey"},
     // Filter-heavy: a wide conjunction evaluated in full on (almost) every
     // row — the leading conjuncts are always true on the generated data and
     // the selective one (l_quantity is uniform 1..50, so >= 49 keeps ~4% of

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "catalog/catalog.h"
+#include "catalog/statistics.h"
 #include "expr/scalar_expr.h"
 
 namespace aggview {
@@ -113,10 +114,24 @@ RefineResult ApplyPredicates(const std::vector<Predicate>& preds,
       ColumnFacts& cf = it->second;
       if (lit.is_int() || lit.is_double()) {
         if (op != CompareOp::kNe) {  // holes are not representable
-          double v = lit.AsNumeric();
-          // Strict comparisons on an integer column exclude a full unit.
-          double unit =
-              cat.type(col) == DataType::kInt64 && lit.is_int() ? 1.0 : 0.0;
+          // The tightest lower and upper bound the literal implies. Strict
+          // comparisons on an integer column exclude a full unit, applied
+          // in int64 arithmetic (saturating) before the bound is rounded
+          // outward to a double, so no integer beyond 2^53 is cut off.
+          double lo = lit.is_double() ? lit.AsDouble() : 0.0;
+          double hi = lo;
+          if (lit.is_int()) {
+            int64_t v = lit.AsInt();
+            bool unit = cat.type(col) == DataType::kInt64;
+            int64_t above = unit && op == CompareOp::kGt && v < INT64_MAX
+                                ? v + 1
+                                : v;
+            int64_t below = unit && op == CompareOp::kLt && v > INT64_MIN
+                                ? v - 1
+                                : v;
+            lo = LowerBoundOf(above);
+            hi = UpperBoundOf(below);
+          }
           if (!cf.has_range) {  // (-inf, inf), so one-sided bounds narrow it
             cf.has_range = true;
             cf.min = -kInf;
@@ -124,11 +139,11 @@ RefineResult ApplyPredicates(const std::vector<Predicate>& preds,
           }
           if (op == CompareOp::kEq || op == CompareOp::kGt ||
               op == CompareOp::kGe) {
-            cf.min = std::max(cf.min, op == CompareOp::kGt ? v + unit : v);
+            cf.min = std::max(cf.min, lo);
           }
           if (op == CompareOp::kEq || op == CompareOp::kLt ||
               op == CompareOp::kLe) {
-            cf.max = std::min(cf.max, op == CompareOp::kLt ? v - unit : v);
+            cf.max = std::min(cf.max, hi);
           }
           if (op == CompareOp::kEq) {
             cf.max_distinct = std::min(cf.max_distinct, 1.0);

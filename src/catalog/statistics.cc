@@ -188,7 +188,7 @@ ColumnStats ComputeColumnStats(const std::vector<Row>& rows, size_t c,
     double value =
         is_int ? static_cast<double>(IntOfKey(key)) : DoubleOfKey(key);
     if (pos == 0) {
-      cs.min = value;
+      cs.min = is_int ? LowerBoundOf(IntOfKey(key)) : value;
       if (buckets > 0) cs.histogram.min = value;
     }
     cs.max = value;
@@ -197,11 +197,22 @@ ColumnStats ComputeColumnStats(const std::vector<Row>& rows, size_t c,
       ++next_bucket;
     }
   }
+  if (cs.has_range && prev_is_int) cs.max = UpperBoundOf(IntOfKey(prev_key));
   cs.distinct = std::max<int64_t>(distinct, 1);
   return cs;
 }
 
 }  // namespace
+
+double LowerBoundOf(int64_t v) {
+  double d = static_cast<double>(v);
+  return CompareExact(v, d) < 0 ? std::nextafter(d, -HUGE_VAL) : d;
+}
+
+double UpperBoundOf(int64_t v) {
+  double d = static_cast<double>(v);
+  return CompareExact(v, d) > 0 ? std::nextafter(d, HUGE_VAL) : d;
+}
 
 TableStats ComputeStats(const Table& table) {
   TableStats stats;

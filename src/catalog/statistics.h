@@ -32,7 +32,9 @@ struct ColumnStats {
   /// string never equals a number.
   int64_t distinct = 1;
   /// Numeric min/max (meaningful for INT64/DOUBLE columns; ignored for
-  /// strings, whose range predicates get the default selectivity).
+  /// strings, whose range predicates get the default selectivity). An
+  /// INT64 extreme is rounded outward (LowerBoundOf/UpperBoundOf), so the
+  /// range contains every value even beyond 2^53.
   double min = 0.0;
   double max = 0.0;
   bool has_range = false;
@@ -57,6 +59,12 @@ struct TableStats {
   int64_t row_count = 0;
   std::vector<ColumnStats> columns;
 };
+
+/// An INT64 bound as a double, rounded outward: the largest double <= v for
+/// a lower bound, the smallest double >= v for an upper bound. A plain cast
+/// rounds to nearest, which beyond 2^53 can cut the value itself off.
+double LowerBoundOf(int64_t v);
+double UpperBoundOf(int64_t v);
 
 /// Number of equi-depth buckets built per numeric column.
 inline constexpr int kHistogramBuckets = 32;

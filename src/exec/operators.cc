@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <iterator>
 
 #include "analysis/dataflow.h"
 #include "cost/cost_model.h"
@@ -678,6 +679,154 @@ void SortOp::CloseImpl() {
 
 // ------------------------------------------------------------ HashAggregate
 
+namespace {
+
+/// log2 of the radix partitions of a parallel aggregate's worker tables.
+/// Sixteen partitions keep every thread of a 4- or 8-thread pool busy
+/// through the merge, and a 10k-group partition stays cache-sized.
+constexpr int kAggPartitionBits = 4;
+
+/// MurmurHash3's 64-bit finalizer over HashRow, whose low and high bits
+/// are not mixed on every platform: every input bit reaches every output
+/// bit, so the high bits can choose a partition and the low bits a slot.
+uint64_t RowKeyHash(const Row& key) {
+  uint64_t h = HashRow(key);
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return h;
+}
+
+/// Fibonacci hashing folded onto the low half: the product's high bits
+/// choose a partition, the fold gives the low bits a slot. Both steps are
+/// bijections, so two INT64 keys share a hash only when they are equal.
+uint64_t IntKeyHash(int64_t k) {
+  uint64_t h = static_cast<uint64_t>(k) * 0x9e3779b97f4a7c15ULL;
+  return h ^ (h >> 32);
+}
+/// The INT64 lane's NULL key. An INT64 key may share this hash; the lookup
+/// tells the two apart by `null_group`.
+constexpr uint64_t kNullKeyHash = 0x9e3779b97f4a7c15ULL;
+
+}  // namespace
+
+/// One flat group table. An open-addressing index (linear probing, at most
+/// half full) maps a key hash to a dense group number; groups are numbered
+/// in first-seen order. Group g's hash is hashes[g], its key int_keys[g] on
+/// the INT64 lane (NULL when g == null_group) or row_keys[g] on the generic
+/// lane, and its accumulators the n_aggs entries of `accs` from g * n_aggs.
+struct HashAggregateOp::GroupTable {
+  struct Slot {
+    uint64_t hash = 0;
+    int32_t group = -1;  // -1: empty
+  };
+
+  std::vector<Slot> slots = std::vector<Slot>(16);
+  std::vector<uint64_t> hashes;
+  std::vector<int64_t> int_keys;
+  std::vector<Row> row_keys;
+  int32_t null_group = -1;
+  std::vector<AggAccumulator> accs;
+
+  size_t size() const { return hashes.size(); }
+
+  /// The group with hash `h` for which `same(g)` holds, or -1 with `*slot`
+  /// set to the empty slot where such a group belongs.
+  template <typename Same>
+  int32_t Find(uint64_t h, const Same& same, size_t* slot) const {
+    const size_t mask = slots.size() - 1;
+    for (size_t i = h & mask;; i = (i + 1) & mask) {
+      const Slot& s = slots[i];
+      if (s.group < 0) {
+        *slot = i;
+        return -1;
+      }
+      if (s.hash == h && same(s.group)) return s.group;
+    }
+  }
+  /// INT64 lane: IntKeyHash is a bijection, so equal hashes mean equal
+  /// keys unless one side is the NULL group.
+  int32_t FindInt(bool null, uint64_t h, size_t* slot) const {
+    return Find(h, [&](int32_t g) { return (g == null_group) == null; },
+                slot);
+  }
+  int32_t FindRow(const Row& key, uint64_t h, size_t* slot) const {
+    return Find(h, [&](int32_t g) { return RowEq()(row_keys[g], key); },
+                slot);
+  }
+
+  /// Number a new group and index it at `slot` (from Find). The caller
+  /// appends its accumulators.
+  int32_t AddInt(int64_t k, bool null, uint64_t h, size_t slot) {
+    if (null) null_group = static_cast<int32_t>(size());
+    int_keys.push_back(k);
+    return Add(h, slot);
+  }
+  int32_t AddRow(Row key, uint64_t h, size_t slot) {
+    row_keys.push_back(std::move(key));
+    return Add(h, slot);
+  }
+
+ private:
+  int32_t Add(uint64_t h, size_t slot) {
+    int32_t g = static_cast<int32_t>(size());
+    hashes.push_back(h);
+    slots[slot] = Slot{h, g};
+    if (2 * size() > slots.size()) Grow();
+    return g;
+  }
+  void Grow() {
+    std::vector<Slot> old = std::move(slots);
+    slots.assign(old.size() * 2, Slot{});
+    const size_t mask = slots.size() - 1;
+    for (const Slot& s : old) {
+      if (s.group < 0) continue;
+      size_t i = s.hash & mask;
+      while (slots[i].group >= 0) i = (i + 1) & mask;
+      slots[i] = s;
+    }
+  }
+};
+
+/// One worker's groups (or the serial run's), split into radix partitions by
+/// the high bits of the key hash. The lane is per worker: migrating it
+/// re-partitions every group by the generic hash.
+struct HashAggregateOp::WorkerGroups {
+  bool int_lane = false;
+  std::vector<GroupTable> parts;
+
+  GroupTable& PartOf(uint64_t h) {
+    return parts[(h >> (64 - kAggPartitionBits)) & (parts.size() - 1)];
+  }
+
+  /// Re-keys every INT64-lane group as the one-column Row the generic lane
+  /// would have built for its input rows (Int(k), or NULL) and leaves the
+  /// lane. Distinct lane keys stay distinct Rows.
+  void MigrateToGeneric(size_t n_aggs) {
+    std::vector<GroupTable> old = std::move(parts);
+    parts = std::vector<GroupTable>(old.size());
+    int_lane = false;
+    for (GroupTable& from : old) {
+      for (size_t g = 0; g < from.size(); ++g) {
+        Row key(1, Value::Null());
+        if (static_cast<int32_t>(g) != from.null_group) {
+          key[0] = Value::Int(from.int_keys[g]);
+        }
+        uint64_t h = RowKeyHash(key);
+        GroupTable& into = PartOf(h);
+        size_t slot = 0;
+        into.FindRow(key, h, &slot);
+        into.AddRow(std::move(key), h, slot);
+        auto first = from.accs.begin() + static_cast<ptrdiff_t>(g * n_aggs);
+        into.accs.insert(into.accs.end(), std::make_move_iterator(first),
+                         std::make_move_iterator(first + n_aggs));
+      }
+    }
+  }
+};
+
 HashAggregateOp::HashAggregateOp(OperatorPtr child, GroupBySpec spec,
                                  const ColumnCatalog* columns,
                                  IoAccountant* io)
@@ -688,60 +837,85 @@ HashAggregateOp::HashAggregateOp(OperatorPtr child, GroupBySpec spec,
   layout_ = RowLayout(spec_.OutputColumns());
 }
 
-void HashAggregateOp::GroupTable::MigrateToGeneric() {
-  rows.reserve(ints.size() + 1);
-  for (auto& [k, g] : ints) rows.emplace(Row{Value::Int(k)}, std::move(g));
-  if (null_group.has_value()) {
-    rows.emplace(Row{Value::Null()}, std::move(*null_group));
+HashAggregateOp::WorkerGroups HashAggregateOp::NewWorkerGroups(
+    size_t parts) const {
+  WorkerGroups groups;
+  groups.int_lane = group_idx_.size() == 1;
+  groups.parts.resize(parts);
+  if (group_idx_.empty()) {
+    GroupTable& table = groups.parts[0];
+    const uint64_t h = RowKeyHash(Row{});
+    size_t slot = 0;
+    table.FindRow(Row{}, h, &slot);
+    NewGroup(&table, table.AddRow(Row{}, h, slot));
   }
-  ints.clear();
-  null_group.reset();
-  int_lane = false;
+  return groups;
 }
 
-int64_t HashAggregateOp::GroupTable::size() const {
-  return static_cast<int64_t>(ints.size() + rows.size()) +
-         (null_group.has_value() ? 1 : 0);
+AggAccumulator* HashAggregateOp::NewGroup(GroupTable* table,
+                                          int32_t g) const {
+  for (const AggregateCall& a : spec_.aggregates) {
+    table->accs.emplace_back(a.kind);
+  }
+  return table->accs.data() + static_cast<size_t>(g) * n_aggs_;
 }
 
-HashAggregateOp::Group HashAggregateOp::NewGroup() const {
-  Group g;
-  g.accs.reserve(spec_.aggregates.size());
-  for (const AggregateCall& a : spec_.aggregates) g.accs.emplace_back(a.kind);
-  return g;
-}
-
-HashAggregateOp::Group& HashAggregateOp::FindGroup(
-    const Row& row, const std::vector<int>& group_idx, GroupTable* table,
-    Row* key) const {
-  if (table->int_lane) {
-    const Value& k = row[static_cast<size_t>(group_idx[0])];
+inline AggAccumulator* HashAggregateOp::GroupOf(const Row& row,
+                                                WorkerGroups* groups,
+                                                Row* key) const {
+  // The hot path: an existing group of an INT64 key on the INT64 lane.
+  // Everything else stays out of line, so this path saves no registers.
+  if (groups->int_lane) {
+    const Value& k = row[static_cast<size_t>(group_idx_[0])];
     if (k.is_int()) {
-      auto [it, inserted] = table->ints.try_emplace(k.AsInt());
-      if (inserted) it->second = NewGroup();
-      return it->second;
+      uint64_t h = IntKeyHash(k.AsInt());
+      GroupTable& table = groups->PartOf(h);
+      size_t slot = 0;
+      int32_t g = table.FindInt(/*null=*/false, h, &slot);
+      if (g >= 0) return table.accs.data() + static_cast<size_t>(g) * n_aggs_;
     }
-    if (k.is_null()) {
-      if (!table->null_group.has_value()) table->null_group = NewGroup();
-      return *table->null_group;
+  }
+  return OtherGroupOf(row, groups, key);
+}
+
+AggAccumulator* HashAggregateOp::OtherGroupOf(const Row& row,
+                                              WorkerGroups* groups,
+                                              Row* key) const {
+  size_t slot = 0;
+  if (groups->int_lane) {
+    const Value& k = row[static_cast<size_t>(group_idx_[0])];
+    if (k.is_int() || k.is_null()) {
+      bool null = k.is_null();
+      uint64_t h = null ? kNullKeyHash : IntKeyHash(k.AsInt());
+      GroupTable& table = groups->PartOf(h);
+      int32_t g = table.FindInt(null, h, &slot);
+      if (g < 0) {
+        return NewGroup(&table,
+                        table.AddInt(null ? 0 : k.AsInt(), null, h, slot));
+      }
+      return table.accs.data() + static_cast<size_t>(g) * n_aggs_;
     }
-    table->MigrateToGeneric();
+    groups->MigrateToGeneric(n_aggs_);
   }
   key->clear();
-  for (int idx : group_idx) key->push_back(row[static_cast<size_t>(idx)]);
-  auto it = table->rows.find(*key);
-  if (it == table->rows.end()) it = table->rows.emplace(*key, NewGroup()).first;
-  return it->second;
+  for (int idx : group_idx_) key->push_back(row[static_cast<size_t>(idx)]);
+  uint64_t h = RowKeyHash(*key);
+  GroupTable& table = groups->PartOf(h);
+  int32_t g = table.FindRow(*key, h, &slot);
+  if (g < 0) return NewGroup(&table, table.AddRow(*key, h, slot));
+  return table.accs.data() + static_cast<size_t>(g) * n_aggs_;
 }
 
-Status HashAggregateOp::Accumulate(Operator* src,
-                                   const std::vector<int>& group_idx,
-                                   const std::vector<std::vector<int>>& arg_idx,
-                                   GroupTable* table, int64_t* input_rows) {
-  // A whole input batch is accumulated per child dispatch; the group key
-  // buffer is reused across rows. In a parallel drain this runs once per
-  // worker against a thread-local table and must not touch the operator's
-  // shared stats block — the caller counts the summed input.
+Status HashAggregateOp::Accumulate(Operator* src, WorkerGroups* groups,
+                                   int64_t* input_rows) const {
+  // A whole input batch is accumulated per child dispatch; the generic
+  // lane's key buffer is reused across rows. In a parallel drain this runs
+  // once per worker against a thread-local table and must not touch the
+  // operator's shared stats block — the caller counts the summed input.
+  const size_t n_aggs = n_aggs_;
+  // A scalar aggregate's one group never moves: the arena is never resized.
+  AggAccumulator* scalar =
+      group_idx_.empty() ? groups->parts[0].accs.data() : nullptr;
   RowBatch batch(batch_size_);
   Row key;
   while (true) {
@@ -751,19 +925,20 @@ Status HashAggregateOp::Accumulate(Operator* src,
     *input_rows += batch.size();
     for (int i = 0; i < batch.size(); ++i) {
       const Row& row = batch.row(i);
-      Group& g = FindGroup(row, group_idx, table, &key);
-      for (size_t a = 0; a < arg_idx.size(); ++a) {
-        const std::vector<int>& idxs = arg_idx[a];
-        switch (idxs.size()) {
+      AggAccumulator* accs =
+          scalar != nullptr ? scalar : GroupOf(row, groups, &key);
+      for (size_t a = 0; a < n_aggs; ++a) {
+        const AggArgs& args = args_[a];
+        switch (args.arity) {
           case 0:
-            g.accs[a].Add0();
+            accs[a].Add0();
             break;
           case 1:
-            g.accs[a].Add1(row[static_cast<size_t>(idxs[0])]);
+            accs[a].Add1(row[static_cast<size_t>(args.idx[0])]);
             break;
           default:
-            g.accs[a].Add2(row[static_cast<size_t>(idxs[0])],
-                           row[static_cast<size_t>(idxs[1])]);
+            accs[a].Add2(row[static_cast<size_t>(args.idx[0])],
+                         row[static_cast<size_t>(args.idx[1])]);
             break;
         }
       }
@@ -771,39 +946,55 @@ Status HashAggregateOp::Accumulate(Operator* src,
   }
 }
 
-void HashAggregateOp::MergePartials(std::vector<GroupTable>* partials) {
-  // Lanes must agree before groups can meet: Int(3) in one partial's lane
-  // and Real(3.0) in another's generic map are the same group.
-  bool generic = std::any_of(partials->begin(), partials->end(),
-                             [](const GroupTable& t) { return !t.int_lane; });
-  if (generic) {
-    for (GroupTable& t : *partials) {
-      if (t.int_lane) t.MigrateToGeneric();
-    }
-  }
-  auto merge_group = [](Group* into, const Group& from) {
-    for (size_t a = 0; a < from.accs.size(); ++a) {
-      into->accs[a].Merge(from.accs[a]);
-    }
-  };
-  auto merge_map = [&](auto* into, auto* from) {
-    for (auto& [key, group] : *from) {
-      auto [it, inserted] = into->try_emplace(key, std::move(group));
-      if (!inserted) merge_group(&it->second, group);
-    }
-  };
-  GroupTable& out = (*partials)[0];
-  for (size_t w = 1; w < partials->size(); ++w) {
-    GroupTable& part = (*partials)[w];
-    merge_map(&out.rows, &part.rows);
-    merge_map(&out.ints, &part.ints);
-    if (part.null_group.has_value()) {
-      if (out.null_group.has_value()) {
-        merge_group(&*out.null_group, *part.null_group);
+void HashAggregateOp::MergeAndFinish(std::vector<WorkerGroups>* workers,
+                                     size_t part,
+                                     const BoundConjunction& having,
+                                     std::vector<Row>* out) const {
+  const size_t n_aggs = n_aggs_;
+  const bool int_lane = (*workers)[0].int_lane;
+  GroupTable& into = (*workers)[0].parts[part];
+  for (size_t w = 1; w < workers->size(); ++w) {
+    GroupTable& from = (*workers)[w].parts[part];
+    for (size_t g = 0; g < from.size(); ++g) {
+      uint64_t h = from.hashes[g];
+      size_t slot = 0;
+      int32_t mine;
+      if (int_lane) {
+        bool null = static_cast<int32_t>(g) == from.null_group;
+        mine = into.FindInt(null, h, &slot);
+        if (mine < 0) mine = into.AddInt(from.int_keys[g], null, h, slot);
       } else {
-        out.null_group = std::move(part.null_group);
+        mine = into.FindRow(from.row_keys[g], h, &slot);
+        if (mine < 0) mine = into.AddRow(std::move(from.row_keys[g]), h, slot);
+      }
+      auto theirs = from.accs.begin() + static_cast<ptrdiff_t>(g * n_aggs);
+      size_t first = static_cast<size_t>(mine) * n_aggs;
+      if (first == into.accs.size()) {
+        into.accs.insert(into.accs.end(), std::make_move_iterator(theirs),
+                         std::make_move_iterator(theirs + n_aggs));
+      } else {
+        for (size_t a = 0; a < n_aggs; ++a) {
+          into.accs[first + a].Merge(theirs[a]);
+        }
       }
     }
+    from = GroupTable();
+  }
+  out->reserve(into.size());
+  for (size_t g = 0; g < into.size(); ++g) {
+    Row row;
+    row.reserve(group_idx_.size() + n_aggs);
+    if (int_lane) {
+      row.push_back(static_cast<int32_t>(g) == into.null_group
+                        ? Value::Null()
+                        : Value::Int(into.int_keys[g]));
+    } else {
+      for (Value& v : into.row_keys[g]) row.push_back(std::move(v));
+    }
+    for (size_t a = 0; a < n_aggs; ++a) {
+      row.push_back(into.accs[g * n_aggs + a].Finish());
+    }
+    if (having.Eval(row)) out->push_back(std::move(row));
   }
 }
 
@@ -814,52 +1005,72 @@ Status HashAggregateOp::OpenImpl() {
   AGGVIEW_RETURN_NOT_OK(child_->Open());
   const RowLayout& in = child_->layout();
 
-  std::vector<int> group_idx;
+  group_idx_.clear();
   for (ColId g : spec_.grouping) {
     int idx = in.IndexOf(g);
     if (idx < 0) return Status::Internal("group-by column missing from input");
-    group_idx.push_back(idx);
+    group_idx_.push_back(idx);
   }
-  std::vector<std::vector<int>> arg_idx;
+  args_.clear();
+  n_aggs_ = spec_.aggregates.size();
   for (const AggregateCall& a : spec_.aggregates) {
-    std::vector<int> idxs;
+    AggArgs args;
+    if (a.args.size() > args.idx.size()) {
+      return Status::Internal("aggregate with more than two arguments");
+    }
     for (ColId arg : a.args) {
       int idx = in.IndexOf(arg);
       if (idx < 0) return Status::Internal("aggregate argument missing from input");
-      idxs.push_back(idx);
+      args.idx[args.arity++] = idx;
     }
-    arg_idx.push_back(std::move(idxs));
+    args_.push_back(args);
   }
 
-  GroupTable fresh;
-  fresh.int_lane = group_idx.size() == 1;
-  int workers = MorselWorkers(*child_);
   // Thread-local partial aggregation when workers > 1: every worker folds
-  // its morsels into a private group table, then the partials merge on the
-  // driver in worker order — AggAccumulator::Merge is the decomposable-
-  // aggregate combine (and MEDIAN's exact sample concatenation), so the
-  // merged state is the state a serial run would have reached.
-  std::vector<GroupTable> partials(static_cast<size_t>(workers), fresh);
+  // its morsels into private radix-partitioned tables; a scalar aggregate
+  // has one group and so one partition.
+  int workers = MorselWorkers(*child_);
+  size_t parts = workers > 1 && !group_idx_.empty()
+                     ? size_t{1} << kAggPartitionBits
+                     : 1;
+  std::vector<WorkerGroups> groups;
+  groups.reserve(static_cast<size_t>(workers));
+  for (int w = 0; w < workers; ++w) groups.push_back(NewWorkerGroups(parts));
   std::vector<int64_t> counts(static_cast<size_t>(workers), 0);
   AGGVIEW_RETURN_NOT_OK(RunMorselParallel(
       child_.get(), workers, [&](int w, Operator* src) {
-        return Accumulate(src, group_idx, arg_idx,
-                          &partials[static_cast<size_t>(w)],
+        return Accumulate(src, &groups[static_cast<size_t>(w)],
                           &counts[static_cast<size_t>(w)]);
       }));
-  MergePartials(&partials);
-  GroupTable& groups = partials[0];
   int64_t input_rows = 0;
   for (int64_t c : counts) input_rows += c;
   if (workers > 1 && stats_ != nullptr) stats_->workers = workers;
   CountInput(input_rows);
 
-  // SQL: a scalar aggregate (no GROUP BY) over zero input rows yields
-  // exactly one row — COUNT = 0, SUM/MIN/MAX/AVG = NULL. Grouped queries
-  // correctly yield no rows.
-  if (groups.size() == 0 && spec_.grouping.empty()) {
-    groups.rows.emplace(Row{}, NewGroup());
+  // Lanes must agree before groups can meet: Int(3) in one worker's lane and
+  // Real(3.0) in another's generic table are the same group.
+  if (std::any_of(groups.begin(), groups.end(),
+                  [](const WorkerGroups& g) { return !g.int_lane; })) {
+    for (WorkerGroups& g : groups) {
+      if (g.int_lane) g.MigrateToGeneric(n_aggs_);
+    }
   }
+  // Partitions are disjoint, so each merges and finalizes on its own.
+  std::vector<std::vector<Row>> outs(parts);
+  std::vector<int64_t> part_groups(parts, 0);
+  auto finish_part = [&](int p) {
+    size_t i = static_cast<size_t>(p);
+    MergeAndFinish(&groups, i, having, &outs[i]);
+    part_groups[i] = static_cast<int64_t>(groups[0].parts[i].size());
+    groups[0].parts[i] = GroupTable();
+  };
+  if (parts > 1) {
+    exec_->pool()->ParallelFor(static_cast<int>(parts), finish_part);
+  } else {
+    finish_part(0);
+  }
+  int64_t num_groups = 0;
+  for (int64_t n : part_groups) num_groups += n;
 
   double in_pages = ActualPages(input_rows, in.RowWidth(*columns_));
   double spill = CostModel::HashAggLocalCost(in_pages);
@@ -867,26 +1078,20 @@ Status HashAggregateOp::OpenImpl() {
   ChargeRead(io_, static_cast<int64_t>(spill / 2.0));
   if (stats_ != nullptr) {
     stats_->spill_pages += static_cast<int64_t>(spill / 2.0) * 2;
-    stats_->hash_build_rows = groups.size();
+    stats_->hash_build_rows = num_groups;
   }
 
   results_.clear();
-  auto emit = [&](Row out, Group* group) {
-    for (AggAccumulator& acc : group->accs) out.push_back(acc.Finish());
-    if (having.Eval(out)) results_.push_back(std::move(out));
-  };
-  for (auto& [k, group] : groups.ints) emit(Row{Value::Int(k)}, &group);
-  if (groups.null_group.has_value()) {
-    emit(Row{Value::Null()}, &*groups.null_group);
+  for (std::vector<Row>& rows : outs) {
+    std::move(rows.begin(), rows.end(), std::back_inserter(results_));
   }
-  for (auto& [group_key, group] : groups.rows) emit(group_key, &group);
   pos_ = 0;
   return Status::OK();
 }
 
 Result<bool> HashAggregateOp::NextBatchImpl(RowBatch* out) {
   while (pos_ < results_.size() && !out->full()) {
-    out->AppendRow() = results_[pos_++];
+    out->AppendRow() = std::move(results_[pos_++]);
   }
   return !out->empty();
 }

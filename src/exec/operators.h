@@ -1,10 +1,10 @@
 #ifndef AGGVIEW_EXEC_OPERATORS_H_
 #define AGGVIEW_EXEC_OPERATORS_H_
 
+#include <array>
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -445,28 +445,35 @@ class SortOp final : public Operator {
 
 /// Hash aggregation implementing a GroupBySpec: grouping, aggregate
 /// accumulators, HAVING. Consumes its child at Open, accumulating a whole
-/// input batch per pull. A scalar aggregate (empty grouping) over zero input
-/// rows produces exactly one row, with COUNT = 0 and SUM/MIN/MAX/AVG = NULL
+/// input batch per pull. A scalar aggregate (empty grouping) has exactly one
+/// group, created up front and found without a hash lookup, so over zero
+/// input rows it produces one row with COUNT = 0 and SUM/MIN/MAX/AVG = NULL
 /// (SQL semantics). HAVING is bound against the output layout (grouping
 /// columns + aggregate outputs).
 ///
-/// Grouping on exactly one column starts on an INT64 lane: an int64-keyed
-/// map plus one NULL group, with no key Row built per input row. The first
-/// non-integer, non-NULL key migrates the lane into the generic Row-keyed
-/// map, where Value's cross-type numeric equality keeps 3 and 3.0 in one
-/// group, so grouping semantics never depend on the lane.
+/// Groups live in flat tables: an open-addressing index from key hash to a
+/// dense group number, a parallel key column, and one arena holding each
+/// group's accumulators consecutively. Grouping on exactly one column starts
+/// on an INT64 lane, whose keys are int64_t (plus one NULL group), so no key
+/// Row is built per input row. The first non-integer, non-NULL key migrates
+/// the lane to the generic lane, keyed by Row under RowEq, where Value's
+/// cross-type numeric equality keeps 3 and 3.0 in one group, so grouping
+/// semantics never depend on the lane.
 ///
-/// The pipeline breaker of parallel plans: when the runtime grants threads
-/// and the child pipeline is morsel-parallel, Open drains it with worker
-/// pipelines into *thread-local* group tables (no shared mutable state on
-/// the hot path), then merges the partial tables in worker order on the
-/// driver — partial accumulators of the same group fold together with
-/// AggAccumulator::Merge, the execution-time form of the decomposable-
-/// aggregate combines (COUNT partials merge with kCountSum's empty-is-0
-/// semantics; MEDIAN merges exactly by sample concatenation). Partials may
-/// sit in different lanes; if any worker migrated, every partial migrates
-/// before the merge. The spill charge is computed on the summed input
-/// cardinality, identical to serial.
+/// The pipeline breaker of parallel plans: when the runtime grants W > 1
+/// threads and the child pipeline is morsel-parallel, Open drains it with
+/// worker pipelines into thread-local tables, each split into radix
+/// partitions by the high bits of the key hash (no shared mutable state on
+/// the hot path). One ParallelFor over the partitions then merges each
+/// partition independently, folding workers 1..W-1 into worker 0 in worker
+/// order with AggAccumulator::Merge (the execution-time form of the
+/// decomposable-aggregate combines; MEDIAN merges exactly by sample
+/// concatenation), and finalizes it with Finish and HAVING. A group's merge
+/// order is thus fixed by worker index alone. If any worker migrated off the
+/// INT64 lane, every worker migrates (re-partitioning by the generic hash)
+/// before the merge. Output is in first-seen group order when serial and in
+/// partition order when parallel. The spill charge is computed on the summed
+/// input cardinality, identical to serial.
 class HashAggregateOp final : public Operator {
  public:
   HashAggregateOp(OperatorPtr child, GroupBySpec spec,
@@ -478,44 +485,46 @@ class HashAggregateOp final : public Operator {
   void CloseImpl() override;
 
  private:
-  struct Group {
-    std::vector<AggAccumulator> accs;
-  };
-  using GroupMap = std::unordered_map<Row, Group, RowHash, RowEq>;
+  struct GroupTable;
+  struct WorkerGroups;
 
-  /// One group table: the serial run's, or one worker's partial. While
-  /// `int_lane` holds, groups live in `ints` and `null_group`; afterwards
-  /// (and from the start unless there is exactly one grouping column) they
-  /// live in `rows`.
-  struct GroupTable {
-    bool int_lane = false;
-    std::unordered_map<int64_t, Group> ints;
-    std::optional<Group> null_group;
-    GroupMap rows;
-
-    /// Re-keys every lane group as the one-column Row the generic map would
-    /// have built for its input rows (Int(k), or NULL) and leaves the lane.
-    void MigrateToGeneric();
-    int64_t size() const;
-  };
-
-  Group NewGroup() const;
-  /// The group of input row `row`, created empty on first sight; may migrate
-  /// the table off the INT64 lane. `key` is reusable scratch.
-  Group& FindGroup(const Row& row, const std::vector<int>& group_idx,
-                   GroupTable* table, Row* key) const;
-  /// Drains `src` into `table`, accumulating every row; adds the consumed
+  /// Empty groups for one worker (or the serial run) split into `parts`
+  /// partitions; a scalar aggregate's one group is created here.
+  WorkerGroups NewWorkerGroups(size_t parts) const;
+  /// Appends the fresh accumulators of new group `g` of `table`; returns
+  /// them.
+  AggAccumulator* NewGroup(GroupTable* table, int32_t g) const;
+  /// The accumulators of `row`'s group, created empty on first sight.
+  /// GroupOf finds an existing group of an INT64 key on the INT64 lane and
+  /// leaves the rest (a new group, the NULL key, migrating the lane, the
+  /// generic lane) to OtherGroupOf. `key` is reusable scratch.
+  AggAccumulator* GroupOf(const Row& row, WorkerGroups* groups,
+                          Row* key) const;
+  AggAccumulator* OtherGroupOf(const Row& row, WorkerGroups* groups,
+                               Row* key) const;
+  /// Drains `src` into `groups`, accumulating every row; adds the consumed
   /// row count to `input_rows`. Runs once serially or once per worker.
-  Status Accumulate(Operator* src, const std::vector<int>& group_idx,
-                    const std::vector<std::vector<int>>& arg_idx,
-                    GroupTable* table, int64_t* input_rows);
-  /// Folds worker partials 1..n-1 into partials[0], in worker order.
-  static void MergePartials(std::vector<GroupTable>* partials);
+  Status Accumulate(Operator* src, WorkerGroups* groups,
+                    int64_t* input_rows) const;
+  /// Folds partition `part` of every worker into worker 0's, in worker
+  /// order, then emits its groups that pass `having` into `out`. Partitions
+  /// are disjoint, so partition tasks run concurrently.
+  void MergeAndFinish(std::vector<WorkerGroups>* workers, size_t part,
+                      const BoundConjunction& having,
+                      std::vector<Row>* out) const;
 
   OperatorPtr child_;
   GroupBySpec spec_;
   const ColumnCatalog* columns_;
   IoAccountant* io_;
+  /// One aggregate's argument columns in the input: Add0, Add1 or Add2.
+  struct AggArgs {
+    int arity = 0;
+    std::array<int, 2> idx = {0, 0};
+  };
+  std::vector<int> group_idx_;  // grouping columns in the input
+  std::vector<AggArgs> args_;   // per aggregate
+  size_t n_aggs_ = 0;           // accumulators per group
 
   std::vector<Row> results_;
   size_t pos_ = 0;

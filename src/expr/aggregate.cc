@@ -80,6 +80,41 @@ std::string AggregateCall::ToString(const ColumnCatalog& cat) const {
   return name + "(" + inner + ")";
 }
 
+AggAccumulator::AggAccumulator(AggKind kind) : kind_(kind) {
+  if (kind_ == AggKind::kAvgFinal) {
+    all_int_ = false;
+    sum_ = 0.0;
+  }
+}
+
+AggAccumulator::AggAccumulator(const AggAccumulator& other)
+    : kind_(other.kind_),
+      all_int_(other.all_int_),
+      has_value_(other.has_value_),
+      count_(other.count_),
+      extreme_(other.extreme_) {
+  if (all_int_) {
+    isum_ = other.isum_;
+  } else {
+    sum_ = other.sum_;
+  }
+  if (other.samples_ != nullptr) {
+    samples_ = std::make_unique<std::vector<double>>(*other.samples_);
+  }
+}
+
+AggAccumulator& AggAccumulator::operator=(const AggAccumulator& other) {
+  if (this != &other) *this = AggAccumulator(other);
+  return *this;
+}
+
+void AggAccumulator::PromoteSum() {
+  if (!all_int_) return;
+  double total = static_cast<double>(isum_);
+  sum_ = total;
+  all_int_ = false;
+}
+
 void AggAccumulator::Add0() {
   // Only COUNT(*) is nullary: it counts rows regardless of values.
   assert(kind_ == AggKind::kCountStar);
@@ -101,10 +136,7 @@ void AggAccumulator::Add1(const Value& v) {
       if (v.is_int() && all_int_) {
         isum_ += v.AsInt();
       } else {
-        if (all_int_) {
-          sum_ = static_cast<double>(isum_);
-          all_int_ = false;
-        }
+        PromoteSum();
         sum_ += v.AsNumeric();
       }
       return;
@@ -120,7 +152,10 @@ void AggAccumulator::Add1(const Value& v) {
       return;
     }
     case AggKind::kMedian: {
-      samples_.push_back(v.AsNumeric());
+      if (samples_ == nullptr) {
+        samples_ = std::make_unique<std::vector<double>>();
+      }
+      samples_->push_back(v.AsNumeric());
       return;
     }
     case AggKind::kAvgFinal:
@@ -132,8 +167,8 @@ void AggAccumulator::Add1(const Value& v) {
 void AggAccumulator::Add2(const Value& a, const Value& b) {
   assert(kind_ == AggKind::kAvgFinal);
   if (a.is_null() || b.is_null()) return;
-  final_sum_ += a.AsNumeric();
-  final_count_ += b.AsInt();
+  sum_ += a.AsNumeric();
+  count_ += b.AsInt();
 }
 
 void AggAccumulator::Merge(const AggAccumulator& other) {
@@ -152,10 +187,7 @@ void AggAccumulator::Merge(const AggAccumulator& other) {
       } else {
         double theirs =
             other.all_int_ ? static_cast<double>(other.isum_) : other.sum_;
-        if (all_int_) {
-          sum_ = static_cast<double>(isum_);
-          all_int_ = false;
-        }
+        PromoteSum();
         sum_ += theirs;
       }
       return;
@@ -173,12 +205,17 @@ void AggAccumulator::Merge(const AggAccumulator& other) {
       }
       return;
     case AggKind::kMedian:
-      samples_.insert(samples_.end(), other.samples_.begin(),
-                      other.samples_.end());
+      if (other.samples_ == nullptr) return;
+      if (samples_ == nullptr) {
+        samples_ = std::make_unique<std::vector<double>>(*other.samples_);
+      } else {
+        samples_->insert(samples_->end(), other.samples_->begin(),
+                         other.samples_->end());
+      }
       return;
     case AggKind::kAvgFinal:
-      final_sum_ += other.final_sum_;
-      final_count_ += other.final_count_;
+      sum_ += other.sum_;
+      count_ += other.count_;
       return;
   }
 }
@@ -207,16 +244,16 @@ Value AggAccumulator::Finish() const {
       if (!has_value_) return Value::Null();
       return extreme_;
     case AggKind::kMedian: {
-      if (samples_.empty()) return Value::Null();
-      std::vector<double> s = samples_;
+      if (samples_ == nullptr || samples_->empty()) return Value::Null();
+      std::vector<double> s = *samples_;
       std::sort(s.begin(), s.end());
       size_t n = s.size();
       double m = (n % 2 == 1) ? s[n / 2] : 0.5 * (s[n / 2 - 1] + s[n / 2]);
       return Value::Real(m);
     }
     case AggKind::kAvgFinal:
-      if (final_count_ == 0) return Value::Null();
-      return Value::Real(final_sum_ / static_cast<double>(final_count_));
+      if (count_ == 0) return Value::Null();
+      return Value::Real(sum_ / static_cast<double>(count_));
   }
   return Value::Real(0.0);
 }

@@ -1,6 +1,8 @@
 #ifndef AGGVIEW_EXPR_AGGREGATE_H_
 #define AGGVIEW_EXPR_AGGREGATE_H_
 
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -23,7 +25,7 @@ namespace aggview {
 /// aggregate over zero rows yields 0, where a plain SUM would yield NULL.
 /// (The differential fuzzer caught a plain-SUM combine turning a scalar
 /// COUNT over an empty join into NULL.)
-enum class AggKind {
+enum class AggKind : uint8_t {
   kCountStar,
   kCount,
   kSum,
@@ -61,10 +63,20 @@ struct AggregateCall {
   std::string ToString(const ColumnCatalog& cat) const;
 };
 
-/// Streaming accumulator for one aggregate over one group.
+/// Streaming accumulator for one aggregate over one group. Hash aggregation
+/// keeps one per (group, aggregate) in a flat arena, so the state is
+/// compact: a count, one integer-or-double running sum, MIN/MAX's running
+/// extreme inline (a side allocation measurably slowed the MAX path), and
+/// MEDIAN's samples behind a pointer allocated on first use. Copies are
+/// deep; a moved-from accumulator may only be destroyed or assigned to.
 class AggAccumulator {
  public:
-  explicit AggAccumulator(AggKind kind) : kind_(kind) {}
+  explicit AggAccumulator(AggKind kind);
+  AggAccumulator(const AggAccumulator& other);
+  AggAccumulator& operator=(const AggAccumulator& other);
+  AggAccumulator(AggAccumulator&&) noexcept = default;
+  AggAccumulator& operator=(AggAccumulator&&) noexcept = default;
+  ~AggAccumulator() = default;
 
   /// Feeds the argument values of one input row, by arity: Add0 for
   /// COUNT(*), Add1 for the unary aggregates, Add2 for AVG-final's
@@ -89,17 +101,23 @@ class AggAccumulator {
   Value Finish() const;
 
  private:
+  /// Leaves the exact integer sum for a double one (SUM/AVG/COUNT-SUM).
+  void PromoteSum();
+
   AggKind kind_;
-  int64_t count_ = 0;
-  double sum_ = 0.0;
-  int64_t isum_ = 0;
-  bool all_int_ = true;
-  bool has_value_ = false;
-  Value extreme_;                 // MIN/MAX running value
-  std::vector<double> samples_;   // MEDIAN keeps its inputs
-  double final_sum_ = 0.0;        // kAvgFinal numerator
-  int64_t final_count_ = 0;       // kAvgFinal denominator
+  bool all_int_ = true;     // SUM/AVG/COUNT-SUM: the sum is still isum_
+  bool has_value_ = false;  // MIN/MAX: extreme_ holds an input
+  int64_t count_ = 0;       // non-NULL inputs; AVG-final's denominator
+  union {
+    int64_t isum_ = 0;  // exact sum while every input was INT64
+    double sum_;        // otherwise, and AVG-final's numerator
+  };
+  Value extreme_;  // MIN/MAX running value
+  std::unique_ptr<std::vector<double>> samples_;  // MEDIAN keeps its inputs
 };
+
+static_assert(sizeof(AggAccumulator) <= 72,
+              "AggAccumulator is stored per (group, aggregate); keep it small");
 
 }  // namespace aggview
 

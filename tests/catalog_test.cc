@@ -272,9 +272,10 @@ void ExpectSameStats(const TableStats& got, const TableStats& want,
 
 /// The one-pass-per-column statistics algorithm ComputeStats used before its
 /// sort-once kernel, as the differential oracle for well-typed tables, with
-/// two changes: it counts distinct values rather than distinct hashes, and
-/// it reads -0.0 as 0.0 (the kernel's one value for both; before, which
-/// sign a range end took depended on row order).
+/// three changes: it counts distinct values rather than distinct hashes, it
+/// reads -0.0 as 0.0 (the kernel's one value for both; before, which sign a
+/// range end took depended on row order), and it rounds an INT64 min/max
+/// outward (LowerBoundOf/UpperBoundOf) instead of to the nearest double.
 TableStats ReferenceStats(const Table& table) {
   TableStats stats;
   stats.row_count = table.row_count();
@@ -314,12 +315,15 @@ TableStats ReferenceStats(const Table& table) {
       }
       if (numeric) {
         values.push_back(d);
+        double lo = v.is_int() ? LowerBoundOf(v.AsInt()) : d;
+        double hi = v.is_int() ? UpperBoundOf(v.AsInt()) : d;
         if (first) {
-          cs.min = cs.max = d;
+          cs.min = lo;
+          cs.max = hi;
           first = false;
         } else {
-          if (d < cs.min) cs.min = d;
-          if (d > cs.max) cs.max = d;
+          if (lo < cs.min) cs.min = lo;
+          if (hi > cs.max) cs.max = hi;
         }
       }
     }
@@ -451,6 +455,68 @@ TEST(StatisticsTest, DistinctCountsValuesNotHashes) {
   EXPECT_EQ(group_bys, 1);
 }
 
+TEST(StatisticsTest, BoundsBeyond2To53ContainTheActualRows) {
+  // An INT64 literal or extreme beyond 2^53 has no exact double. The strict
+  // comparison's unit applies in int64 arithmetic and every bound rounds
+  // outward, so `v < 2^53 + 1` keeps v = 2^53 (a round-to-nearest literal
+  // minus one unit proved the scan empty while it returned the row).
+  const int64_t big = int64_t{1} << 53;
+  struct Case {
+    int64_t v;
+    const char* sql;
+  };
+  const Case cases[] = {
+      {big, "select t.k from t where t.v < 9007199254740993"},
+      {big, "select t.k, count(*) from t where t.v < 9007199254740993 "
+            "group by t.k"},
+      {big + 1, "select t.k from t where t.v <= 9007199254740993"},
+      {big + 1, "select t.k from t where t.v >= 9007199254740993"},
+      {big + 1, "select t.k from t where t.v > 9007199254740992"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.sql);
+    Catalog catalog;
+    TableDef def;
+    def.name = "t";
+    def.schema = Schema({{"k", DataType::kInt64}, {"v", DataType::kInt64}});
+    def.primary_key = {0};
+    auto data = std::make_shared<Table>(def.schema);
+    data->AppendUnchecked({Value::Int(1), Value::Int(c.v)});
+    def.stats = ComputeStats(*data);
+    def.data = data;
+    const ColumnStats& v = def.stats.columns[1];
+    EXPECT_LE(v.min, static_cast<long double>(c.v));
+    EXPECT_GE(v.max, static_cast<long double>(c.v));
+    ASSERT_OK(catalog.AddTable(std::move(def)));
+
+    auto query = ParseAndBind(catalog, c.sql);
+    ASSERT_OK(query);
+    auto optimized = OptimizeQueryWithAggViews(*query, OptimizerOptions{});
+    ASSERT_OK(optimized);
+    RuntimeStatsCollector runtime;
+    auto result = ExecutePlan(optimized->plan, optimized->query,
+                              ExecContext::Default().WithStats(&runtime));
+    ASSERT_OK(result);
+    EXPECT_EQ(result->rows.size(), 1u);
+
+    int checked = 0;
+    std::vector<const PlanNode*> stack = {optimized->plan.get()};
+    while (!stack.empty()) {
+      const PlanNode* node = stack.back();
+      stack.pop_back();
+      if (node->left != nullptr) stack.push_back(node->left.get());
+      if (node->right != nullptr) stack.push_back(node->right.get());
+      const OpStats* op = runtime.ForNode(node);
+      if (op == nullptr || node->facts == nullptr) continue;
+      ++checked;
+      const double actual = static_cast<double>(op->rows_produced);
+      EXPECT_LE(node->facts->card.lo, actual);
+      EXPECT_GE(node->facts->card.hi, actual);
+    }
+    EXPECT_GT(checked, 0);
+  }
+}
+
 TEST(StatisticsTest, MixedColumnsCountExactValues) {
   // Backing tables and bulk loads append without type checks, so a column
   // can hold values of other types than it declares. Numbers count by exact
@@ -474,7 +540,9 @@ TEST(StatisticsTest, MixedColumnsCountExactValues) {
   EXPECT_EQ(d.null_count, 1);
   ASSERT_TRUE(d.has_range);
   EXPECT_EQ(Bits(d.min), Bits(0.0));
-  EXPECT_EQ(d.max, static_cast<double>(big));
+  // The max is INT64 2^53 + 1, rounded outward to 2^53 + 2 so the range
+  // contains it (the nearest double, 2^53, would not).
+  EXPECT_EQ(d.max, static_cast<double>(big) + 2.0);
   ASSERT_EQ(d.histogram.bounds.size(), 7u);  // one per numeric value
   EXPECT_EQ(Bits(d.histogram.min), Bits(0.0));
   const double want[] = {0.0, 0.0, 3.0, 3.0, static_cast<double>(big),

@@ -543,6 +543,69 @@ TEST(AggregateTest, AvgFinalCombinesPartials) {
   EXPECT_DOUBLE_EQ(acc.Finish().AsDouble(), 2.0);
 }
 
+/// A copied MIN/MAX/MEDIAN accumulator owns its state: feeding the copy
+/// leaves the original alone (MEDIAN's samples are a side allocation), and
+/// copy assignment replaces the target's state.
+TEST(AggregateTest, CopiesAreDeep) {
+  AggAccumulator mn(AggKind::kMin), mx(AggKind::kMax), med(AggKind::kMedian);
+  for (const char* s : {"m", "f"}) {
+    mn.Add1(Value::Str(s));
+    mx.Add1(Value::Str(s));
+  }
+  for (int v : {1, 2, 3}) med.Add1(Value::Int(v));
+
+  AggAccumulator mn_copy(mn), mx_copy(mx), med_copy(med);
+  mn_copy.Add1(Value::Str("a"));
+  mx_copy.Add1(Value::Str("z"));
+  for (int v : {10, 20, 30, 40}) med_copy.Add1(Value::Int(v));
+  EXPECT_EQ(mn.Finish().AsString(), "f");
+  EXPECT_EQ(mx.Finish().AsString(), "m");
+  EXPECT_DOUBLE_EQ(med.Finish().AsDouble(), 2.0);
+  EXPECT_EQ(mn_copy.Finish().AsString(), "a");
+  EXPECT_EQ(mx_copy.Finish().AsString(), "z");
+  EXPECT_DOUBLE_EQ(med_copy.Finish().AsDouble(), 10.0);
+
+  AggAccumulator assigned(AggKind::kMedian);
+  assigned.Add1(Value::Int(100));
+  assigned = med;
+  med.Add1(Value::Int(50));
+  EXPECT_DOUBLE_EQ(assigned.Finish().AsDouble(), 2.0);
+  EXPECT_DOUBLE_EQ(med.Finish().AsDouble(), 2.5);
+  // An empty MEDIAN copies as empty, and merging it changes nothing.
+  AggAccumulator empty(AggKind::kMedian);
+  AggAccumulator empty_copy(empty);
+  EXPECT_TRUE(empty_copy.Finish().is_null());
+  med.Merge(empty_copy);
+  EXPECT_DOUBLE_EQ(med.Finish().AsDouble(), 2.5);
+}
+
+/// A move carries MIN/MAX/MEDIAN state over whole; the moved-from
+/// accumulator is safe to destroy and to assign to.
+TEST(AggregateTest, MovesCarryStateAndLeaveSafeSources) {
+  AggAccumulator mx(AggKind::kMax), med(AggKind::kMedian);
+  mx.Add1(Value::Str("pear"));
+  for (int v : {7, 1, 4}) med.Add1(Value::Int(v));
+
+  AggAccumulator mx_moved(std::move(mx));
+  AggAccumulator med_moved(AggKind::kMedian);
+  med_moved = std::move(med);
+  EXPECT_EQ(mx_moved.Finish().AsString(), "pear");
+  EXPECT_DOUBLE_EQ(med_moved.Finish().AsDouble(), 4.0);
+
+  mx = AggAccumulator(AggKind::kMax);  // assign to a moved-from source
+  mx.Add1(Value::Int(3));
+  EXPECT_EQ(mx.Finish().AsInt(), 3);
+
+  std::vector<AggAccumulator> arena;
+  for (int i = 0; i < 100; ++i) {  // reallocation moves every element
+    arena.emplace_back(AggKind::kMedian);
+    arena.back().Add1(Value::Int(i));
+  }
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_DOUBLE_EQ(arena[static_cast<size_t>(i)].Finish().AsDouble(), i);
+  }
+}  // `med` and the arena's sources are destroyed here
+
 TEST(AggregateTest, ResultTypes) {
   ColumnCatalog cat;
   ColId i = cat.Add("i", DataType::kInt64);
