@@ -279,6 +279,15 @@ inline MinMedian MinAndMedian(std::vector<double> samples) {
   return {samples.front(), samples[samples.size() / 2]};
 }
 
+/// MinAndMedian's halves as plain functions, the form google-benchmark's
+/// ComputeStatistics takes: e9 and e12 report both over their repetitions.
+inline double MinOf(const std::vector<double>& samples) {
+  return MinAndMedian(samples).min;
+}
+inline double MedianOf(const std::vector<double>& samples) {
+  return MinAndMedian(samples).median;
+}
+
 /// Exits the bench when `status` is an error, printing what was being done
 /// (`action`, on `subject` when given) and the failing Status to stderr — a
 /// bench failure states its cause instead of a bare abort(). Exit code 1;

@@ -369,7 +369,14 @@ Status MatViewDifferential(Catalog* catalog, TableId emp,
   }
   if (created.empty()) return Status::OK();
 
-  std::vector<Row> snapshot = catalog->table(emp).data->rows();
+  std::vector<Row> snapshot;
+  {
+    const Table& table = *catalog->table(emp).data;
+    snapshot.reserve(static_cast<size_t>(table.row_count()));
+    for (int64_t i = 0; i < table.row_count(); ++i) {
+      snapshot.push_back(table.row(i));
+    }
+  }
   Status st = [&]() -> Status {
     // Phase 1: the rewriter must answer every materialized block, and the
     // view-backed execution must reproduce the reference bytes.

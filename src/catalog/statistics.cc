@@ -109,26 +109,25 @@ struct KeyScratch {
   std::vector<uint64_t> buffer;
 };
 
-/// Computes column `c`'s statistics. One pass over the rows gathers an
+/// Computes one column's statistics. One pass over its cells gathers an
 /// order-preserving key per numeric value — integers into the front of
 /// `keys`, doubles into the back, whatever the declared type — and inserts
-/// each string into a set of views into the rows, which counts by content.
+/// each string into a set of views into the column, which counts by content.
 /// Each key region is sorted once; walking the two regions merged by exact
 /// comparison visits the numeric values in ascending order with equal values
 /// adjacent, which yields the distinct count, the range and the histogram
 /// edges together.
-ColumnStats ComputeColumnStats(const std::vector<Row>& rows, size_t c,
-                               bool numeric, KeyScratch* scratch) {
+ColumnStats ComputeColumnStats(const std::vector<Value>& column, bool numeric,
+                               KeyScratch* scratch) {
   ColumnStats cs;
-  const size_t n = rows.size();
+  const size_t n = column.size();
   std::vector<uint64_t>& keys = scratch->keys;
   size_t num_ints = 0;
   size_t num_doubles = 0;
   std::unordered_set<std::string_view> strings;
   const std::string* min_str = nullptr;
   const std::string* max_str = nullptr;
-  for (const Row& row : rows) {
-    const Value& v = row[c];
+  for (const Value& v : column) {
     if (v.is_int() || v.is_double()) {
       if (keys.size() < n) keys.resize(n);
       if (v.is_int()) {
@@ -225,8 +224,8 @@ TableStats ComputeStats(const Table& table) {
     // A string column's set never coexists with a numeric column's keys:
     // at most one column's scratch is alive at a time.
     if (!numeric) scratch = KeyScratch();
-    stats.columns.push_back(ComputeColumnStats(
-        table.rows(), static_cast<size_t>(c), numeric, &scratch));
+    stats.columns.push_back(
+        ComputeColumnStats(table.column(c), numeric, &scratch));
   }
   return stats;
 }

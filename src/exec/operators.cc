@@ -176,6 +176,7 @@ TableScanOp::TableScanOp(const TableScanOp& primary, WorkerCloneTag)
       bound_filter_(primary.bound_filter_),
       columns_(primary.columns_),
       projection_(primary.projection_),
+      columns_base_(primary.columns_base_),
       io_(primary.io_),
       charge_io_(false),  // the primary charged the table's pages at Open
       morsels_(primary.morsels_) {
@@ -191,6 +192,9 @@ Status TableScanOp::OpenImpl() {
   if (exec_ != nullptr) morsels_->morsel_rows = exec_->morsel_rows();
   pos_ = pos_end_ = 0;
   if (charge_io_) ChargeRead(io_, table_->page_count());
+  if (table_layout_.size() > table_->schema().num_columns()) {
+    return Status::Internal("scan layout is wider than its table");
+  }
   for (int idx : projection_) {
     if (idx < 0 && idx != kRowIdIndex) {
       return Status::Internal("scan projects a non-table column");
@@ -199,11 +203,16 @@ Status TableScanOp::OpenImpl() {
   AGGVIEW_ASSIGN_OR_RETURN(
       bound_filter_,
       BoundConjunction::Bind(filter_, table_layout_, *columns_, "scan"));
+  columns_base_.clear();
+  for (int c = 0; c < table_layout_.size(); ++c) {
+    columns_base_.push_back(table_->column(c).data());
+  }
   return Status::OK();
 }
 
 Result<bool> TableScanOp::NextBatchImpl(RowBatch* out) {
   const int64_t n = table_->row_count();
+  const Value* const* cols = columns_base_.data();
   int64_t examined = 0;
   while (!out->full()) {
     if (pos_ >= pos_end_) {
@@ -216,17 +225,16 @@ Result<bool> TableScanOp::NextBatchImpl(RowBatch* out) {
       pos_end_ = std::min(n, start + morsels_->morsel_rows);
     }
     while (pos_ < pos_end_ && !out->full()) {
-      int64_t rowid = pos_;
-      const Row& row = table_->row(pos_++);
+      const size_t rowid = static_cast<size_t>(pos_++);
       ++examined;
-      if (!bound_filter_.Eval(row)) continue;
+      if (!bound_filter_.Eval(ColumnCells{cols, rowid})) continue;
       Row& dst = out->AppendRow();
       dst.reserve(projection_.size());
       for (int idx : projection_) {
         if (idx == kRowIdIndex) {
-          dst.push_back(Value::Int(rowid));
+          dst.push_back(Value::Int(static_cast<int64_t>(rowid)));
         } else {
-          dst.push_back(row[static_cast<size_t>(idx)]);
+          dst.push_back(cols[idx][rowid]);
         }
       }
     }

@@ -177,8 +177,9 @@ int MorselWorkers(const Operator& pipeline);
 /// instance claims every morsel in order and is byte-identical to the
 /// pre-morsel serial scan.
 ///
-/// The filter is evaluated on the table row, so survivors project straight
-/// into the output batch.
+/// The filter is evaluated on the table's columns in place (ColumnCells), so
+/// a rejected row is never copied and a survivor copies only its projected
+/// cells (and the row id) into the output batch.
 class TableScanOp final : public Operator {
  public:
   /// `rowid_col`, when valid, names a synthetic output column materialized
@@ -215,6 +216,8 @@ class TableScanOp final : public Operator {
   BoundConjunction bound_filter_;  // filter_ against table_layout_, at Open
   const ColumnCatalog* columns_;
   std::vector<int> projection_;  // table-layout indices per output column
+  /// Base pointer of each table-layout slot's column, taken at Open.
+  std::vector<const Value*> columns_base_;
   IoAccountant* io_;
   bool charge_io_;
   std::shared_ptr<MorselDispenser> morsels_;

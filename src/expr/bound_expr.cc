@@ -68,38 +68,49 @@ Result<size_t> BoundExpr::BindNode(const ScalarExpr& expr,
   return nodes_.size() - 1;
 }
 
-Value BoundExpr::Eval(const Row& row) const {
-  if (slot_ >= 0) return row[static_cast<size_t>(slot_)];
+template <typename Cells>
+Value BoundExpr::Eval(const Cells& cells) const {
+  if (slot_ >= 0) return cells[static_cast<size_t>(slot_)];
   if (nodes_.empty()) return literal_;
-  return EvalNode(nodes_.size() - 1, row);
+  return EvalNode(nodes_.size() - 1, cells);
 }
 
-const Value* BoundExpr::ResolveNode(size_t i, const Row& row,
-                                    Value* tmp) const {
-  const Node& n = nodes_[i];
-  if (n.kind == ScalarExpr::Kind::kColumnRef) {
-    return &row[static_cast<size_t>(n.slot)];
-  }
-  if (n.kind == ScalarExpr::Kind::kLiteral) return &n.literal;
-  *tmp = EvalNode(i, row);
+template <typename Cells>
+const Value* BoundExpr::Resolve(const Cells& cells, Value* tmp) const {
+  if (slot_ >= 0) return &cells[static_cast<size_t>(slot_)];
+  if (nodes_.empty()) return &literal_;
+  *tmp = EvalNode(nodes_.size() - 1, cells);
   return tmp;
 }
 
-Value BoundExpr::EvalNode(size_t i, const Row& row) const {
+template <typename Cells>
+const Value* BoundExpr::ResolveNode(size_t i, const Cells& cells,
+                                    Value* tmp) const {
+  const Node& n = nodes_[i];
+  if (n.kind == ScalarExpr::Kind::kColumnRef) {
+    return &cells[static_cast<size_t>(n.slot)];
+  }
+  if (n.kind == ScalarExpr::Kind::kLiteral) return &n.literal;
+  *tmp = EvalNode(i, cells);
+  return tmp;
+}
+
+template <typename Cells>
+Value BoundExpr::EvalNode(size_t i, const Cells& cells) const {
   const Node& n = nodes_[i];
   switch (n.kind) {
     case ScalarExpr::Kind::kColumnRef:
-      return row[static_cast<size_t>(n.slot)];
+      return cells[static_cast<size_t>(n.slot)];
     case ScalarExpr::Kind::kLiteral:
       return n.literal;
     case ScalarExpr::Kind::kArith: {
       Value l, r;
-      return EvalArith(n.op, *ResolveNode(n.lhs, row, &l),
-                       *ResolveNode(n.rhs, row, &r));
+      return EvalArith(n.op, *ResolveNode(n.lhs, cells, &l),
+                       *ResolveNode(n.rhs, cells, &r));
     }
     case ScalarExpr::Kind::kCoalesce: {
-      Value v = EvalNode(n.lhs, row);
-      return v.is_null() ? EvalNode(n.rhs, row) : v;
+      Value v = EvalNode(n.lhs, cells);
+      return v.is_null() ? EvalNode(n.rhs, cells) : v;
     }
   }
   return Value::Null();
@@ -147,28 +158,29 @@ Result<BoundConjunction> BoundConjunction::Bind(
   return out;
 }
 
+template <typename Cells>
 inline bool BoundConjunction::EvalConjunct(const Conjunct& c,
-                                           const Row& row) {
+                                           const Cells& cells) {
   // The slot-vs-literal lanes: the slot's type check doubles as its NULL
   // check, and a runtime type off the lane falls back to Value::Compare
   // against the literal, exactly what Predicate::Eval computes. Comparing
   // a DOUBLE with an INT64 literal promotes the literal to double there
   // too, so rhs_double is exact.
   if (c.lane == Lane::kInt64SlotConst) {
-    const Value& l = row[static_cast<size_t>(c.slot)];
+    const Value& l = cells[static_cast<size_t>(c.slot)];
     if (l.is_int()) return CompareOpHolds(c.op, Sign(l.AsInt(), c.rhs_int));
     return !l.is_null() && CompareOpHolds(c.op, l.Compare(c.rhs.literal()));
   }
   if (c.lane == Lane::kDoubleSlotConst) {
-    const Value& l = row[static_cast<size_t>(c.slot)];
+    const Value& l = cells[static_cast<size_t>(c.slot)];
     if (l.is_double()) {
       return CompareOpHolds(c.op, Sign(l.AsDouble(), c.rhs_double));
     }
     return !l.is_null() && CompareOpHolds(c.op, l.Compare(c.rhs.literal()));
   }
   Value ltmp, rtmp;
-  const Value* l = c.lhs.Resolve(row, &ltmp);
-  const Value* r = c.rhs.Resolve(row, &rtmp);
+  const Value* l = c.lhs.Resolve(cells, &ltmp);
+  const Value* r = c.rhs.Resolve(cells, &rtmp);
   // SQL semantics: comparisons with NULL are not true.
   if (l->is_null() || r->is_null()) return false;
   int cmp;
@@ -197,11 +209,20 @@ inline bool BoundConjunction::EvalConjunct(const Conjunct& c,
   return CompareOpHolds(c.op, cmp);
 }
 
-bool BoundConjunction::EvalConjuncts(const Row& row) const {
+template <typename Cells>
+bool BoundConjunction::EvalConjuncts(const Cells& cells) const {
   for (const Conjunct& c : conjuncts_) {
-    if (!EvalConjunct(c, row)) return false;
+    if (!EvalConjunct(c, cells)) return false;
   }
   return true;
 }
+
+// The two cell sources: rows (every operator) and a scan's table columns.
+template Value BoundExpr::Eval(const Row&) const;
+template Value BoundExpr::Eval(const ColumnCells&) const;
+template const Value* BoundExpr::Resolve(const Row&, Value*) const;
+template const Value* BoundExpr::Resolve(const ColumnCells&, Value*) const;
+template bool BoundConjunction::EvalConjuncts(const Row&) const;
+template bool BoundConjunction::EvalConjuncts(const ColumnCells&) const;
 
 }  // namespace aggview

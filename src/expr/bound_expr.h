@@ -1,6 +1,7 @@
 #ifndef AGGVIEW_EXPR_BOUND_EXPR_H_
 #define AGGVIEW_EXPR_BOUND_EXPR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -12,11 +13,25 @@
 
 namespace aggview {
 
+/// One row of a column-major store as a cell source for bound evaluation:
+/// cells[slot] reads column `slot`'s cell at `row`, in place. `cols` holds
+/// one column base pointer per layout slot (a table scan takes them from its
+/// Table at Open). A Row is the other cell source: row[slot].
+struct ColumnCells {
+  const Value* const* cols;
+  size_t row;
+  const Value& operator[](size_t slot) const { return cols[slot][row]; }
+};
+
 /// A ScalarExpr bound once to one RowLayout, the form operators evaluate per
 /// row. Column references become row slots (also inside ArithExpr and
 /// CoalesceExpr) and literals are held inline, so evaluation does no layout
 /// lookup and no virtual dispatch. Results equal ScalarExpr::Eval on every
 /// row, NULL propagation and the x / 0 == 0.0 convention included.
+///
+/// Evaluation is a template over the cell source, instantiated for Row and
+/// ColumnCells (bound_expr.cc): one evaluator, whichever store the slots
+/// index.
 ///
 /// Immutable after Bind: worker clones of an operator copy it and evaluate
 /// concurrently.
@@ -30,17 +45,15 @@ class BoundExpr {
                                 const RowLayout& layout);
 
   /// Exactly expr.Eval(row, layout).
-  Value Eval(const Row& row) const;
+  Value Eval(const Row& row) const { return Eval<Row>(row); }
+  template <typename Cells>
+  Value Eval(const Cells& cells) const;
 
-  /// The value of this expression on `row` without copying: a pointer into
-  /// `row` for a bare column, to the inline literal, or to `*tmp`, which
+  /// The value of this expression on `cells` without copying: a pointer to
+  /// the cell for a bare column, to the inline literal, or to `*tmp`, which
   /// receives the evaluated tree.
-  const Value* Resolve(const Row& row, Value* tmp) const {
-    if (slot_ >= 0) return &row[static_cast<size_t>(slot_)];
-    if (nodes_.empty()) return &literal_;
-    *tmp = EvalNode(nodes_.size() - 1, row);
-    return tmp;
-  }
+  template <typename Cells>
+  const Value* Resolve(const Cells& cells, Value* tmp) const;
 
   /// Row slot of a bare column reference, else -1.
   int slot() const { return slot_; }
@@ -63,8 +76,10 @@ class BoundExpr {
 
   /// Appends `expr`'s subtree to nodes_ and returns its root index.
   Result<size_t> BindNode(const ScalarExpr& expr, const RowLayout& layout);
-  Value EvalNode(size_t i, const Row& row) const;
-  const Value* ResolveNode(size_t i, const Row& row, Value* tmp) const;
+  template <typename Cells>
+  Value EvalNode(size_t i, const Cells& cells) const;
+  template <typename Cells>
+  const Value* ResolveNode(size_t i, const Cells& cells, Value* tmp) const;
 
   // Exactly one form is active: a bare column (slot_ >= 0), a bare literal
   // (nodes_ empty), or a tree (nodes_ non-empty).
@@ -79,7 +94,8 @@ class BoundExpr {
 /// falling back to Value::Compare on a mismatch, so results equal
 /// Predicate::Eval on every row — including SQL's rule that a comparison
 /// with NULL is not true. Conjuncts short-circuit left to right; the empty
-/// conjunction is true.
+/// conjunction is true. Like BoundExpr, evaluation reads a Row or, for a
+/// table scan's filter, the table's columns in place (ColumnCells).
 ///
 /// Immutable after Bind, like BoundExpr.
 class BoundConjunction {
@@ -96,13 +112,15 @@ class BoundConjunction {
                                        const char* op);
 
   /// True when `row` satisfies every conjunct.
-  bool Eval(const Row& row) const {
-    return conjuncts_.empty() || EvalConjuncts(row);
+  bool Eval(const Row& row) const { return Eval<Row>(row); }
+  template <typename Cells>
+  bool Eval(const Cells& cells) const {
+    return conjuncts_.empty() || EvalConjuncts(cells);
   }
 
  private:
   // kInt64SlotConst / kDoubleSlotConst are the `column op literal` shapes of
-  // the typed lanes: lhs is a row slot and rhs a non-NULL numeric literal,
+  // the typed lanes: lhs is a slot and rhs a non-NULL numeric literal,
   // so evaluation reads one slot and compares against an inline constant.
   enum class Lane : uint8_t {
     kGeneric,
@@ -118,7 +136,7 @@ class BoundConjunction {
   struct Conjunct {
     Lane lane = Lane::kGeneric;
     CompareOp op = CompareOp::kEq;
-    /// Slot-vs-literal lanes: lhs's row slot, and the literal as INT64
+    /// Slot-vs-literal lanes: lhs's slot, and the literal as INT64
     /// (kInt64SlotConst) or as double (kDoubleSlotConst).
     int slot = -1;
     int64_t rhs_int = 0;
@@ -127,10 +145,12 @@ class BoundConjunction {
     BoundExpr rhs;
   };
 
-  static bool EvalConjunct(const Conjunct& c, const Row& row);
+  template <typename Cells>
+  static bool EvalConjunct(const Conjunct& c, const Cells& cells);
   /// Eval's loop, out of line; the empty conjunction (a scan without a
   /// filter, a join without a residual) never calls it.
-  bool EvalConjuncts(const Row& row) const;
+  template <typename Cells>
+  bool EvalConjuncts(const Cells& cells) const;
 
   std::vector<Conjunct> conjuncts_;
 };

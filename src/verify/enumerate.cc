@@ -96,10 +96,10 @@ Row DecodeRow(const std::vector<CellDomain>& domains, int64_t t,
 bool TableSatisfiesUniqueKeys(const TableSkeleton& ts, const Table& table) {
   for (const std::vector<int>& uk : ts.unique_keys) {
     std::set<Row> seen;
-    for (const Row& row : table.rows()) {
+    for (int64_t r = 0; r < table.row_count(); ++r) {
       Row key;
       key.reserve(uk.size());
-      for (int c : uk) key.push_back(row[static_cast<size_t>(c)]);
+      for (int c : uk) key.push_back(table.at(r, c));
       if (!seen.insert(std::move(key)).second) return false;
     }
   }
@@ -116,7 +116,9 @@ BoundedDatabase CloneDatabase(const SchemaSkeleton& skeleton,
     auto copy = std::make_shared<Table>(skeleton.tables[i].schema);
     if (db.tables[i]) {
       copy->Reserve(db.tables[i]->row_count());
-      for (const Row& row : db.tables[i]->rows()) copy->AppendUnchecked(row);
+      for (int64_t r = 0; r < db.tables[i]->row_count(); ++r) {
+        copy->AppendUnchecked(db.tables[i]->row(r));
+      }
     }
     out.tables.push_back(std::move(copy));
   }

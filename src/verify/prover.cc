@@ -81,11 +81,12 @@ std::string RenderCounterexampleRepro(const SchemaSkeleton& skeleton,
     }
     out += ");\n";
     const Table& table = *db.tables[t];
-    for (const Row& row : table.rows()) {
+    for (int64_t r = 0; r < table.row_count(); ++r) {
       out += "INSERT INTO " + ts.name + " VALUES (";
-      for (size_t c = 0; c < row.size(); ++c) {
+      for (int c = 0; c < table.schema().num_columns(); ++c) {
         if (c > 0) out += ", ";
-        out += row[c].is_null() ? "NULL" : row[c].ToString();
+        const Value& cell = table.at(r, c);
+        out += cell.is_null() ? "NULL" : cell.ToString();
       }
       out += ");\n";
     }

@@ -95,7 +95,7 @@ BoundedDatabase RemoveRowCascade(const SchemaSkeleton& skeleton,
         if (col.fk_table != victim_table) continue;
         const Table& table = *db.tables[u];
         for (int64_t s = 0; s < table.row_count(); ++s) {
-          const Value& cell = table.row(s)[static_cast<size_t>(col.index)];
+          const Value& cell = table.at(s, col.index);
           if (cell.is_null() || cell != victim_label) continue;
           if (removed[u].insert(s).second) {
             worklist.emplace_back(static_cast<int>(u), s);
@@ -202,7 +202,7 @@ Result<BoundedDatabase> ShrinkCounterexample(const SchemaSkeleton& skeleton,
           size_t c = static_cast<size_t>(col.index);
           std::vector<Value> candidates =
               CollapseCandidates(skeleton, static_cast<int>(t), col, current);
-          const Value& cell = current.tables[t]->row(r)[c];
+          const Value& cell = current.tables[t]->at(r, col.index);
           int rank = RankOf(candidates, cell);
           for (int i = 0; i < rank; ++i) {
             BoundedDatabase candidate = CloneDatabase(skeleton, current);

@@ -86,7 +86,11 @@ Status MaintainView(Catalog* catalog, ViewDefinition* view,
   // mutable_table bumps the backing epoch: cached plans over the old content
   // invalidate whether we edit in place or swap.
   TableDef& backing = catalog->mutable_table(view->backing_table);
-  std::vector<Row> rows = backing.data->rows();
+  std::vector<Row> rows;
+  rows.reserve(static_cast<size_t>(backing.data->row_count()));
+  for (int64_t i = 0; i < backing.data->row_count(); ++i) {
+    rows.push_back(backing.data->row(i));
+  }
   std::unordered_map<Row, size_t, RowHash, RowEq> index;
   index.reserve(rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
@@ -165,9 +169,17 @@ Status MaintainView(Catalog* catalog, ViewDefinition* view,
     if (report != nullptr) report->groups_recomputed++;
   }
   if (any_rescan) {
+    // WHERE reads the base columns in place; only a passing row is copied.
     const Table& base = *catalog->table(view->base_tables[0]).data;
-    for (const Row& r : base.rows()) {
-      if (!where.Eval(r)) continue;
+    std::vector<const Value*> cols;
+    for (int c = 0; c < base.schema().num_columns(); ++c) {
+      cols.push_back(base.column(c).data());
+    }
+    for (int64_t i = 0; i < base.row_count(); ++i) {
+      if (!where.Eval(ColumnCells{cols.data(), static_cast<size_t>(i)})) {
+        continue;
+      }
+      const Row r = base.row(i);
       auto it = index.find(group_key(r));
       if (it == index.end() || !rescan[it->second]) continue;
       Row& g = rows[it->second];

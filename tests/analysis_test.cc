@@ -518,7 +518,7 @@ TEST_F(AnalysisTest, RuntimeAcceptsLegitimateBatch) {
   Row& row = batch.AppendRow();
   for (ColId c : scan->output.columns()) {
     for (size_t i = 0; i < table_cols.size(); ++i) {
-      if (table_cols[i] == c) row.push_back(emp.rows()[0][i]);
+      if (table_cols[i] == c) row.push_back(emp.at(0, static_cast<int>(i)));
     }
   }
   EXPECT_OK(verifier.CheckBatch(scan.get(), scan->output, batch));

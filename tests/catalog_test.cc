@@ -289,8 +289,7 @@ TableStats ReferenceStats(const Table& table) {
     bool first = true;
     bool numeric = IsNumeric(schema.column(c).type);
     std::vector<double> values;
-    for (const Row& row : table.rows()) {
-      const Value& v = row[static_cast<size_t>(c)];
+    for (const Value& v : table.column(c)) {
       if (v.is_null()) {
         ++cs.null_count;
         continue;

@@ -92,6 +92,67 @@ TEST_F(OperatorsTest, ScanChargeToggle) {
   EXPECT_EQ(io_.reads(), 0);
 }
 
+/// The scan evaluates its filter on the table's columns in place, so the
+/// typed slot-vs-literal lanes read their cell through the column cursor.
+/// Over a table holding mistyped cells (a DOUBLE in the INT64 column, an
+/// INT64 in the DOUBLE column), NULLs and -0.0, every lane's type guard must
+/// still fall back exactly where Predicate::Eval does: the survivors are
+/// the rows Predicate::Eval accepts, row by row.
+TEST(ScanFilterLanes, MatchPredicateEvalOnMistypedAndNullCells) {
+  ColumnCatalog cat;
+  const ColId a = cat.Add("t.a", DataType::kInt64);
+  const ColId b = cat.Add("t.b", DataType::kDouble);
+  const ColId rowid = cat.Add("t.$rowid", DataType::kInt64);
+  const RowLayout layout({a, b});
+  Table table(Schema({{"a", DataType::kInt64}, {"b", DataType::kDouble}}));
+  const std::vector<Value> as = {Value::Int(1),    Value::Int(3),
+                                 Value::Real(3.0), Value::Real(2.5),
+                                 Value::Null(),    Value::Int(7)};
+  const std::vector<Value> bs = {Value::Real(2.0), Value::Int(3),
+                                 Value::Null(),    Value::Real(-0.0),
+                                 Value::Real(3.0), Value::Int(-1)};
+  for (size_t i = 0; i < as.size(); ++i) {
+    for (size_t j = 0; j < bs.size(); ++j) {
+      table.AppendUnchecked({as[i], bs[j]});
+    }
+  }
+
+  std::vector<Predicate> preds;
+  for (CompareOp op : {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                       CompareOp::kLe, CompareOp::kGt, CompareOp::kGe}) {
+    preds.push_back(Cmp(Col(a), op, LitInt(3)));     // kInt64SlotConst
+    preds.push_back(Cmp(Col(b), op, LitReal(0.0)));  // kDoubleSlotConst
+    preds.push_back(Cmp(Col(b), op, LitInt(3)));     // kDoubleSlotConst
+    preds.push_back(Cmp(Col(a), op, LitReal(2.5)));  // kDoubleSlotConst
+  }
+  IoAccountant io;
+  for (const Predicate& pred : preds) {
+    SCOPED_TRACE(pred.ToString(cat));
+    std::vector<int64_t> want;
+    for (int64_t r = 0; r < table.row_count(); ++r) {
+      if (pred.Eval(table.row(r), layout)) want.push_back(r);
+    }
+    // The output carries only the row id: the filter's column is not
+    // projected.
+    TableScanOp scan(&table, layout, {pred}, RowLayout({rowid}), &cat, &io,
+                     /*charge_io=*/false, rowid);
+    ASSERT_OK(scan.Open());
+    std::vector<int64_t> got;
+    RowBatch batch(5);
+    while (true) {
+      auto more = scan.Next(&batch);
+      ASSERT_OK(more);
+      if (!*more) break;
+      for (int i = 0; i < batch.size(); ++i) {
+        ASSERT_EQ(batch.row(i).size(), 1u);
+        got.push_back(batch.row(i)[0].AsInt());
+      }
+    }
+    scan.Close();
+    EXPECT_EQ(got, want);
+  }
+}
+
 TEST_F(OperatorsTest, FilterOp) {
   auto op = std::make_unique<FilterOp>(
       Scan(), std::vector<Predicate>{Cmp(Col(id_), CompareOp::kLt, LitInt(3))},

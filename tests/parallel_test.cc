@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -477,6 +478,62 @@ TEST(ParallelDeterminism, BlockNestedLoopJoins) {
   auto padded = RunPlanUnder(plan, q, ExecContext{}.WithThreads(8));
   ASSERT_OK(padded);
   EXPECT_EQ(padded->rows.size(), 4u);
+}
+
+/// A scan whose filter reads a column the scan does not project: the filter
+/// runs on the table's columns in place and only the projected cells (and,
+/// when asked for, the row id of a keyless table) are copied out. Every
+/// thread count and batch size matches the serial fingerprint, and each
+/// output row is the table row its id names.
+TEST(ParallelDeterminism, ScanFilterOnUnprojectedColumn) {
+  Catalog catalog;
+  TableDef def;
+  def.name = "log";  // no key, so the range variable carries a row id
+  def.schema = Schema({{"k", DataType::kInt64},
+                       {"v", DataType::kDouble},
+                       {"s", DataType::kString}});
+  auto table_id = catalog.AddTable(std::move(def));
+  ASSERT_OK(table_id);
+  auto data = std::make_shared<Table>(catalog.table(*table_id).schema);
+  int64_t want = 0;
+  for (int64_t i = 0; i < 5'000; ++i) {
+    const double v = static_cast<double>((i * 7919) % 1'000);
+    want += v < 250.0 ? 1 : 0;
+    data->AppendUnchecked({Value::Int(i % 37), Value::Real(v),
+                           Value::Str("s" + std::to_string(i % 11))});
+  }
+  catalog.mutable_table(*table_id).stats = ComputeStats(*data);
+  catalog.mutable_table(*table_id).data = data;
+
+  Query q(&catalog);
+  const int t = q.AddRangeVar(*table_id, "t");
+  q.base_rels() = {t};
+  const RangeVar& rv = q.range_var(t);
+  ASSERT_NE(rv.rowid, kInvalidColId);
+  const ColId k = rv.columns[0];
+  const ColId v = rv.columns[1];
+  const std::vector<Predicate> filter = {
+      Cmp(Col(v), CompareOp::kLt, LitReal(250.0))};
+  for (bool with_rowid : {false, true}) {
+    SCOPED_TRACE(with_rowid ? "with rowid" : "without rowid");
+    q.select_list() = with_rowid ? std::vector<ColId>{rv.rowid, k}
+                                 : std::vector<ColId>{k};
+    const std::set<ColId> needed(q.select_list().begin(),
+                                 q.select_list().end());
+    PlanBuilder b(q);
+    PlanPtr plan = b.Project(b.Scan(t, filter, needed), q.select_list());
+    CheckPlanDeterministicAcrossThreads(plan, q, {1, 4}, {1'000}, {1, 1024});
+    auto result = RunPlanUnder(plan, q, ExecContext{}.WithThreads(4));
+    ASSERT_OK(result);
+    EXPECT_EQ(static_cast<int64_t>(result->rows.size()), want);
+    for (const Row& row : result->rows) {
+      ASSERT_EQ(row.size(), q.select_list().size());
+      if (!with_rowid) continue;
+      const int64_t r = row[0].AsInt();
+      EXPECT_LT(data->at(r, 1).AsDouble(), 250.0);
+      EXPECT_EQ(row[1], data->at(r, 0));
+    }
+  }
 }
 
 /// Thread counts and batch sizes every partitioned-aggregation case runs at;

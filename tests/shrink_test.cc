@@ -118,8 +118,9 @@ class ShrinkTest : public SkeletonTest {
     std::string out;
     for (const std::shared_ptr<Table>& t : db.tables) {
       out += "[";
-      for (const Row& row : t->rows()) {
+      for (int64_t r = 0; r < t->row_count(); ++r) {
         out += "(";
+        const Row row = t->row(r);
         for (const Value& v : row) out += v.ToString() + ",";
         out += ")";
       }
@@ -220,8 +221,8 @@ TEST_F(ShrinkTest, ShrinkIsMinimalDeterministicAndTerminates) {
 
   // Synthetic refutation oracle: "some emp row has sal == 1".
   auto refutes = [](const BoundedDatabase& db) -> Result<bool> {
-    for (const Row& row : db.tables[1]->rows()) {
-      if (!row[2].is_null() && row[2].AsNumeric() == 1.0) return true;
+    for (const Value& sal : db.tables[1]->column(2)) {
+      if (!sal.is_null() && sal.AsNumeric() == 1.0) return true;
     }
     return false;
   };

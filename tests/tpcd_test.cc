@@ -47,7 +47,8 @@ TEST_F(TpcdTest, ForeignKeysAreValid) {
   int64_t orders = cat.table(fixture_.tables.orders).stats.row_count;
   int64_t parts = cat.table(fixture_.tables.part).stats.row_count;
   const Table& lineitem = *cat.table(fixture_.tables.lineitem).data;
-  for (const Row& row : lineitem.rows()) {
+  for (int64_t r = 0; r < lineitem.row_count(); ++r) {
+    const Row row = lineitem.row(r);
     EXPECT_GE(row[0].AsInt(), 1);
     EXPECT_LE(row[0].AsInt(), orders);
     EXPECT_GE(row[2].AsInt(), 1);
@@ -61,7 +62,7 @@ TEST_F(TpcdTest, SkewedGenerationConcentratesKeys) {
   // Under skew, the most popular part appears far more often than average.
   const Table& lineitem = *skewed.catalog->table(skewed.tables.lineitem).data;
   std::unordered_map<int64_t, int64_t> counts;
-  for (const Row& row : lineitem.rows()) counts[row[2].AsInt()]++;
+  for (const Value& v : lineitem.column(2)) counts[v.AsInt()]++;
   int64_t max_count = 0;
   for (auto& [k, v] : counts) max_count = std::max(max_count, v);
   double avg = static_cast<double>(lineitem.row_count()) /
