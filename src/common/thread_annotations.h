@@ -16,8 +16,8 @@
 ///
 /// Not everything shared is lock-guarded: the executor's hot paths
 /// synchronize through atomics (IoAccountant's counters, the scan's morsel
-/// cursor) or through the ThreadPool::ParallelFor completion barrier (the
-/// parallel hash-join build spools, worker-clone absorption). Those members
+/// cursor) or through the ThreadPool::ParallelFor completion barrier (a
+/// join's held table, published by its partition merge). Those members
 /// are annotated AGGVIEW_LOCK_FREE(...) — an expands-to-nothing marker that
 /// states the synchronization discipline where GUARDED_BY would state a
 /// mutex, so every cross-thread member in the codebase declares how it is
