@@ -161,8 +161,8 @@ constexpr char kEmptyJoinSql[] =
     "select e.eno from emp e, dept d where e.dno = d.dno";
 
 /// NULL join keys: rows with a NULL key match nothing and must be dropped
-/// identically by the serial build, the parallel spool-then-partition build,
-/// and every probe worker.
+/// identically by the serial build, the parallel partitioned build, and
+/// every probe worker.
 TEST(ParallelDeterminism, NullJoinKeys) {
   Catalog catalog;
   LoadNullKeyEmpDept(&catalog);
