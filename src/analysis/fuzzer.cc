@@ -505,6 +505,20 @@ std::vector<OptimizerOptions> FuzzOptimizerConfigs(bool paranoid) {
   return configs;
 }
 
+FuzzOptions DifferentialFuzzShard(int shard) {
+  FuzzOptions options;
+  options.seed = static_cast<uint64_t>(shard) * 6271 + 17;
+  options.num_queries = 52;
+  options.num_employees = 150 + 20 * shard;
+  options.num_departments = 5 + shard % 7;
+  options.paranoid = true;
+  return options;
+}
+
+uint64_t FuzzQuerySeed(const FuzzOptions& options, int q) {
+  return options.seed * 1000003ULL + static_cast<uint64_t>(q);
+}
+
 Result<FuzzReport> RunDifferentialFuzz(const FuzzOptions& options) {
   Catalog catalog;
   AGGVIEW_ASSIGN_OR_RETURN(EmpDeptTables tables,
@@ -523,9 +537,7 @@ Result<FuzzReport> RunDifferentialFuzz(const FuzzOptions& options) {
   FuzzReport report;
   for (int q = 0; q < num_queries; ++q) {
     const uint64_t query_seed =
-        replay.has_value()
-            ? *replay
-            : options.seed * 1000003ULL + static_cast<uint64_t>(q);
+        replay.has_value() ? *replay : FuzzQuerySeed(options, q);
     Rng rng(query_seed);
     std::vector<std::string> view_ddls;
     std::string sql = GenerateAggViewSql(&rng, &view_ddls);

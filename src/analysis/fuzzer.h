@@ -105,6 +105,14 @@ struct FuzzReport {
   int matview_skips = 0;
 };
 
+/// The options of the DifferentialFuzz suite's pinned shard `shard` (0-9):
+/// 52 paranoid queries over 150 + 20 * shard employees.
+FuzzOptions DifferentialFuzzShard(int shard);
+
+/// The seed query `q` of a run under `options` is generated from (unless
+/// AGGVIEW_FUZZ_SEED replays one query).
+uint64_t FuzzQuerySeed(const FuzzOptions& options, int q);
+
 /// The emp/dept database a fuzz run over `options` queries.
 Result<EmpDeptTables> CreateFuzzDatabase(const FuzzOptions& options,
                                          Catalog* catalog);

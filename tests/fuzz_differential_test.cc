@@ -12,17 +12,6 @@
 namespace aggview {
 namespace {
 
-/// Options of pinned fuzz shard `shard` (0-9).
-FuzzOptions ShardOptions(int shard) {
-  FuzzOptions options;
-  options.seed = static_cast<uint64_t>(shard) * 6271 + 17;
-  options.num_queries = 52;
-  options.num_employees = 150 + 20 * shard;
-  options.num_departments = 5 + shard % 7;
-  options.paranoid = true;
-  return options;
-}
-
 /// bench_e12's BM_Fuzz10_Paranoid options under base seed `seed`.
 FuzzOptions Fuzz10Options(uint64_t seed) {
   FuzzOptions options;
@@ -58,7 +47,7 @@ FuzzOptions MatViewOptions() {
 class DifferentialFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(DifferentialFuzz, AllOptimizersAgreeUnderParanoidAnalysis) {
-  FuzzOptions options = ShardOptions(GetParam());
+  FuzzOptions options = DifferentialFuzzShard(GetParam());
   auto report = RunDifferentialFuzz(options);
   ASSERT_OK(report);
   EXPECT_EQ(report->queries_run, options.num_queries);
@@ -276,7 +265,7 @@ std::pair<int, int> ExpectClampIsNoOp(const FuzzOptions& options) {
   const std::vector<OptimizerOptions> configs = FuzzOptimizerConfigs(false);
   int plans = 0, view_backed = 0;
   for (int q = 0; q < options.num_queries; ++q) {
-    Rng rng(options.seed * 1000003ULL + static_cast<uint64_t>(q));
+    Rng rng(FuzzQuerySeed(options, q));
     std::vector<std::string> view_ddls;
     std::string sql = GenerateAggViewSql(&rng, &view_ddls);
     std::vector<std::string> created;
@@ -315,7 +304,7 @@ std::pair<int, int> ExpectClampIsNoOp(const FuzzOptions& options) {
 
 TEST(ClampIsNoOp, PinnedFuzzShards) {
   for (int shard = 0; shard < 10; ++shard) {
-    FuzzOptions options = ShardOptions(shard);
+    FuzzOptions options = DifferentialFuzzShard(shard);
     EXPECT_EQ(ExpectClampIsNoOp(options).first, options.num_queries * 4);
   }
 }
