@@ -16,8 +16,10 @@
 ///
 /// Not everything shared is lock-guarded: the executor's hot paths
 /// synchronize through atomics (IoAccountant's counters, the scan's morsel
-/// cursor) or through the ThreadPool::ParallelFor completion barrier (a
-/// join's held table, published by its partition merge). Those members
+/// cursor) or through the return of ThreadPool::ParallelFor (a join's held
+/// table, published by its partition merge): every task's finish and the
+/// driver's check that its region's `done` count is complete take the pool
+/// mutex, so the tasks' writes happen-before the return. Those members
 /// are annotated AGGVIEW_LOCK_FREE(...) — an expands-to-nothing marker that
 /// states the synchronization discipline where GUARDED_BY would state a
 /// mutex, so every cross-thread member in the codebase declares how it is
@@ -50,9 +52,10 @@
   AGGVIEW_THREAD_ANNOTATION(no_thread_safety_analysis)
 
 /// Documents a member that is shared across threads but synchronized by
-/// means the lock-based analysis cannot model: atomic operations, or a
-/// happens-before edge established by ThreadPool::ParallelFor's completion
-/// handshake. Expands to nothing; the argument is the discipline.
+/// means the lock-based analysis cannot model: atomic operations, or the
+/// happens-before edge from a ParallelFor region's tasks to its return (the
+/// region's `done` count, read and written under the pool mutex). Expands to
+/// nothing; the argument is the discipline.
 #define AGGVIEW_LOCK_FREE(discipline)
 
 namespace aggview {

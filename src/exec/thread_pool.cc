@@ -1,5 +1,7 @@
 #include "exec/thread_pool.h"
 
+#include <algorithm>
+
 namespace aggview {
 
 ThreadPool::ThreadPool(int threads) {
@@ -19,79 +21,67 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : workers_) t.join();
 }
 
+int ThreadPool::Claim(Region* region) {
+  if (region->next == region->tasks) return -1;
+  int i = region->next++;
+  if (region->next == region->tasks) {
+    queue_.erase(std::find(queue_.begin(), queue_.end(), region));
+  }
+  return i;
+}
+
+bool ThreadPool::Finish(Region* region) {
+  return ++region->done == region->tasks;
+}
+
 void ThreadPool::WorkerLoop() {
-  int64_t seen = 0;
+  Region* region = nullptr;  // the region of the task just run
   while (true) {
     const std::function<void(int)>* fn;
-    int tasks;
+    int i;
     {
       MutexLock lock(&mu_);
-      while (!shutdown_ && generation_ <= seen) work_cv_.wait(lock);
-      if (generation_ <= seen) return;  // shutdown with no pending generation
-      seen = generation_;
-      fn = fn_;
-      tasks = tasks_;
+      // After a region's last Finish its driver may return and the region
+      // die with its stack frame, so it is not touched again below.
+      if (region != nullptr && Finish(region)) done_cv_.notify_all();
+      while (!shutdown_ && queue_.empty()) work_cv_.wait(lock);
+      if (queue_.empty()) return;  // shutdown with no queued region
+      region = queue_.front();
+      fn = region->fn;
+      i = Claim(region);
     }
-    while (true) {
-      int i = next_.fetch_add(1, std::memory_order_relaxed);
-      if (i >= tasks) break;
-      (*fn)(i);
-    }
-    {
-      MutexLock lock(&mu_);
-      if (++finished_ == static_cast<int>(workers_.size())) {
-        done_cv_.notify_one();
-      }
-    }
+    (*fn)(i);
   }
 }
 
 void ThreadPool::ParallelFor(int tasks, const std::function<void(int)>& fn) {
   if (tasks <= 0) return;
   if (workers_.empty()) {
-    // Serial pool: no shared state is touched, so any number of drivers may
-    // run their loops concurrently without the lease.
+    // Serial pool: no shared state is touched.
     for (int i = 0; i < tasks; ++i) fn(i);
     return;
   }
-  // Take the FIFO driver lease: one whole parallel region runs at a time,
-  // regions are granted in ticket (arrival) order.
-  int64_t ticket;
-  {
-    MutexLock lock(&driver_mu_);
-    ticket = next_ticket_++;
-    while (serving_ticket_ != ticket) driver_cv_.wait(lock);
-  }
+  Region region{&fn, tasks};
   {
     MutexLock lock(&mu_);
-    fn_ = &fn;
-    tasks_ = tasks;
-    next_.store(0, std::memory_order_relaxed);
-    finished_ = 0;
-    ++generation_;
+    queue_.push_back(&region);
   }
   work_cv_.notify_all();
-  // The driver claims tasks alongside the workers.
+  // The driver claims its own region's tasks alongside the workers, then
+  // waits for the ones workers still run.
+  int i = -1;
   while (true) {
-    int i = next_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= tasks) break;
+    {
+      MutexLock lock(&mu_);
+      if (i >= 0) Finish(&region);
+      i = Claim(&region);
+      if (i < 0) {
+        while (region.done != region.tasks) done_cv_.wait(lock);
+        return;
+      }
+    }
     fn(i);
   }
-  {
-    MutexLock lock(&mu_);
-    while (finished_ != static_cast<int>(workers_.size())) done_cv_.wait(lock);
-    fn_ = nullptr;
-  }
-  {
-    MutexLock lock(&driver_mu_);
-    ++serving_ticket_;
-  }
-  driver_cv_.notify_all();
-}
-
-int ThreadPool::HardwareThreads() {
-  unsigned n = std::thread::hardware_concurrency();
-  return n > 0 ? static_cast<int>(n) : 1;
 }
 
 }  // namespace aggview

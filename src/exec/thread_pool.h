@@ -1,9 +1,8 @@
 #ifndef AGGVIEW_EXEC_THREAD_POOL_H_
 #define AGGVIEW_EXEC_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
-#include <cstdint>
+#include <deque>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -14,26 +13,27 @@ namespace aggview {
 
 /// A fixed-size worker pool for morsel-driven parallel execution.
 ///
-/// The pool is built for the executor's usage pattern: the driver thread
-/// issues one ParallelFor at a time (pipeline instances over a shared morsel
-/// dispenser, partition tasks of a parallel hash-join build) and blocks until
-/// it completes. Workers are spawned once at construction and parked on a
-/// condition variable between calls, so a query plan with several parallel
-/// regions pays the thread-creation cost once, not per region.
+/// Each ParallelFor call is a region: `fn`, its task count and two counters,
+/// held on the calling (driver) thread's stack. The call queues its region
+/// FIFO, wakes the workers and claims its own region's tasks until none is
+/// left; workers claim from the front region of the queue. A region leaves
+/// the queue when its last task is claimed, and the call returns when its
+/// own `done` count reaches its task count. Workers are spawned once at
+/// construction and parked on a condition variable between regions, so a
+/// query plan with several parallel regions (pipeline instances over a
+/// shared morsel dispenser, partition tasks of a hash-table merge) pays the
+/// thread-creation cost once.
 ///
-/// ParallelFor runs `fn(0) .. fn(tasks - 1)`, each exactly once. Task indices
-/// are claimed from a shared atomic counter, so long and short tasks balance
-/// dynamically; the calling thread participates, which makes a 1-thread pool
-/// a plain serial loop with no synchronization beyond one atomic per task.
+/// Several threads may drive the pool at once (a server's client sessions
+/// sharing one pool). Their regions overlap: a driver never waits for
+/// another driver's region, only for its own tasks, which it runs itself
+/// when every worker is busy elsewhere. Statement-level fairness is the
+/// serving layer's AdmissionController, not the pool's.
 ///
-/// Not reentrant: ParallelFor must not be called from inside a task. Multiple
-/// threads may drive the pool concurrently (a server's client sessions sharing
-/// one pool): calls queue on a FIFO driver lease, so parallel regions from
-/// different queries interleave at region granularity in arrival order — the
-/// serving layer's fair inter-query scheduling. Within one query the executor
-/// still parallelizes one pipeline region at a time; nested operators run
-/// their parallel drains during Open, strictly before the enclosing region's
-/// ParallelFor starts.
+/// Not reentrant: ParallelFor must not be called from inside a task. Within
+/// one query the executor parallelizes one region at a time; nested
+/// operators run their parallel drains during Open, strictly before the
+/// enclosing region's ParallelFor starts.
 class ThreadPool {
  public:
   /// A pool that runs ParallelFor on `threads` threads total: the caller plus
@@ -44,49 +44,43 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  int thread_count() const { return static_cast<int>(workers_.size()) + 1; }
-
-  /// Runs fn(i) for every i in [0, tasks), distributing indices dynamically
-  /// across the pool's threads plus the calling thread. Returns when every
-  /// task has finished and every worker has quiesced, so `fn` and anything it
-  /// captured may be destroyed immediately after. Writes made by tasks
-  /// happen-before the return (the completion handshake is a mutex).
-  ///
-  /// Safe to call from several driver threads at once: callers take a FIFO
-  /// ticket and run their region exclusively when their turn comes, so no
-  /// driver starves however busy the pool is.
+  /// Runs fn(i) for every i in [0, tasks), each exactly once, on the calling
+  /// thread and whichever workers claim the region's tasks. Returns when every
+  /// task has finished; no thread touches the region or `fn` afterwards, so
+  /// `fn` and anything it captured may be destroyed immediately. Writes made
+  /// by tasks happen-before the return (each task's finish and the return's
+  /// check of the region's `done` count take the pool mutex). On a 1-thread
+  /// pool this is a plain loop that touches no shared state.
   void ParallelFor(int tasks, const std::function<void(int)>& fn);
 
-  /// Threads the hardware runs concurrently (>= 1; hardware_concurrency with
-  /// a fallback when the runtime reports 0).
-  static int HardwareThreads();
-
  private:
+  // One ParallelFor call, on its driver's stack. `next` and `done` are
+  // touched only under mu_: by Claim, Finish and the driver's final wait.
+  // They carry no GUARDED_BY because a Region has no path to its pool, so
+  // an annotation on its fields cannot name this pool's mu_.
+  struct Region {
+    const std::function<void(int)>* fn;
+    int tasks;
+    int next = 0;  // first unclaimed task index
+    int done = 0;  // tasks finished
+  };
+
   void WorkerLoop();
+  // Claims `region`'s next task and returns its index, or -1 when every task
+  // is claimed. Claiming the last task takes the region off queue_.
+  int Claim(Region* region) AGGVIEW_REQUIRES(mu_);
+  // Counts one finished task of `region`; true when it was the last one.
+  bool Finish(Region* region) AGGVIEW_REQUIRES(mu_);
 
   std::vector<std::thread> workers_;
   Mutex mu_;
   // condition_variable_any, because the annotated MutexLock (not a
   // std::unique_lock<std::mutex>) is what wait() releases and reacquires.
-  std::condition_variable_any work_cv_;  // signals a new generation / shutdown
-  std::condition_variable_any done_cv_;  // signals all workers finished
-  const std::function<void(int)>* fn_ AGGVIEW_GUARDED_BY(mu_) = nullptr;
-  int tasks_ AGGVIEW_GUARDED_BY(mu_) = 0;
-  std::atomic<int> next_ AGGVIEW_LOCK_FREE("atomic task-index claim"){0};
-  // Every worker passes through every generation exactly once and reports in
-  // via finished_; ParallelFor waits for all of them before returning, so a
-  // straggler can never carry a stale fn_ into the next generation.
-  int64_t generation_ AGGVIEW_GUARDED_BY(mu_) = 0;
-  int finished_ AGGVIEW_GUARDED_BY(mu_) = 0;
+  std::condition_variable_any work_cv_;  // signals a queued region / shutdown
+  std::condition_variable_any done_cv_;  // signals a region's last finish
+  // Regions with unclaimed tasks, in arrival order.
+  std::deque<Region*> queue_ AGGVIEW_GUARDED_BY(mu_);
   bool shutdown_ AGGVIEW_GUARDED_BY(mu_) = false;
-
-  // FIFO driver lease: concurrent ParallelFor callers draw a ticket and wait
-  // until it is served, so whole parallel regions from different drivers
-  // never overlap and are granted in arrival order.
-  Mutex driver_mu_;
-  std::condition_variable_any driver_cv_;
-  int64_t next_ticket_ AGGVIEW_GUARDED_BY(driver_mu_) = 0;
-  int64_t serving_ticket_ AGGVIEW_GUARDED_BY(driver_mu_) = 0;
 };
 
 }  // namespace aggview

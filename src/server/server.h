@@ -51,8 +51,10 @@ struct ServerOptions {
   int64_t plan_cache_capacity = 256;
   /// Admission control: at most this many statements execute at once;
   /// excess Execute() calls queue FIFO (no starvation). 0 = unlimited —
-  /// every statement runs immediately and inter-query fairness degrades to
-  /// the thread pool's per-region FIFO lease.
+  /// every statement runs immediately, and concurrent statements' parallel
+  /// regions share the thread pool's workers in arrival order, each driver
+  /// also running its own region's tasks. This is the only statement-level
+  /// fairness mechanism.
   int max_concurrent_queries = 0;
 
   /// Serial and default batch size — unless the environment overrides them
