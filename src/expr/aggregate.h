@@ -116,7 +116,7 @@ class AggAccumulator {
   std::unique_ptr<std::vector<double>> samples_;  // MEDIAN keeps its inputs
 };
 
-static_assert(sizeof(AggAccumulator) <= 72,
+static_assert(sizeof(AggAccumulator) <= 48,
               "AggAccumulator is stored per (group, aggregate); keep it small");
 
 }  // namespace aggview

@@ -1,9 +1,9 @@
 #ifndef AGGVIEW_TYPES_VALUE_H_
 #define AGGVIEW_TYPES_VALUE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "common/result.h"
@@ -24,41 +24,81 @@ namespace aggview {
 /// NULL == NULL (the grouping/sorting convention); *predicates* implement
 /// the SQL convention separately — any comparison involving NULL is false
 /// (see Predicate::Eval).
+///
+/// Layout: 16 bytes, a one-byte type tag beside an 8-byte payload that is
+/// an int64_t, a double, or a pointer to an immutable string block
+/// {reference count, text}. Every cell of a table, batch row, hash key and
+/// result row is one of these, so the payload is kept to one word.
+///
+/// String ownership: the text of a string cell never changes once built.
+/// Copying a string cell copies the pointer and adds a reference; the last
+/// copy destroyed frees the block. A copy therefore keeps its text alive
+/// after the table it came from deletes or rebuilds its rows (DeleteRows,
+/// REFRESH), with no arena tied to a table. The count is atomic, so copies
+/// of one cell may be made and destroyed on different threads at once (the
+/// worker pool does); the text itself is only read. A moved-from Value is
+/// Int(0).
 class Value {
  public:
-  Value() : rep_(int64_t{0}) {}
-  explicit Value(int64_t v) : rep_(v) {}
-  explicit Value(double v) : rep_(v) {}
-  explicit Value(std::string v) : rep_(std::move(v)) {}
+  Value() : rep_{.i = 0} {}
+  explicit Value(int64_t v) : rep_{.i = v} {}
+  explicit Value(double v) : rep_{.d = v}, tag_(Tag::kDouble) {}
+  explicit Value(std::string v)
+      : rep_{.s = new StringBlock(std::move(v))}, tag_(Tag::kString) {}
+
+  Value(const Value& other) noexcept : rep_(other.rep_), tag_(other.tag_) {
+    Retain();
+  }
+  Value(Value&& other) noexcept : rep_(other.rep_), tag_(other.tag_) {
+    other.Reset();
+  }
+  Value& operator=(const Value& other) noexcept {
+    other.Retain();  // first, so self-assignment keeps the block alive
+    Release();
+    rep_ = other.rep_;
+    tag_ = other.tag_;
+    return *this;
+  }
+  Value& operator=(Value&& other) noexcept {
+    if (this != &other) {
+      Release();
+      rep_ = other.rep_;
+      tag_ = other.tag_;
+      other.Reset();
+    }
+    return *this;
+  }
+  ~Value() { Release(); }
 
   static Value Int(int64_t v) { return Value(v); }
   static Value Real(double v) { return Value(v); }
   static Value Str(std::string v) { return Value(std::move(v)); }
   static Value Null() {
     Value v;
-    v.rep_ = std::monostate{};
+    v.tag_ = Tag::kNull;
     return v;
   }
 
   DataType type() const {
-    switch (rep_.index()) {
-      case 0:
+    switch (tag_) {
+      case Tag::kInt:
         return DataType::kInt64;
-      case 1:
+      case Tag::kDouble:
         return DataType::kDouble;
       default:
         return DataType::kString;
     }
   }
 
-  bool is_int() const { return rep_.index() == 0; }
-  bool is_double() const { return rep_.index() == 1; }
-  bool is_string() const { return rep_.index() == 2; }
-  bool is_null() const { return rep_.index() == 3; }
+  bool is_int() const { return tag_ == Tag::kInt; }
+  bool is_double() const { return tag_ == Tag::kDouble; }
+  bool is_string() const { return tag_ == Tag::kString; }
+  bool is_null() const { return tag_ == Tag::kNull; }
 
-  int64_t AsInt() const { return std::get<int64_t>(rep_); }
-  double AsDouble() const { return std::get<double>(rep_); }
-  const std::string& AsString() const { return std::get<std::string>(rep_); }
+  /// The payload as the named type; the value must hold that type.
+  int64_t AsInt() const { return rep_.i; }
+  double AsDouble() const { return rep_.d; }
+  const std::string& AsString() const { return rep_.s->text; }
 
   /// Numeric view: INT64 and DOUBLE both convert. A string or NULL value has
   /// no numeric view and yields quiet NaN — a visible poison value rather
@@ -91,8 +131,45 @@ class Value {
   size_t Hash() const;
 
  private:
-  std::variant<int64_t, double, std::string, std::monostate> rep_;
+  enum class Tag : uint8_t { kInt, kDouble, kString, kNull };
+
+  /// A string cell's shared text. `refs` counts the Values pointing here.
+  struct StringBlock {
+    explicit StringBlock(std::string t) : text(std::move(t)) {}
+    std::atomic<uint32_t> refs{1};
+    const std::string text;
+  };
+
+  /// Adds a reference; no ordering is needed, as the caller already sees
+  /// the block through the Value it copies.
+  void Retain() const noexcept {
+    if (tag_ == Tag::kString) {
+      rep_.s->refs.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  /// Drops a reference; the last one frees the block. acq_rel orders every
+  /// other holder's reads of the text before the delete.
+  void Release() noexcept {
+    if (tag_ == Tag::kString &&
+        rep_.s->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      delete rep_.s;
+    }
+  }
+  void Reset() noexcept {
+    rep_.i = 0;
+    tag_ = Tag::kInt;
+  }
+
+  union {
+    int64_t i;
+    double d;
+    StringBlock* s;
+  } rep_;
+  Tag tag_ = Tag::kInt;
 };
+
+static_assert(sizeof(Value) == 16,
+              "Value is every cell, key and result field; keep it two words");
 
 /// A row is a flat vector of values positionally aligned with some schema.
 using Row = std::vector<Value>;

@@ -1,10 +1,37 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <functional>
+#include <new>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "types/data_type.h"
 #include "types/schema.h"
 #include "types/value.h"
+
+// Net count of live operator-new allocations in this test binary, so the
+// ownership tests can see a string cell's block freed by its last copy.
+namespace {
+std::atomic<int64_t> g_live_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (p == nullptr) throw std::bad_alloc();
+  g_live_allocs.fetch_add(1, std::memory_order_relaxed);
+  return p;
+}
+void operator delete(void* p) noexcept {
+  if (p == nullptr) return;
+  g_live_allocs.fetch_sub(1, std::memory_order_relaxed);
+  std::free(p);
+}
+void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
 
 namespace aggview {
 namespace {
@@ -105,6 +132,135 @@ TEST(ValueTest, ToString) {
   EXPECT_EQ(Value::Int(42).ToString(), "42");
   EXPECT_EQ(Value::Str("hi").ToString(), "'hi'");
   EXPECT_EQ(Value::Real(1.5).ToString(), "1.5");
+}
+
+// Longer than any std::string's inline buffer, so the text is on the heap.
+const char kLongText[] = "a string cell too long for any inline buffer";
+
+std::vector<Value> EveryKind() {
+  return {Value::Int(7), Value::Real(-2.5), Value::Str(kLongText),
+          Value::Str(""), Value::Null()};
+}
+
+TEST(ValueOwnershipTest, CopiesAndAssignmentsOfEveryKind) {
+  for (const Value& original : EveryKind()) {
+    SCOPED_TRACE(original.ToString());
+    Value copy(original);
+    EXPECT_EQ(copy.type(), original.type());
+    EXPECT_EQ(copy.is_null(), original.is_null());
+    EXPECT_EQ(copy, original);
+    EXPECT_EQ(copy.Hash(), original.Hash());
+    for (const Value& other : EveryKind()) {
+      Value target(other);
+      target = original;
+      EXPECT_EQ(target.is_null(), original.is_null());
+      EXPECT_EQ(target, original);
+      EXPECT_EQ(target.ToString(), original.ToString());
+    }
+    const Value& same = copy;
+    copy = same;
+    EXPECT_EQ(copy, original);
+    EXPECT_EQ(copy.ToString(), original.ToString());
+  }
+}
+
+TEST(ValueOwnershipTest, MovesOfEveryKind) {
+  for (const Value& original : EveryKind()) {
+    SCOPED_TRACE(original.ToString());
+    Value from(original);
+    Value moved(std::move(from));
+    EXPECT_EQ(moved.ToString(), original.ToString());
+    EXPECT_EQ(moved.Hash(), original.Hash());
+    for (const Value& other : EveryKind()) {
+      Value source(original);
+      Value target(other);
+      target = std::move(source);
+      EXPECT_EQ(target.ToString(), original.ToString());
+      EXPECT_EQ(target.is_null(), original.is_null());
+    }
+    Value& same = moved;
+    moved = std::move(same);
+    EXPECT_EQ(moved.ToString(), original.ToString());
+  }
+}
+
+TEST(ValueOwnershipTest, MovedFromIsIntZero) {
+  for (const Value& original : EveryKind()) {
+    SCOPED_TRACE(original.ToString());
+    Value from(original);
+    Value to(std::move(from));
+    EXPECT_TRUE(from.is_int());
+    EXPECT_EQ(from.AsInt(), 0);
+    EXPECT_EQ(from, Value::Int(0));
+    EXPECT_EQ(from.Compare(Value::Real(0.0)), 0);
+    EXPECT_EQ(from.Hash(), Value::Int(0).Hash());
+    Value assigned_from(original);
+    Value assigned_to;
+    assigned_to = std::move(assigned_from);
+    EXPECT_EQ(assigned_from, Value::Int(0));
+    assigned_from = original;  // a moved-from value takes a new value
+    EXPECT_EQ(assigned_from.ToString(), original.ToString());
+  }
+}
+
+TEST(ValueOwnershipTest, StringHashIsTheTextsHash) {
+  for (const std::string text : {"", "q", kLongText}) {
+    EXPECT_EQ(Value::Str(text).Hash(), std::hash<std::string>{}(text));
+  }
+}
+
+TEST(ValueOwnershipTest, NegativeZeroEqualsAndHashesLikeZero) {
+  EXPECT_EQ(Value::Real(-0.0), Value::Int(0));
+  EXPECT_EQ(Value::Real(-0.0).Hash(), Value::Int(0).Hash());
+  EXPECT_EQ(Value::Real(-0.0).Hash(), Value::Real(0.0).Hash());
+  EXPECT_LT(Value::Null().Compare(Value::Int(INT64_MIN)), 0);
+  EXPECT_EQ(Value::Null().type(), DataType::kString);
+}
+
+TEST(ValueOwnershipTest, CopyOutlivesItsSourceAndLastCopyFrees) {
+  const int64_t before = g_live_allocs.load();
+  {
+    Value survivor;
+    {
+      Value source = Value::Str(kLongText);
+      survivor = source;
+      EXPECT_EQ(&survivor.AsString(), &source.AsString());  // one shared text
+    }
+    EXPECT_EQ(survivor.AsString(), kLongText);
+    EXPECT_GT(g_live_allocs.load(), before);
+  }
+  EXPECT_EQ(g_live_allocs.load(), before);
+}
+
+// Eight threads copy and destroy copies of one shared string cell at once;
+// the race detector checks the reference count, and the allocation count
+// checks that the last copy freed the block.
+TEST(ValueOwnershipTest, ConcurrentCopiesOfOneStringCell) {
+  constexpr int kThreads = 8;
+  constexpr int kCopies = 100000;
+  const int64_t before = g_live_allocs.load();
+  {
+    std::atomic<int> mismatches{0};
+    {
+      const Value cell = Value::Str(kLongText);
+      std::vector<std::thread> threads;
+      threads.reserve(kThreads);
+      for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&cell, &mismatches] {
+          Value held;
+          for (int i = 0; i < kCopies; ++i) {
+            Value copy(cell);
+            if (copy.AsString() != kLongText) mismatches.fetch_add(1);
+            if (i % 2 == 0) held = copy;  // outlives `copy`
+          }
+        });
+      }
+      for (std::thread& t : threads) t.join();
+      EXPECT_EQ(cell.AsString(), kLongText);
+    }
+    EXPECT_EQ(mismatches.load(), 0);
+  }
+  EXPECT_EQ(g_live_allocs.load(), before);
 }
 
 TEST(RowTest, HashAndEquality) {
