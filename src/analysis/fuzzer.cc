@@ -1,5 +1,6 @@
 #include "analysis/fuzzer.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <optional>
@@ -330,15 +331,46 @@ std::string GenerateAggViewSql(Rng* rng,
 
 namespace {
 
+/// The rows of `table`, in order.
+std::vector<Row> SnapshotRows(const Table& table) {
+  std::vector<Row> rows;
+  rows.reserve(static_cast<size_t>(table.row_count()));
+  for (int64_t i = 0; i < table.row_count(); ++i) rows.push_back(table.row(i));
+  return rows;
+}
+
+/// The multiset of a materialized view's backing rows, rendered as
+/// QueryResult::Fingerprint renders a result.
+std::string BackingFingerprint(const Catalog& catalog,
+                               const std::string& view) {
+  QueryResult content;
+  content.rows = SnapshotRows(
+      *catalog.table(catalog.FindView(view)->backing_table).data);
+  return content.Fingerprint();
+}
+
+/// Puts `rows` back as table `id`'s data and recomputes its statistics.
+void RestoreRows(Catalog* catalog, TableId id, std::vector<Row> rows) {
+  TableDef& def = catalog->mutable_table(id);
+  auto restored = std::make_shared<Table>(def.schema);
+  restored->Reserve(static_cast<int64_t>(rows.size()));
+  for (Row& r : rows) restored->AppendUnchecked(std::move(r));
+  def.data = std::move(restored);
+  def.stats = ComputeStats(*def.data);
+}
+
 /// The materialized-view leg of one fuzz query: creates every supported
 /// inline view as a materialized view, checks that the rewriter answers the
 /// query from the backing tables byte-identically, then applies a random
-/// insert+delete delta to emp (incremental maintenance), refreshes whatever
-/// went stale, and re-checks the *same* view-answering plan against a base
-/// re-execution — so maintained backing content is compared against a full
-/// recompute. Restores emp and drops the views before returning, on every
-/// path.
-Status MatViewDifferential(Catalog* catalog, TableId emp,
+/// insert+delete delta to emp or (in about a third of queries) to dept. Every
+/// view that does not self-join the delta table must still be fresh, i.e.
+/// maintained incrementally; only the self-join views are REFRESHed. The
+/// *same* view-answering plan is then re-checked against a base
+/// re-execution, so maintained backing content is compared against a full
+/// recompute, and each view's backing content is byte-compared against a
+/// REFRESH. Restores emp and dept and drops the views before returning, on
+/// every path.
+Status MatViewDifferential(Catalog* catalog, const EmpDeptTables& tables,
                            const std::string& sql,
                            const std::vector<std::string>& view_ddls,
                            const std::string& reference,
@@ -369,14 +401,9 @@ Status MatViewDifferential(Catalog* catalog, TableId emp,
   }
   if (created.empty()) return Status::OK();
 
-  std::vector<Row> snapshot;
-  {
-    const Table& table = *catalog->table(emp).data;
-    snapshot.reserve(static_cast<size_t>(table.row_count()));
-    for (int64_t i = 0; i < table.row_count(); ++i) {
-      snapshot.push_back(table.row(i));
-    }
-  }
+  std::vector<Row> emp_rows = SnapshotRows(*catalog->table(tables.emp).data);
+  std::vector<Row> dept_rows =
+      SnapshotRows(*catalog->table(tables.dept).data);
   Status st = [&]() -> Status {
     // Phase 1: the rewriter must answer every materialized block, and the
     // view-backed execution must reproduce the reference bytes.
@@ -403,33 +430,62 @@ Status MatViewDifferential(Catalog* catalog, TableId emp,
     report->matview_rewrite_checks += rewrites;
 
     // Phase 2: a random delta (inserts merging into existing groups plus
-    // deletes, the retraction path), then REFRESH for whatever went stale.
-    const int64_t nrows = catalog->table(emp).data->row_count();
+    // deletes, the retraction path), on emp or, so that the ΔS ⋈ emp side of
+    // the join views is covered, on dept.
     TableDelta delta;
-    delta.table = emp;
-    const int num_inserts = static_cast<int>(rng->Uniform(1, 3));
-    for (int j = 0; j < num_inserts; ++j) {
-      const Row& donor =
-          snapshot[static_cast<size_t>(rng->Uniform(0, nrows - 1))];
-      Value sal = rng->Chance(0.15)
-                      ? Value::Null()
-                      : Value::Real(static_cast<double>(
-                            rng->Uniform(30'000, 150'000)));
-      delta.inserts.push_back({Value::Int(1'000'000 + j), donor[1],
-                               std::move(sal),
-                               Value::Int(rng->Uniform(18, 65))});
+    if (rng->Chance(1.0 / 3)) {
+      // Departments are deleted, and some come back under the same key with
+      // a new budget: their employees leave one budget group for another.
+      delta.table = tables.dept;
+      std::set<int64_t> deletes;
+      const int num_deletes = static_cast<int>(rng->Uniform(1, 2));
+      for (int j = 0; j < num_deletes; ++j) {
+        deletes.insert(
+            rng->Uniform(0, static_cast<int64_t>(dept_rows.size()) - 1));
+      }
+      for (int64_t i : deletes) {
+        if (!rng->Chance(0.5)) continue;
+        delta.inserts.push_back(
+            {dept_rows[static_cast<size_t>(i)][0],
+             Value::Real(static_cast<double>(rng->Uniform(100'000, 5'000'000)))});
+      }
+      delta.deletes.assign(deletes.begin(), deletes.end());
+    } else {
+      delta.table = tables.emp;
+      const int64_t nrows = static_cast<int64_t>(emp_rows.size());
+      const int num_inserts = static_cast<int>(rng->Uniform(1, 3));
+      for (int j = 0; j < num_inserts; ++j) {
+        const Row& donor =
+            emp_rows[static_cast<size_t>(rng->Uniform(0, nrows - 1))];
+        Value sal = rng->Chance(0.15)
+                        ? Value::Null()
+                        : Value::Real(static_cast<double>(
+                              rng->Uniform(30'000, 150'000)));
+        delta.inserts.push_back({Value::Int(1'000'000 + j), donor[1],
+                                 std::move(sal),
+                                 Value::Int(rng->Uniform(18, 65))});
+      }
+      std::set<int64_t> deletes;
+      const int num_deletes = static_cast<int>(rng->Uniform(1, 3));
+      for (int j = 0; j < num_deletes; ++j) {
+        deletes.insert(rng->Uniform(0, nrows - 1));
+      }
+      delta.deletes.assign(deletes.begin(), deletes.end());
     }
-    std::set<int64_t> deletes;
-    const int num_deletes = static_cast<int>(rng->Uniform(1, 3));
-    for (int j = 0; j < num_deletes; ++j) {
-      deletes.insert(rng->Uniform(0, nrows - 1));
-    }
-    delta.deletes.assign(deletes.begin(), deletes.end());
     AGGVIEW_RETURN_NOT_OK(ApplyTableDelta(catalog, delta, nullptr));
+    // A maintainer bug must not hide behind a REFRESH: only a view that
+    // reads the delta table twice (a self-join) may go stale.
     for (const std::string& name : created) {
       const ViewDefinition* view = catalog->FindView(name);
-      if (view != nullptr && !catalog->IsViewFresh(*view)) {
+      const std::vector<TableId>& reads = view->base_tables;
+      const auto refs = std::count(reads.begin(), reads.end(), delta.table);
+      if (refs > 1) {
         AGGVIEW_RETURN_NOT_OK(RefreshMaterializedView(catalog, name));
+      } else if (!catalog->IsViewFresh(*view)) {
+        return Status::Internal("materialized view " + name +
+                                " went stale under a delta it reads once");
+      } else if (refs == 1 && reads.size() > 1) {
+        ++report->matview_join_views_maintained;
       }
     }
 
@@ -444,22 +500,28 @@ Status MatViewDifferential(Catalog* catalog, TableId emp,
     if (view_after.Fingerprint() != base_after.Fingerprint()) {
       return Status::Internal(
           "view-answered execution diverges from the base plan after an "
-          "insert+delete delta and refresh");
+          "insert+delete delta on " + catalog->table(delta.table).name);
+    }
+    // The query reads the views' aggregates only where its predicates and
+    // select list do, so the maintained backing content itself must also
+    // equal a recompute.
+    for (const std::string& name : created) {
+      const std::string maintained = BackingFingerprint(*catalog, name);
+      AGGVIEW_RETURN_NOT_OK(RefreshMaterializedView(catalog, name));
+      if (BackingFingerprint(*catalog, name) != maintained) {
+        return Status::Internal("maintained content of materialized view " +
+                                name + " differs from a REFRESH after a "
+                                "delta on " + catalog->table(delta.table).name);
+      }
     }
     ++report->matview_delta_checks;
     return Status::OK();
   }();
 
-  // Restore emp exactly (data and stats) and drop the views, so the next
-  // fuzz query sees the pristine database whatever happened above.
-  {
-    TableDef& def = catalog->mutable_table(emp);
-    auto restored = std::make_shared<Table>(def.schema);
-    restored->Reserve(static_cast<int64_t>(snapshot.size()));
-    for (Row& r : snapshot) restored->AppendUnchecked(std::move(r));
-    def.data = std::move(restored);
-    def.stats = ComputeStats(*def.data);
-  }
+  // Restore emp and dept exactly (data and stats) and drop the views, so the
+  // next fuzz query sees the pristine database whatever happened above.
+  RestoreRows(catalog, tables.emp, std::move(emp_rows));
+  RestoreRows(catalog, tables.dept, std::move(dept_rows));
   for (const std::string& name : created) {
     Status dropped = catalog->DropView(name);
     if (st.ok() && !dropped.ok()) st = dropped;
@@ -662,7 +724,7 @@ Result<FuzzReport> RunDifferentialFuzz(const FuzzOptions& options) {
     }
     if (matview_mode && !view_ddls.empty() && reference_opt.has_value()) {
       AGGVIEW_RETURN_NOT_OK(MatViewDifferential(
-          &catalog, tables.emp, sql, view_ddls, reference, *reference_opt,
+          &catalog, tables, sql, view_ddls, reference, *reference_opt,
           seed_note, &rng, &report));
     }
     ++report.queries_run;

@@ -69,9 +69,10 @@ struct FuzzOptions {
   /// skips) is re-issued as CREATE MATERIALIZED VIEW, the query is re-bound
   /// and rewritten to answer from the backing tables, and the execution must
   /// be byte-identical to the reference. Then a random insert+delete delta
-  /// is applied to emp (exercising incremental maintenance), stale views are
-  /// REFRESHed, and the same view-answering plan must again match a base
-  /// re-execution. The base data is restored and the views dropped before
+  /// is applied to emp or dept (exercising incremental maintenance): every
+  /// view that does not self-join the delta table must still be fresh, the
+  /// self-join views are REFRESHed, and the same view-answering plan must
+  /// again match a base re-execution. The base data is restored and the views dropped before
   /// the next query. Also enabled by AGGVIEW_FUZZ_MATVIEW=1.
   bool materialize_views = false;
 };
@@ -98,8 +99,12 @@ struct FuzzReport {
   /// created backing tables with a reference-identical fingerprint.
   int matview_rewrite_checks = 0;
   /// materialize_views mode: queries whose view-answering plan still matched
-  /// the base plan after an insert+delete delta and REFRESH of stale views.
+  /// the base plan after an insert+delete delta (and a REFRESH of the
+  /// self-join views).
   int matview_delta_checks = 0;
+  /// materialize_views mode: join views (more than one FROM entry) that read
+  /// the delta table once and were maintained incrementally by it.
+  int matview_join_views_maintained = 0;
   /// materialize_views mode: generated view definitions the matview layer
   /// rejects by design (HAVING, MEDIAN).
   int matview_skips = 0;

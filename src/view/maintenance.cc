@@ -1,15 +1,18 @@
 #include "view/maintenance.h"
 
 #include <algorithm>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "catalog/statistics.h"
-#include "expr/bound_expr.h"
+#include "optimizer/aggview_optimizer.h"
+#include "optimizer/traditional.h"
 #include "storage/table.h"
 #include "view/definition_analysis.h"
+#include "view/matview.h"
 
 namespace aggview {
 
@@ -32,32 +35,27 @@ Value EmptyPartial(const ViewPartial& p) {
              : Value::Null();
 }
 
-/// Adds (sign +1) or retracts (sign -1) one base row's contribution to a
-/// group's partial column. Returns false when the retraction cannot be done
-/// arithmetically — a non-NULL MIN/MAX argument leaving the group — so the
-/// group's extrema must be re-derived from the base.
-bool ApplyRow(const ViewPartial& p, const Row& base_row, int sign,
-              Value* slot) {
-  if (p.kind == AggKind::kCountStar) {
-    *slot = Value::Int(slot->AsInt() + sign);
-    return true;
-  }
-  const Value& arg = base_row[static_cast<size_t>(p.arg_col)];
-  if (arg.is_null()) return true;
+/// Folds one group's partial `d`, computed by a delta query, into the
+/// group's backing partial `slot`: added (sign +1, the inserted rows) or
+/// retracted (sign -1, the deleted rows). COUNT, COUNT(*) and SUM partials
+/// add or subtract; a MIN/MAX partial takes the extremum on insert. Returns
+/// false when a non-NULL extremum is retracted: that cannot be undone
+/// arithmetically, so the group's MIN/MAX partials are re-derived.
+bool MergePartial(const ViewPartial& p, const Value& d, int sign,
+                  Value* slot) {
+  if (d.is_null()) return true;  // SUM/MIN/MAX over no non-NULL argument
   switch (p.kind) {
     case AggKind::kCount:
-      *slot = Value::Int(slot->AsInt() + sign);
-      return true;
+    case AggKind::kCountStar:
     case AggKind::kSum:
       // A NULL sum holds no non-NULL argument, so only an insert meets one.
-      *slot = slot->is_null() ? arg : NumAdd(*slot, arg, sign);
+      *slot = slot->is_null() ? d : NumAdd(*slot, d, sign);
       return true;
     default:  // kMin / kMax
       if (sign < 0) return false;
-      if (slot->is_null() ||
-          (p.kind == AggKind::kMin ? arg.Compare(*slot) < 0
-                                   : arg.Compare(*slot) > 0)) {
-        *slot = arg;
+      if (slot->is_null() || (p.kind == AggKind::kMin ? d.Compare(*slot) < 0
+                                                      : d.Compare(*slot) > 0)) {
+        *slot = d;
       }
       return true;
   }
@@ -67,18 +65,67 @@ bool IsExtremum(const ViewPartial& p) {
   return p.kind == AggKind::kMin || p.kind == AggKind::kMax;
 }
 
-/// Maintains one fresh single-relation view in place. The base table has
-/// already been mutated; `deleted` holds the removed rows' pre-delete values.
-Status MaintainView(Catalog* catalog, ViewDefinition* view,
+/// A scratch catalog for one view's delta queries, with TableIds aligned to
+/// `live`'s. Each table the view reads is a copy of its live definition that
+/// shares the live rows through `data` (no copy); every other slot holds only
+/// the table's name. DeltaContent swaps the delta table's rows in.
+Result<std::unique_ptr<Catalog>> DeltaCatalog(const Catalog& live,
+                                              const ViewDefinition& view) {
+  auto scratch = std::make_unique<Catalog>();
+  for (TableId t = 0; t < live.num_tables(); ++t) {
+    const auto& reads = view.base_tables;
+    TableDef def;
+    if (std::find(reads.begin(), reads.end(), t) != reads.end()) {
+      def = live.table(t);
+    } else {
+      def.name = live.table(t).name;
+    }
+    AGGVIEW_RETURN_NOT_OK(scratch->AddTable(std::move(def)).status());
+  }
+  return scratch;
+}
+
+/// ΔV = G(ΔR ⋈ S …): runs the partial-form definition `a`, bound against
+/// `scratch`, with table `r` holding exactly `rows`. The plan comes from the
+/// paper's optimizer, so pre-aggregating ΔR before the join is a costed
+/// choice; it executes serially. Returns the rows in backing-column order.
+Result<std::vector<Row>> DeltaContent(Catalog* scratch, const DefAnalysis& a,
+                                      TableId r, const std::vector<Row>& rows) {
+  TableDef& def = scratch->mutable_table(r);
+  auto table = std::make_shared<Table>(def.schema);
+  table->Reserve(static_cast<int64_t>(rows.size()));
+  for (const Row& row : rows) table->AppendUnchecked(row);
+  def.stats = ComputeStats(*table);
+  def.data = std::move(table);
+  AGGVIEW_ASSIGN_OR_RETURN(OptimizedQuery opt,
+                           OptimizeQueryWithAggViews(a.query, OptimizerOptions{}));
+  return ExecuteViewContent(a, opt, ExecContext{});
+}
+
+/// Maintains one fresh view that reads table `r` exactly once. The base
+/// table has already been mutated; `deleted` holds the removed rows'
+/// pre-delete values. The delta queries ΔV- (over `deleted`) and ΔV+ (over
+/// `inserted`) are merged into the backing groups with MergePartial.
+Status MaintainView(Catalog* catalog, ViewDefinition* view, TableId r,
                     const std::vector<Row>& inserted,
                     const std::vector<Row>& deleted,
                     MaintenanceReport* report) {
   const DefAnalysis& a = *view->def;
-  const RangeVar& rv = a.query.range_var(a.query.base_rels()[0]);
-  AGGVIEW_ASSIGN_OR_RETURN(
-      BoundConjunction where,
-      BoundConjunction::Bind(a.query.predicates(), RowLayout(rv.columns),
-                             a.query.columns(), "view maintenance"));
+  std::vector<Row> delta_rows[2];  // ΔV-, ΔV+
+  {
+    AGGVIEW_ASSIGN_OR_RETURN(std::unique_ptr<Catalog> scratch,
+                             DeltaCatalog(*catalog, *view));
+    AGGVIEW_ASSIGN_OR_RETURN(
+        DefAnalysis delta_def,
+        AnalyzeViewDefinition(*scratch, view->name, view->definition_sql,
+                              view->column_names));
+    const std::vector<Row>* sides[2] = {&deleted, &inserted};
+    for (int s = 0; s < 2; ++s) {
+      if (sides[s]->empty()) continue;
+      AGGVIEW_ASSIGN_OR_RETURN(
+          delta_rows[s], DeltaContent(scratch.get(), delta_def, r, *sides[s]));
+    }
+  }
   const size_t ng = static_cast<size_t>(a.num_grouping);
   const size_t np = a.partials.size();
   const size_t rows_col = static_cast<size_t>(a.rows_col);
@@ -97,48 +144,38 @@ Status MaintainView(Catalog* catalog, ViewDefinition* view,
     index.emplace(Row(rows[i].begin(), rows[i].begin() + ng), i);
   }
 
-  auto group_key = [&](const Row& base_row) {
-    Row key;
-    key.reserve(ng);
-    for (size_t k = 0; k < ng; ++k) {
-      key.push_back(base_row[static_cast<size_t>(a.grouping_col[k])]);
-    }
-    return key;
-  };
-
   std::unordered_set<size_t> touched;
-  // Groups whose MIN/MAX partials need a base rescan.
+  // Groups whose MIN/MAX partials need a rescan.
   std::vector<bool> rescan(rows.size(), false);
-  for (const Row& r : deleted) {
-    if (!where.Eval(r)) continue;
-    auto it = index.find(group_key(r));
-    if (it == index.end()) {
-      return Status::Internal("materialized view '" + view->name +
-                              "' is out of sync: deleted row's group missing");
-    }
-    touched.insert(it->second);
-    Row& g = rows[it->second];
-    for (size_t k = 0; k < np; ++k) {
-      if (!ApplyRow(a.partials[k], r, -1, &g[ng + k])) {
-        rescan[it->second] = true;
+  for (int s = 0; s < 2; ++s) {
+    const int sign = s == 0 ? -1 : +1;
+    for (const Row& d : delta_rows[s]) {
+      // A scalar delta query returns its one row even when no delta row
+      // passed the definition's WHERE.
+      if (d[rows_col].AsInt() == 0) continue;
+      Row key(d.begin(), d.begin() + ng);
+      auto it = index.find(key);
+      if (it == index.end()) {
+        if (sign < 0) {
+          return Status::Internal(
+              "materialized view '" + view->name +
+              "' is out of sync: deleted rows' group missing");
+        }
+        Row g = key;
+        for (const ViewPartial& p : a.partials) g.push_back(EmptyPartial(p));
+        it = index.emplace(std::move(key), rows.size()).first;
+        rows.push_back(std::move(g));
+        rescan.push_back(false);
+        if (report != nullptr) report->groups_added++;
+      }
+      touched.insert(it->second);
+      Row& g = rows[it->second];
+      for (size_t k = 0; k < np; ++k) {
+        if (!MergePartial(a.partials[k], d[ng + k], sign, &g[ng + k])) {
+          rescan[it->second] = true;
+        }
       }
     }
-  }
-
-  for (const Row& r : inserted) {
-    if (!where.Eval(r)) continue;
-    Row key = group_key(r);
-    auto it = index.find(key);
-    if (it == index.end()) {
-      Row g = key;
-      for (const ViewPartial& p : a.partials) g.push_back(EmptyPartial(p));
-      it = index.emplace(std::move(key), rows.size()).first;
-      rows.push_back(std::move(g));
-      if (report != nullptr) report->groups_added++;
-    }
-    touched.insert(it->second);
-    Row& g = rows[it->second];
-    for (size_t k = 0; k < np; ++k) ApplyRow(a.partials[k], r, +1, &g[ng + k]);
   }
 
   // Restore SUM partials to NULL when their COUNT witness dropped to zero:
@@ -153,11 +190,11 @@ Status MaintainView(Catalog* catalog, ViewDefinition* view,
     }
   }
 
-  // Re-derive the MIN/MAX partials of every hit group that stays from the
-  // post-delta base rows in one pass. An emptied group of a grouped view is
-  // dropped below and needs none.
+  // Re-derive the MIN/MAX partials of every hit group that stays: one run of
+  // the partial-form definition over the post-delta base, of which only the
+  // rescanned groups' extrema are copied. An emptied group of a grouped view
+  // is dropped below and needs none.
   auto emptied = [&](const Row& g) { return g[rows_col].AsInt() == 0; };
-  rescan.resize(rows.size(), false);  // groups the inserts added
   bool any_rescan = false;
   for (size_t i = 0; i < rows.size(); ++i) {
     rescan[i] = rescan[i] && (a.scalar || !emptied(rows[i]));
@@ -169,24 +206,15 @@ Status MaintainView(Catalog* catalog, ViewDefinition* view,
     if (report != nullptr) report->groups_recomputed++;
   }
   if (any_rescan) {
-    // WHERE reads the base columns in place; only a passing row is copied.
-    const Table& base = *catalog->table(view->base_tables[0]).data;
-    std::vector<const Value*> cols;
-    for (int c = 0; c < base.schema().num_columns(); ++c) {
-      cols.push_back(base.column(c).data());
-    }
-    for (int64_t i = 0; i < base.row_count(); ++i) {
-      if (!where.Eval(ColumnCells{cols.data(), static_cast<size_t>(i)})) {
-        continue;
-      }
-      const Row r = base.row(i);
-      auto it = index.find(group_key(r));
+    AGGVIEW_ASSIGN_OR_RETURN(OptimizedQuery opt, OptimizeTraditional(a.query));
+    AGGVIEW_ASSIGN_OR_RETURN(std::vector<Row> full,
+                             ExecuteViewContent(a, opt, ExecContext{}));
+    for (const Row& f : full) {
+      auto it = index.find(Row(f.begin(), f.begin() + ng));
       if (it == index.end() || !rescan[it->second]) continue;
       Row& g = rows[it->second];
       for (size_t k = 0; k < np; ++k) {
-        if (IsExtremum(a.partials[k])) {
-          ApplyRow(a.partials[k], r, +1, &g[ng + k]);
-        }
+        if (IsExtremum(a.partials[k])) g[ng + k] = f[ng + k];
       }
     }
   }
@@ -273,7 +301,9 @@ Status ApplyTableDelta(Catalog* catalog, const TableDelta& delta,
   }
 
   for (auto& [view, was_fresh] : affected) {
-    if (view->base_tables.size() != 1 || !was_fresh) {
+    const auto& reads = view->base_tables;
+    if (std::count(reads.begin(), reads.end(), delta.table) != 1 ||
+        !was_fresh) {
       if (report != nullptr) report->views_marked_stale++;
       // The backing content is untouched but the view stopped being a valid
       // answer source; bump the epoch so plans stamped "v:<name>" invalidate
@@ -281,8 +311,8 @@ Status ApplyTableDelta(Catalog* catalog, const TableDelta& delta,
       view->epoch.fetch_add(1, std::memory_order_acq_rel);
       continue;  // stale via the epoch mismatch; REFRESH re-materializes
     }
-    AGGVIEW_RETURN_NOT_OK(
-        MaintainView(catalog, view, delta.inserts, deleted, report));
+    AGGVIEW_RETURN_NOT_OK(MaintainView(catalog, view, delta.table,
+                                       delta.inserts, deleted, report));
   }
   return Status::OK();
 }

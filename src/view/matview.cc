@@ -14,13 +14,9 @@
 
 namespace aggview {
 
-namespace {
-
-/// Executes the analyzed definition in partial form and returns the backing
-/// rows, reordered into backing-column order (grouping keys, then partials).
-Result<std::vector<Row>> ComputeContent(const DefAnalysis& a,
-                                        const ExecContext& ctx) {
-  AGGVIEW_ASSIGN_OR_RETURN(OptimizedQuery opt, OptimizeTraditional(a.query));
+Result<std::vector<Row>> ExecuteViewContent(const DefAnalysis& a,
+                                            const OptimizedQuery& opt,
+                                            const ExecContext& ctx) {
   AGGVIEW_ASSIGN_OR_RETURN(QueryResult res,
                            ExecutePlan(opt.plan, opt.query, ctx));
   std::vector<int> pos;
@@ -42,6 +38,16 @@ Result<std::vector<Row>> ComputeContent(const DefAnalysis& a,
     rows.push_back(std::move(out));
   }
   return rows;
+}
+
+namespace {
+
+/// Executes the analyzed definition in partial form over the current base
+/// tables and returns the backing rows.
+Result<std::vector<Row>> ComputeContent(const DefAnalysis& a,
+                                        const ExecContext& ctx) {
+  AGGVIEW_ASSIGN_OR_RETURN(OptimizedQuery opt, OptimizeTraditional(a.query));
+  return ExecuteViewContent(a, opt, ctx);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #define AGGVIEW_VIEW_MATVIEW_H_
 
 #include <string>
+#include <vector>
 
 #include "catalog/catalog.h"
 #include "common/result.h"
@@ -22,6 +23,17 @@ namespace aggview {
 /// rolled up). A definition without GROUP BY is a scalar view: its backing
 /// table holds exactly one row, kept (with empty-aggregate values) even when
 /// the base goes empty.
+
+struct DefAnalysis;     // view/definition_analysis.h
+struct OptimizedQuery;  // optimizer/aggview_optimizer.h
+
+/// Executes `opt`, a plan of the partial-form definition `a.query`, under
+/// `ctx` and returns its rows in backing-column order (grouping keys, then
+/// partials). REFRESH runs it over the whole base; delta maintenance runs it
+/// with one base table replaced by the delta's rows.
+Result<std::vector<Row>> ExecuteViewContent(const DefAnalysis& a,
+                                            const OptimizedQuery& opt,
+                                            const ExecContext& ctx);
 
 /// Creates the view described by a parsed CREATE MATERIALIZED VIEW
 /// statement: analyzes and binds the definition, executes it in partial form

@@ -213,47 +213,241 @@ TEST(Maintenance, CountArgDivergesFromCountStarUnderNulls) {
   m.ExpectMaintained();
 }
 
-TEST(Maintenance, MultiRelationViewGoesStaleAndRefreshes) {
+/// emp ⋈ dept over 120 employees in 6 departments, for the join views.
+EmpDeptFixture MakeJoinData() {
   EmpDeptOptions o;
   o.num_employees = 120;
-  EmpDeptFixture f = MakeEmpDept(o);
-  ASSERT_OK(ExecuteMatViewStatement(
-      f.catalog.get(),
-      "create materialized view joined as "
-      "select e.dno, count(*), sum(e.sal) from emp e, dept d "
-      "where e.dno = d.dno group by e.dno"));
+  o.num_departments = 6;
+  return MakeEmpDept(o);
+}
+
+/// Indices of the rows of `table` whose column `col` holds `value`.
+std::vector<int64_t> RowsWhere(const Catalog& catalog, TableId table, int col,
+                               int64_t value) {
+  const Table& t = *catalog.table(table).data;
+  std::vector<int64_t> out;
+  for (int64_t i = 0; i < t.row_count(); ++i) {
+    if (t.row(i)[static_cast<size_t>(col)].AsInt() == value) out.push_back(i);
+  }
+  return out;
+}
+
+/// A maintained join view: still fresh, the rewriter answers `sql` from it
+/// byte-identically to the base plan, and its backing content is exactly
+/// what a REFRESH computes.
+void ExpectJoinViewMaintained(Catalog* catalog, const std::string& view,
+                              const std::string& sql) {
+  EXPECT_TRUE(catalog->IsViewFresh(*catalog->FindView(view)));
+  EXPECT_EQ(CheckViewAnswersAgree(*catalog, sql), 1);
+  ExpectMatchesRefresh(catalog, view);
+}
+
+TEST(Maintenance, JoinViewMaintainedThroughCascadingDelete) {
+  EmpDeptFixture f = MakeJoinData();
   const std::string sql =
       "select e.dno, count(*), sum(e.sal) from emp e, dept d "
       "where e.dno = d.dno group by e.dno";
+  ASSERT_OK(ExecuteMatViewStatement(
+      f.catalog.get(), "create materialized view joined as " + sql));
   EXPECT_EQ(CheckViewAnswersAgree(*f.catalog, sql), 1);
 
-  // An FK-cascading delete: remove dept 1 and every employee in it, as two
-  // deltas. The join view cannot be maintained incrementally — it goes
-  // stale after the first delta and stays stale after the second.
-  const Table& dept = (*f.catalog->table(f.tables.dept).data);
+  // An FK-cascading delete as two deltas. Removing dept 1 is a dept-side
+  // delta (ΔS ⋈ emp): it retracts every employee of dept 1 and empties the
+  // group.
   TableDelta drop_dept;
   drop_dept.table = f.tables.dept;
-  for (int64_t i = 0; i < dept.row_count(); ++i) {
-    if (dept.row(i)[0].AsInt() == 1) drop_dept.deletes.push_back(i);
-  }
+  drop_dept.deletes = RowsWhere(*f.catalog, f.tables.dept, 0, 1);
   ASSERT_EQ(drop_dept.deletes.size(), 1u);
   MaintenanceReport r1;
   ASSERT_OK(ApplyTableDelta(f.catalog.get(), drop_dept, &r1));
-  EXPECT_EQ(r1.views_marked_stale, 1);
+  EXPECT_EQ(r1.views_maintained, 1);
+  EXPECT_EQ(r1.views_marked_stale, 0);
+  EXPECT_EQ(r1.groups_touched, 1);
+  EXPECT_EQ(r1.groups_removed, 1);
+  ExpectJoinViewMaintained(f.catalog.get(), "joined", sql);
 
-  const Table& emp = (*f.catalog->table(f.tables.emp).data);
+  // Dept 1's employees now join nothing, so deleting them touches no group.
   TableDelta drop_emps;
   drop_emps.table = f.tables.emp;
-  for (int64_t i = 0; i < emp.row_count(); ++i) {
-    if (emp.row(i)[1].AsInt() == 1) drop_emps.deletes.push_back(i);
-  }
+  drop_emps.deletes = RowsWhere(*f.catalog, f.tables.emp, 1, 1);
+  ASSERT_FALSE(drop_emps.deletes.empty());
   MaintenanceReport r2;
   ASSERT_OK(ApplyTableDelta(f.catalog.get(), drop_emps, &r2));
-  EXPECT_EQ(r2.views_marked_stale, 1);
+  EXPECT_EQ(r2.views_maintained, 1);
+  EXPECT_EQ(r2.groups_touched, 0);
+  ExpectJoinViewMaintained(f.catalog.get(), "joined", sql);
+}
+
+TEST(Maintenance, JoinViewNullSalKeepsCountWitness) {
+  EmpDeptFixture f = MakeJoinData();
+  const std::string sql =
+      "select e.dno, count(*), count(e.sal), sum(e.sal), avg(e.sal) "
+      "from emp e, dept d where e.dno = d.dno group by e.dno";
+  ASSERT_OK(ExecuteMatViewStatement(
+      f.catalog.get(), "create materialized view pay as " + sql));
+
+  // An emp-side delete that empties dept 2's group.
+  TableDelta empty;
+  empty.table = f.tables.emp;
+  empty.deletes = RowsWhere(*f.catalog, f.tables.emp, 1, 2);
+  ASSERT_FALSE(empty.deletes.empty());
+  MaintenanceReport r1;
+  ASSERT_OK(ApplyTableDelta(f.catalog.get(), empty, &r1));
+  EXPECT_EQ(r1.groups_removed, 1);
+  ExpectJoinViewMaintained(f.catalog.get(), "pay", sql);
+
+  // The group comes back with two NULL salaries and one non-NULL one.
+  TableDelta grow;
+  grow.table = f.tables.emp;
+  grow.inserts = {{Value::Int(9001), Value::Int(2), Value::Null(), Value::Int(30)},
+                  {Value::Int(9002), Value::Int(2), Value::Null(), Value::Int(31)},
+                  {Value::Int(9003), Value::Int(2), Value::Real(64.0),
+                   Value::Int(32)}};
+  MaintenanceReport r2;
+  ASSERT_OK(ApplyTableDelta(f.catalog.get(), grow, &r2));
+  EXPECT_EQ(r2.groups_added, 1);
+  ExpectJoinViewMaintained(f.catalog.get(), "pay", sql);
+
+  // Retracting the one non-NULL salary: the COUNT witness restores the SUM
+  // partial to NULL rather than leaving 0.
+  TableDelta retract;
+  retract.table = f.tables.emp;
+  retract.deletes = RowsWhere(*f.catalog, f.tables.emp, 0, 9003);
+  ASSERT_EQ(retract.deletes.size(), 1u);
+  ASSERT_OK(ApplyTableDelta(f.catalog.get(), retract, nullptr));
+  const ViewDefinition* view = f.catalog->FindView("pay");
+  const Table& backing = *f.catalog->table(view->backing_table).data;
+  int found = 0;
+  for (int64_t i = 0; i < backing.row_count(); ++i) {
+    const Row g = backing.row(i);
+    if (g[0].AsInt() != 2) continue;
+    ++found;
+    const ViewAggSlot& sum = view->def->slots[2];
+    EXPECT_TRUE(g[static_cast<size_t>(sum.storage[0])].is_null());
+    EXPECT_EQ(g[static_cast<size_t>(view->def->rows_col)].AsInt(), 2);
+  }
+  EXPECT_EQ(found, 1);
+  ExpectJoinViewMaintained(f.catalog.get(), "pay", sql);
+}
+
+TEST(Maintenance, JoinViewMinMaxRetractionRescans) {
+  EmpDeptFixture f = MakeJoinData();
+  const std::string sql =
+      "select d.budget, min(e.sal), max(e.age), count(*) from emp e, dept d "
+      "where e.dno = d.dno group by d.budget";
+  ASSERT_OK(ExecuteMatViewStatement(
+      f.catalog.get(), "create materialized view extremes as " + sql));
+  // Every deleted row has a non-NULL salary and age, so each budget group
+  // it leaves has its extrema re-derived.
+  TableDelta delta;
+  delta.table = f.tables.emp;
+  delta.deletes = {0, 5, 17};
+  delta.inserts = {{Value::Int(9001), Value::Int(3), Value::Real(1.0),
+                    Value::Int(99)}};
+  std::set<int64_t> depts;
+  const Table& emp = *f.catalog->table(f.tables.emp).data;
+  for (int64_t i : delta.deletes) depts.insert(emp.row(i)[1].AsInt());
+  MaintenanceReport report;
+  ASSERT_OK(ApplyTableDelta(f.catalog.get(), delta, &report));
+  EXPECT_EQ(report.views_maintained, 1);
+  EXPECT_EQ(report.groups_recomputed, static_cast<int64_t>(depts.size()));
+  ExpectJoinViewMaintained(f.catalog.get(), "extremes", sql);
+}
+
+TEST(Maintenance, JoinViewBudgetFilterDropsDeltaRows) {
+  EmpDeptFixture f = MakeJoinData();
+  const std::string sql =
+      "select e.dno, count(*), sum(e.sal) from emp e, dept d "
+      "where e.dno = d.dno and d.budget < 1000000 group by e.dno";
+  ASSERT_OK(ExecuteMatViewStatement(
+      f.catalog.get(), "create materialized view poor as " + sql));
+  int64_t poor = -1;
+  int64_t rich = -1;
+  const Table& dept = *f.catalog->table(f.tables.dept).data;
+  for (int64_t i = 0; i < dept.row_count(); ++i) {
+    const Row d = dept.row(i);
+    (d[1].AsDouble() < 1'000'000 ? poor : rich) = d[0].AsInt();
+  }
+  ASSERT_GE(poor, 0);
+  ASSERT_GE(rich, 0);
+
+  // A row of a department the filter drops reaches no group.
+  TableDelta dropped;
+  dropped.table = f.tables.emp;
+  dropped.inserts = {{Value::Int(9001), Value::Int(rich), Value::Real(5.0),
+                      Value::Int(40)}};
+  MaintenanceReport r1;
+  ASSERT_OK(ApplyTableDelta(f.catalog.get(), dropped, &r1));
+  EXPECT_EQ(r1.views_maintained, 1);
+  EXPECT_EQ(r1.groups_touched, 0);
+  ExpectJoinViewMaintained(f.catalog.get(), "poor", sql);
+
+  TableDelta kept;
+  kept.table = f.tables.emp;
+  kept.inserts = {{Value::Int(9002), Value::Int(poor), Value::Real(5.0),
+                   Value::Int(40)}};
+  MaintenanceReport r2;
+  ASSERT_OK(ApplyTableDelta(f.catalog.get(), kept, &r2));
+  EXPECT_EQ(r2.groups_touched, 1);
+  ExpectJoinViewMaintained(f.catalog.get(), "poor", sql);
+}
+
+TEST(Maintenance, ScalarJoinViewKeepsItsRow) {
+  EmpDeptFixture f = MakeJoinData();
+  const std::string sql =
+      "select count(*) from emp e, dept d where e.dno = d.dno";
+  ASSERT_OK(ExecuteMatViewStatement(
+      f.catalog.get(), "create materialized view pairs as " + sql));
+  TableDelta add;
+  add.table = f.tables.emp;
+  add.inserts = {{Value::Int(9001), Value::Int(4), Value::Real(5.0),
+                  Value::Int(40)}};
+  add.deletes = {3};
+  ASSERT_OK(ApplyTableDelta(f.catalog.get(), add, nullptr));
+  ExpectJoinViewMaintained(f.catalog.get(), "pairs", sql);
+
+  // Deleting every department leaves no pair: the scalar row stays, with a
+  // zero count.
+  TableDelta clear;
+  clear.table = f.tables.dept;
+  for (int64_t i = 0; i < f.catalog->table(f.tables.dept).data->row_count();
+       ++i) {
+    clear.deletes.push_back(i);
+  }
+  MaintenanceReport report;
+  ASSERT_OK(ApplyTableDelta(f.catalog.get(), clear, &report));
+  EXPECT_EQ(report.views_maintained, 1);
+  EXPECT_EQ(report.groups_removed, 0);
+  const ViewDefinition* view = f.catalog->FindView("pairs");
+  const Table& backing = *f.catalog->table(view->backing_table).data;
+  ASSERT_EQ(backing.row_count(), 1);
+  EXPECT_EQ(backing.row(0)[static_cast<size_t>(view->def->rows_col)].AsInt(),
+            0);
+  ExpectJoinViewMaintained(f.catalog.get(), "pairs", sql);
+}
+
+TEST(Maintenance, SelfJoinViewGoesStaleAndRefreshes) {
+  // A view reading the delta table twice is not maintained: a delta on emp
+  // changes both sides of the self-join, so ΔV is not one delta query.
+  EmpDeptFixture f = MakeJoinData();
+  const std::string sql =
+      "select e1.dno, count(*) from emp e1, emp e2 "
+      "where e1.dno = e2.dno group by e1.dno";
+  ASSERT_OK(ExecuteMatViewStatement(
+      f.catalog.get(), "create materialized view peers as " + sql));
+  EXPECT_EQ(CheckViewAnswersAgree(*f.catalog, sql), 1);
+
+  TableDelta delta;
+  delta.table = f.tables.emp;
+  delta.deletes = {0, 1, 2};
+  MaintenanceReport report;
+  ASSERT_OK(ApplyTableDelta(f.catalog.get(), delta, &report));
+  EXPECT_EQ(report.views_maintained, 0);
+  EXPECT_EQ(report.views_marked_stale, 1);
+  EXPECT_FALSE(f.catalog->IsViewFresh(*f.catalog->FindView("peers")));
   EXPECT_EQ(CheckViewAnswersAgree(*f.catalog, sql), 0);  // stale: skipped
 
-  // REFRESH re-derives the content from the cascaded base state.
-  ASSERT_OK(RefreshMaterializedView(f.catalog.get(), "joined"));
+  ASSERT_OK(RefreshMaterializedView(f.catalog.get(), "peers"));
   EXPECT_EQ(CheckViewAnswersAgree(*f.catalog, sql), 1);
 }
 

@@ -281,9 +281,10 @@ TEST(ServerMatViewTest, ViewBackedPlanInvalidatesOnDeltaAndRefresh) {
   EXPECT_EQ(refreshed->Fingerprint(), plain_bytes->Fingerprint());
 }
 
-TEST(ServerMatViewTest, DroppedStalenessPathRefreshRestoresServing) {
-  // A multi-relation view goes stale under a delta; the serving layer skips
-  // it (base plan) until REFRESH through the server restores view answering.
+TEST(ServerMatViewTest, JoinViewMaintainedAndCachedPlanReprepares) {
+  // A delta on emp is merged into an emp ⋈ dept view: the view stays fresh,
+  // the cached view-backed plan re-prepares (the backing epoch moved), and
+  // the maintained content answers with the bytes of a view-less server.
   Server server;
   PopulateEmpDept(&server);
   ServerSession conn = server.Connect();
@@ -298,31 +299,43 @@ TEST(ServerMatViewTest, DroppedStalenessPathRefreshRestoresServing) {
   auto answered = conn.Sql(sql);
   ASSERT_OK(answered.status());
   EXPECT_TRUE(answered->view_backed());
+  auto cached = conn.Sql(sql);
+  ASSERT_OK(cached.status());
+  EXPECT_TRUE(cached->cache_hit());
 
   TableDelta delta;
   delta.table = 0;  // emp
   delta.inserts = {{Value::Int(9001), Value::Int(1), Value::Real(10.0),
                     Value::Int(30)}};
+  delta.deletes = {0, 3};
   MaintenanceReport report;
   ASSERT_OK(conn.ApplyDelta(delta, &report));
-  EXPECT_EQ(report.views_marked_stale, 1);
+  EXPECT_EQ(report.views_maintained, 1);
+  EXPECT_EQ(report.views_marked_stale, 0);
+  EXPECT_TRUE(server.catalog().IsViewFresh(
+      *server.catalog().FindView("dept_pay")));
 
-  // Stale view: the rewriter must not use it, and the old view-backed plan
-  // must not be served from cache.
-  auto base_plan = conn.Sql(sql);
-  ASSERT_OK(base_plan.status());
-  EXPECT_FALSE(base_plan->cache_hit());
-  EXPECT_FALSE(base_plan->view_backed());
-  auto base_bytes = base_plan->Execute();
-  ASSERT_OK(base_bytes.status());
+  auto reprepared = conn.Sql(sql);
+  ASSERT_OK(reprepared.status());
+  EXPECT_FALSE(reprepared->cache_hit());
+  EXPECT_TRUE(reprepared->view_backed());
+  auto maintained = reprepared->Execute();
+  ASSERT_OK(maintained.status());
 
-  ASSERT_OK(conn.ExecuteDdl("refresh materialized view dept_pay"));
-  auto restored = conn.Sql(sql);
-  ASSERT_OK(restored.status());
-  EXPECT_TRUE(restored->view_backed());
-  auto restored_bytes = restored->Execute();
-  ASSERT_OK(restored_bytes.status());
-  EXPECT_EQ(restored_bytes->Fingerprint(), base_bytes->Fingerprint());
+  Server plain{[] {
+    ServerOptions o = ServerOptions::Default();
+    o.use_materialized_views = false;
+    return o;
+  }()};
+  PopulateEmpDept(&plain);
+  ASSERT_OK(plain.ApplyDelta(delta, nullptr));
+  auto plain_q = plain.Connect().Sql(sql);
+  ASSERT_OK(plain_q.status());
+  EXPECT_FALSE(plain_q->view_backed());
+  auto plain_bytes = plain_q->Execute();
+  ASSERT_OK(plain_bytes.status());
+  EXPECT_EQ(maintained->Fingerprint(), plain_bytes->Fingerprint());
+  ExpectMatchesRefresh(&server.catalog(), "dept_pay");
 }
 
 TEST(ServerMatViewTest, ConcurrentRefreshAndReadsStayConsistent) {
