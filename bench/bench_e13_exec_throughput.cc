@@ -48,6 +48,12 @@
 // (~2.3x). 8 threads are slower than 4 on a 4-core host, most on Q17 and
 // coalesce.
 //
+// The leading axis column (batch, threads, tpcd) makes every row label
+// unique. The batch axis's batch_size=1024 point and the threads axis's
+// threads=1 point run the same plan at the same geometry but are different
+// measurements: on the threads axis each serial run is interleaved with the
+// multi-thread runs of the same repetition.
+//
 // Every timed point reports the min (plain_ms, traced_ms) and the median
 // (plain_median_ms) over its repetitions. Repetitions are interleaved
 // round-robin across the axis values (all values at rep 0, then all at rep
@@ -140,11 +146,11 @@ std::string Ratio(double num, double den) {
   return buf;
 }
 
-/// Times `w` at every point of one axis: `points` (batch size, threads)
+/// Times `w` at every point of axis `axis`: `points` (batch size, threads)
 /// pairs, plain and traced, `reps` interleaved repetitions after one
 /// untimed warm-up at `warm_up`; emits one row per point with the min and
 /// median over the repetitions and speedups from point 0's minima.
-void RunAxis(const TpcdDb& db, const Workload& w,
+void RunAxis(const char* axis, const TpcdDb& db, const Workload& w,
              const std::vector<std::pair<int, int>>& points,
              std::pair<int, int> warm_up, int reps, int64_t lineitems,
              ResultWriter* table) {
@@ -170,7 +176,7 @@ void RunAxis(const TpcdDb& db, const Workload& w,
     char rps[32];
     std::snprintf(rps, sizeof(rps), "%.0f",
                   static_cast<double>(lineitems) / p.min);
-    table->Row({w.name, Fmt(static_cast<int64_t>(points[s].first)),
+    table->Row({axis, w.name, Fmt(static_cast<int64_t>(points[s].first)),
                 Fmt(static_cast<int64_t>(points[s].second)), Fmt(lineitems),
                 Ms(p.min), Ms(p.median), rps, Ratio(plain0.min, p.min),
                 Ms(t.min), Ratio(traced0.min, t.min)});
@@ -236,7 +242,7 @@ void RunTpcdAxis(bool smoke, int reps, ResultWriter* table) {
     const MinMedian serial = MinAndMedian(by_threads[0]);
     for (int s = 0; s < kNumThreadCounts; ++s) {
       const MinMedian m = MinAndMedian(by_threads[static_cast<size_t>(s)]);
-      table->Row({name, Fmt(static_cast<int64_t>(kDefaultBatchSize)),
+      table->Row({"tpcd", name, Fmt(static_cast<int64_t>(kDefaultBatchSize)),
                   Fmt(static_cast<int64_t>(kThreadCounts[s])), Fmt(rows),
                   Ms(m.min), Ms(m.median), "-", Ratio(serial.min, m.min), "-",
                   "-"});
@@ -265,7 +271,7 @@ void Run(bool json, bool smoke) {
   }
   const int reps = smoke ? 1 : kReps;
   ResultWriter table(json, "E13",
-                     {"workload", "batch_size", "threads", "rows",
+                     {"axis", "workload", "batch_size", "threads", "rows",
                       "plain_ms", "plain_median_ms", "rows_per_sec",
                       "plain_speedup", "traced_ms", "traced_speedup"},
                      17);
@@ -281,14 +287,15 @@ void Run(bool json, bool smoke) {
     std::vector<std::pair<int, int>> sizes;
     for (int b : kBatchSizes) sizes.emplace_back(b, 1);
     for (const Workload& w : kWorkloads) {
-      RunAxis(db, w, sizes, sizes[0], reps, lineitems, &table);
+      RunAxis("batch", db, w, sizes, sizes[0], reps, lineitems, &table);
     }
     // Axis 2: worker count at the default batch size. The speedup baseline
     // is the 1-thread entry (same batch size, same plan).
     std::vector<std::pair<int, int>> threads;
     for (int t : kThreadCounts) threads.emplace_back(kDefaultBatchSize, t);
     for (const Workload& w : kWorkloads) {
-      RunAxis(db, w, threads, threads.back(), reps, lineitems, &table);
+      RunAxis("threads", db, w, threads, threads.back(), reps, lineitems,
+              &table);
     }
   }
   RunTpcdAxis(smoke, reps, &table);

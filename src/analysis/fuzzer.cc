@@ -445,9 +445,10 @@ Status MatViewDifferential(Catalog* catalog, const EmpDeptTables& tables,
       }
       for (int64_t i : deletes) {
         if (!rng->Chance(0.5)) continue;
+        const double budget =
+            static_cast<double>(rng->Uniform(100'000, 5'000'000));
         delta.inserts.push_back(
-            {dept_rows[static_cast<size_t>(i)][0],
-             Value::Real(static_cast<double>(rng->Uniform(100'000, 5'000'000)))});
+            {dept_rows[static_cast<size_t>(i)][0], Value::Real(budget)});
       }
       delta.deletes.assign(deletes.begin(), deletes.end());
     } else {

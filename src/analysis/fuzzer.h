@@ -72,8 +72,9 @@ struct FuzzOptions {
   /// is applied to emp or dept (exercising incremental maintenance): every
   /// view that does not self-join the delta table must still be fresh, the
   /// self-join views are REFRESHed, and the same view-answering plan must
-  /// again match a base re-execution. The base data is restored and the views dropped before
-  /// the next query. Also enabled by AGGVIEW_FUZZ_MATVIEW=1.
+  /// again match a base re-execution. The base data is restored and the
+  /// views dropped before the next query. Also enabled by
+  /// AGGVIEW_FUZZ_MATVIEW=1.
   bool materialize_views = false;
 };
 

@@ -77,8 +77,8 @@ struct ViewDefinition {
   /// primary key is exactly the grouping prefix.
   TableId backing_table = -1;
   /// Catalog table of each definition FROM entry, in FROM order.
-  /// Single-relation views are delta-maintainable; multi-relation views go
-  /// stale on base change and need REFRESH.
+  /// A delta on a table listed once is maintained incrementally; a delta on
+  /// a table listed twice (a self-join) leaves the view stale until REFRESH.
   std::vector<TableId> base_tables;
   /// Bumped on every content change (materialize, refresh, delta apply);
   /// view-backed cached plans stamp it.

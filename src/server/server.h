@@ -212,9 +212,10 @@ class ServerSession {
   Result<std::string> ExecuteDdl(const std::string& text);
 
   /// Applies a base-table delta (view/maintenance.h) under the server's
-  /// exclusive catalog lock, incrementally maintaining every fresh
-  /// single-relation view and marking the rest stale. Per-table epoch bumps
-  /// invalidate exactly the cached plans that read the mutated objects.
+  /// exclusive catalog lock, incrementally maintaining every fresh view
+  /// that reads the table once and marking the rest stale. Per-table epoch
+  /// bumps invalidate exactly the cached plans that read the mutated
+  /// objects.
   Status ApplyDelta(const TableDelta& delta, MaintenanceReport* report =
                                                  nullptr);
 

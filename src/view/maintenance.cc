@@ -97,8 +97,8 @@ Result<std::vector<Row>> DeltaContent(Catalog* scratch, const DefAnalysis& a,
   for (const Row& row : rows) table->AppendUnchecked(row);
   def.stats = ComputeStats(*table);
   def.data = std::move(table);
-  AGGVIEW_ASSIGN_OR_RETURN(OptimizedQuery opt,
-                           OptimizeQueryWithAggViews(a.query, OptimizerOptions{}));
+  AGGVIEW_ASSIGN_OR_RETURN(
+      OptimizedQuery opt, OptimizeQueryWithAggViews(a.query, OptimizerOptions{}));
   return ExecuteViewContent(a, opt, ExecContext{});
 }
 

@@ -299,10 +299,10 @@ TEST(Maintenance, JoinViewNullSalKeepsCountWitness) {
   // The group comes back with two NULL salaries and one non-NULL one.
   TableDelta grow;
   grow.table = f.tables.emp;
-  grow.inserts = {{Value::Int(9001), Value::Int(2), Value::Null(), Value::Int(30)},
-                  {Value::Int(9002), Value::Int(2), Value::Null(), Value::Int(31)},
-                  {Value::Int(9003), Value::Int(2), Value::Real(64.0),
-                   Value::Int(32)}};
+  grow.inserts = {
+      {Value::Int(9001), Value::Int(2), Value::Null(), Value::Int(30)},
+      {Value::Int(9002), Value::Int(2), Value::Null(), Value::Int(31)},
+      {Value::Int(9003), Value::Int(2), Value::Real(64.0), Value::Int(32)}};
   MaintenanceReport r2;
   ASSERT_OK(ApplyTableDelta(f.catalog.get(), grow, &r2));
   EXPECT_EQ(r2.groups_added, 1);
@@ -424,6 +424,31 @@ TEST(Maintenance, ScalarJoinViewKeepsItsRow) {
   EXPECT_EQ(backing.row(0)[static_cast<size_t>(view->def->rows_col)].AsInt(),
             0);
   ExpectJoinViewMaintained(f.catalog.get(), "pairs", sql);
+}
+
+TEST(Maintenance, DeptBudgetChangeMovesEmployeesBetweenGroups) {
+  EmpDeptFixture f = MakeJoinData();
+  const std::string sql =
+      "select d.budget, sum(e.sal), max(e.sal), count(*) from emp e, dept d "
+      "where e.dno = d.dno group by d.budget";
+  ASSERT_OK(ExecuteMatViewStatement(
+      f.catalog.get(), "create materialized view by_budget as " + sql));
+
+  // A dept-side delta (ΔS ⋈ emp): dept 3 is deleted and comes back with a
+  // budget no other department has, so its employees are retracted from
+  // the old budget group and added to a new one.
+  TableDelta rebudget;
+  rebudget.table = f.tables.dept;
+  rebudget.deletes = RowsWhere(*f.catalog, f.tables.dept, 0, 3);
+  ASSERT_EQ(rebudget.deletes.size(), 1u);
+  rebudget.inserts = {{Value::Int(3), Value::Real(123.0)}};
+  ASSERT_FALSE(RowsWhere(*f.catalog, f.tables.emp, 1, 3).empty());
+  MaintenanceReport report;
+  ASSERT_OK(ApplyTableDelta(f.catalog.get(), rebudget, &report));
+  EXPECT_EQ(report.views_maintained, 1);
+  EXPECT_EQ(report.groups_added, 1);
+  EXPECT_EQ(report.groups_touched, 2);
+  ExpectJoinViewMaintained(f.catalog.get(), "by_budget", sql);
 }
 
 TEST(Maintenance, SelfJoinViewGoesStaleAndRefreshes) {
