@@ -339,16 +339,6 @@ std::vector<Row> SnapshotRows(const Table& table) {
   return rows;
 }
 
-/// The multiset of a materialized view's backing rows, rendered as
-/// QueryResult::Fingerprint renders a result.
-std::string BackingFingerprint(const Catalog& catalog,
-                               const std::string& view) {
-  QueryResult content;
-  content.rows = SnapshotRows(
-      *catalog.table(catalog.FindView(view)->backing_table).data);
-  return content.Fingerprint();
-}
-
 /// Puts `rows` back as table `id`'s data and recomputes its statistics.
 void RestoreRows(Catalog* catalog, TableId id, std::vector<Row> rows) {
   TableDef& def = catalog->mutable_table(id);

@@ -72,8 +72,8 @@ bool IsExtremum(const ViewPartial& p) {
 Result<std::unique_ptr<Catalog>> DeltaCatalog(const Catalog& live,
                                               const ViewDefinition& view) {
   auto scratch = std::make_unique<Catalog>();
+  const auto& reads = view.base_tables;
   for (TableId t = 0; t < live.num_tables(); ++t) {
-    const auto& reads = view.base_tables;
     TableDef def;
     if (std::find(reads.begin(), reads.end(), t) != reads.end()) {
       def = live.table(t);

@@ -120,6 +120,18 @@ Status RefreshMaterializedView(Catalog* catalog, const std::string& name,
   return Status::OK();
 }
 
+std::string BackingFingerprint(const Catalog& catalog,
+                               const std::string& name) {
+  const Table& backing =
+      *catalog.table(catalog.FindView(name)->backing_table).data;
+  QueryResult content;
+  content.rows.reserve(static_cast<size_t>(backing.row_count()));
+  for (int64_t i = 0; i < backing.row_count(); ++i) {
+    content.rows.push_back(backing.row(i));
+  }
+  return content.Fingerprint();
+}
+
 Result<std::string> ExecuteMatViewStatement(Catalog* catalog,
                                             const std::string& sql,
                                             const ExecContext& ctx) {

@@ -50,6 +50,12 @@ Result<const ViewDefinition*> CreateMaterializedView(
 Status RefreshMaterializedView(Catalog* catalog, const std::string& name,
                                const ExecContext& ctx = ExecContext::Default());
 
+/// The multiset of materialized view `name`'s backing rows, rendered as
+/// QueryResult::Fingerprint renders a result: maintained content and a
+/// REFRESH's content are equal exactly when their fingerprints are. The view
+/// must exist.
+std::string BackingFingerprint(const Catalog& catalog, const std::string& name);
+
 /// Parses and runs one materialized-view DDL statement (CREATE or REFRESH),
 /// returning a one-line human-readable confirmation.
 Result<std::string> ExecuteMatViewStatement(

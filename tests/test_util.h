@@ -155,19 +155,6 @@ inline int CheckViewAnswersAgree(const Catalog& catalog,
   return *n;
 }
 
-/// The multiset of a materialized view's backing rows, rendered as
-/// QueryResult::Fingerprint renders a result.
-inline std::string BackingFingerprint(const Catalog& catalog,
-                                      const std::string& view) {
-  const Table& backing =
-      *catalog.table(catalog.FindView(view)->backing_table).data;
-  QueryResult content;
-  for (int64_t i = 0; i < backing.row_count(); ++i) {
-    content.rows.push_back(backing.row(i));
-  }
-  return content.Fingerprint();
-}
-
 /// Expects the backing content of `view` to be byte-identical to what a
 /// REFRESH computes from the current base tables; leaves the view refreshed.
 inline void ExpectMatchesRefresh(Catalog* catalog, const std::string& view) {
